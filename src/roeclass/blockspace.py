@@ -4,41 +4,20 @@ dimension zero.
 A tower truncated at depth N gives the point set {0, ..., k_N - 1} with
 d(x, y) = min{n >= 0 : floor(x/k_n) == floor(y/k_n)}; the n-components are the
 consecutive intervals of length k_n.  Arbitrary finite integer metric spaces
-are supported alongside, with R-components computed by union-find, and any
-such space embeds into the nonnegative integers so that components are
-preserved at every scale.
+are supported alongside: one minimum spanning tree gives their R-components
+at every scale R, and lays any such space out in the nonnegative integers so
+that components are preserved at every scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
 from .supernatural import Tower
-
-
-class UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:  # path compression
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
 
 
 @dataclass(frozen=True)
@@ -55,18 +34,6 @@ class Partition:
 
     def __len__(self) -> int:
         return len(self.blocks)
-
-
-def _partition_from_labels(n: int, label_of, dist) -> Partition:
-    groups: dict[int, list[int]] = {}
-    for x in range(n):
-        groups.setdefault(label_of(x), []).append(x)
-    blocks = tuple(tuple(g) for g in sorted(groups.values(), key=lambda g: g[0]))
-    diams = tuple(
-        max((dist(a, b) for i, a in enumerate(blk) for b in blk[i + 1 :]), default=0)
-        for blk in blocks
-    )
-    return Partition(blocks, diams)
 
 
 @dataclass(frozen=True)
@@ -169,59 +136,83 @@ class FiniteMetricSpace:
         return max(max(row) for row in self.distances)
 
 
+def _scale_tree(m: FiniteMetricSpace):
+    """Single-linkage clusters of m, as (R, clusters) for R = 0 and for each
+    scale R at which clusters merge, in increasing order.
+
+    Cutting a minimum spanning tree above R leaves exactly the R-components
+    (Gower & Ross 1969), so one Prim pass and one walk over its edges by
+    length give every scale.  ``clusters`` is ordered by least point; each is
+    (points ascending, diameter, images), where images lays the clusters
+    merged at R out from the least point on, a gap of exactly R apart.
+    """
+    d, n = m.distances, m.size
+    best, link, rest, edges = list(d[0]), [0] * n, list(range(1, n)), []
+    while rest:  # Prim, O(n^2)
+        y = min(rest, key=best.__getitem__)
+        rest.remove(y)
+        edges.append((best[y], link[y], y))
+        row = d[y]
+        for z in rest:
+            if row[z] < best[z]:
+                best[z], link[z] = row[z], y
+    edges.sort()
+    key = list(range(n))  # point -> least point of its cluster
+    clusters = {x: ((x,), 0, {x: 0}) for x in range(n)}
+    yield 0, list(clusters.values())
+    for R, group in groupby(edges, key=itemgetter(0)):
+        merged: dict[int, list[int]] = {}  # new cluster key -> old keys
+        for _, a, b in group:
+            ka, kb = sorted((key[a], key[b]))  # distinct: tree edges close no cycle
+            absorbed = merged.pop(kb, [kb])
+            for c in absorbed:
+                for x in clusters[c][0]:
+                    key[x] = ka
+            merged.setdefault(ka, [ka]).extend(absorbed)
+        for k, kids in merged.items():
+            points, diam, images, offset = [], 0, {}, 0
+            for c in sorted(kids):  # least point first
+                pts, c_diam, c_images = clusters.pop(c)
+                cross = (max(map(d[x].__getitem__, points), default=0) for x in pts)
+                diam = max(diam, c_diam, *cross)  # each pair is met once in the walk
+                images.update((x, offset + v) for x, v in c_images.items())
+                offset += max(c_images.values()) + R
+                points += pts
+            clusters[k] = (tuple(sorted(points)), diam, images)
+        yield R, [clusters[k] for k in sorted(clusters)]
+
+
 def r_components(m: FiniteMetricSpace, R: int) -> Partition:
     """Components of the graph joining points at distance <= R."""
     if R < 0:
         raise ValueError("R must be >= 0")
-    uf = UnionFind(m.size)
-    for x in range(m.size):
-        row = m.distances[x]
-        for y in range(x + 1, m.size):
-            if row[y] <= R:
-                uf.union(x, y)
-    return _partition_from_labels(m.size, uf.find, m.distance)
+    for scale, clusters in _scale_tree(m):
+        if scale > R:
+            break
+        state = clusters
+    return Partition(tuple(c[0] for c in state), tuple(c[1] for c in state))
 
 
 def asdim_zero_profile(m: FiniteMetricSpace) -> dict[int, tuple[int, int]]:
     """R -> (max component diameter, max component cardinality), R = 0..max."""
-    profile = {}
-    for R in range(m.max_distance + 1):
-        part = r_components(m, R)
-        profile[R] = (max(part.diameters), max(part.cardinalities))
+    profile: dict[int, tuple[int, int]] = {}
+    entry = None
+    for scale, clusters in _scale_tree(m):
+        profile.update(dict.fromkeys(range(len(profile), scale), entry))
+        entry = (max(c[1] for c in clusters), max(len(c[0]) for c in clusters))
+    profile.update(dict.fromkeys(range(len(profile), m.max_distance + 1), entry))
     return profile
 
 
 def embed_into_nonneg_integers(m: FiniteMetricSpace) -> list[int]:
     """Component-preserving embedding into the nonnegative integers.
 
-    Recursively lays out the level-(R-1) components of each level-R component
-    from the least-indexed one, separating successive images by a gap of
-    exactly R, so that for every scale the image of each component is exactly
-    a component of the image.  The base point (least index) goes to 0.
+    At every merge scale R the merging components are laid out from the
+    least-indexed one, successive images a gap of exactly R apart, so that
+    for every scale the image of each component is exactly a component of
+    the image.  The base point (least index) goes to 0.
     """
-    max_d = m.max_distance
-    parts = [r_components(m, R) for R in range(max_d + 1)]
-    # point -> block index, per level
-    block_of = [
-        {x: i for i, blk in enumerate(parts[R].blocks) for x in blk}
-        for R in range(max_d + 1)
-    ]
-
-    def place(points: tuple[int, ...], level: int) -> dict[int, int]:
-        while level > 0:
-            child_ids = sorted({block_of[level - 1][x] for x in points})
-            if len(child_ids) > 1:
-                out: dict[int, int] = {}
-                offset = 0
-                for cid in child_ids:  # already ordered by least element
-                    child = parts[level - 1].blocks[cid]
-                    rel = place(child, level - 1)
-                    for x, v in rel.items():
-                        out[x] = offset + v
-                    offset += max(rel.values()) + level  # gap of exactly `level`
-                return out
-            level -= 1
-        return {points[0]: 0}
-
-    images = place(parts[max_d].blocks[0], max_d)
+    for _, clusters in _scale_tree(m):
+        pass
+    images = clusters[0][2]
     return [images[x] for x in range(m.size)]

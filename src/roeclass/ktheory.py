@@ -27,6 +27,7 @@ from .equivalence import TowerBijection
 from .errors import DepthExhausted, PreconditionViolation
 from .supernatural import (
     Tower,
+    _primitive_period,
     bijectively_coarsely_equivalent,
     coarsely_equivalent,
     sn_divides,
@@ -38,14 +39,6 @@ def _checked_entry(v) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
         raise ValueError(f"sequence entry must be an integer, got {v!r}")
     return v
-
-
-def _minimal_period(items: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(items)
-    for d in range(1, n + 1):
-        if n % d == 0 and all(items[i] == items[i % d] for i in range(n)):
-            return items[:d]
-    return items
 
 
 @dataclass(frozen=True)
@@ -69,7 +62,7 @@ class K0Class:
         period = tuple(map(_checked_entry, self.period))
         if not period:
             raise ValueError("period must be nonempty")
-        period = _minimal_period(period)
+        period = _primitive_period(period)
         q = len(period)
 
         def at(i: int) -> int:
@@ -172,10 +165,13 @@ def k0_sub(a: K0Class, b: K0Class) -> K0Class:
     return k0_add(a, k0_neg(b))
 
 
-def _window_blocks(d: K0Class, k: int) -> int:
-    """Blocks of size k covering the prefix plus one lcm stretch of the tail."""
-    s, q = len(d.prefix), len(d.period)
-    return -(-s // k) + lcm(k, q) // k
+def _block_sums(d: K0Class, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Aligned k_n-block sums of d, as (prefix, period): the blocks covering
+    the prefix, then one lcm(k_n, |period|) stretch, which repeats forever."""
+    k = d.context.order(n)
+    nb = -(-len(d.prefix) // k)
+    sums = [d.block_sum(j * k, k) for j in range(nb + lcm(k, len(d.period)) // k)]
+    return tuple(sums[:nb]), tuple(sums[nb:])
 
 
 def h_membership(t: Tower, d: K0Class, n: int) -> bool:
@@ -188,13 +184,13 @@ def h_membership(t: Tower, d: K0Class, n: int) -> bool:
         raise PreconditionViolation("sequence context does not match the tower")
     if not (isinstance(n, int) and n >= 0):
         raise PreconditionViolation("level must be an integer >= 0")
-    k = t.order(n)
-    return all(d.block_sum(j * k, k) == 0 for j in range(_window_blocks(d, k)))
+    prefix, period = _block_sums(d, n)
+    return not any(prefix + period)
 
 
 def _blocks_nonneg(d: K0Class, n: int) -> bool:
-    k = d.context.order(n)
-    return all(d.block_sum(j * k, k) >= 0 for j in range(_window_blocks(d, k)))
+    prefix, period = _block_sums(d, n)
+    return min(prefix + period) >= 0
 
 
 def _stable_level(d: K0Class) -> int:
@@ -232,16 +228,12 @@ def k0_equal(a: K0Class, b: K0Class) -> bool:
 def _block_collapse(a: K0Class, n: int) -> K0Class:
     """Replace every aligned k_n-block by (block sum, 0, ..., 0)."""
     k = a.context.order(n)
-    s, q = len(a.prefix), len(a.period)
-    nb = -(-s // k)
-    pb = lcm(k, q) // k
-    prefix = []
-    for j in range(nb):
-        prefix += [a.block_sum(j * k, k)] + [0] * (k - 1)
-    period = []
-    for j in range(nb, nb + pb):
-        period += [a.block_sum(j * k, k)] + [0] * (k - 1)
-    return K0Class(a.context, tuple(prefix), tuple(period))
+    parts = []
+    for sums in _block_sums(a, n):
+        seq = [0] * (k * len(sums))
+        seq[::k] = sums
+        parts.append(tuple(seq))
+    return K0Class(a.context, *parts)
 
 
 def k0_positive(a: K0Class) -> tuple[bool, K0Class | None]:
@@ -292,13 +284,7 @@ def alpha_iterate(t: Tower, n: int, v: K0Class) -> K0Class:
         raise PreconditionViolation("sequence context does not match the tower")
     if not (isinstance(n, int) and n >= 0):
         raise PreconditionViolation("level must be an integer >= 0")
-    k = t.order(n)
-    s, q = len(v.prefix), len(v.period)
-    nb = -(-s // k)
-    pb = lcm(k, q) // k
-    prefix = tuple(v.block_sum(j * k, k) for j in range(nb))
-    period = tuple(v.block_sum(j * k, k) for j in range(nb, nb + pb))
-    return K0Class(t, prefix, period)
+    return K0Class(t, *_block_sums(v, n))
 
 
 def k0_iso_exists(t1: Tower, t2: Tower) -> bool:
@@ -307,9 +293,10 @@ def k0_iso_exists(t1: Tower, t2: Tower) -> bool:
     Same-finiteness pairs reduce to supernatural-number equality (for finite
     towers that is equality of the full orders); a finite and an infinite
     tower never match (Z with a single generator against a non-cyclic group).
+    Supernatural-number equality already implies the same finiteness: a
+    finite tower's number has only finite exponents, an infinite tower's has
+    an INFINITE one.
     """
-    if t1.is_infinite != t2.is_infinite:
-        return False
     return bijectively_coarsely_equivalent(t1, t2)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import inf, prod
 
-from sympy import factorint, isprime, nextprime
+from sympy import factorint, isprime
 
 from .errors import PreconditionViolation
 
@@ -170,18 +170,15 @@ def coarsely_equivalent(t1: Tower, t2: Tower) -> bool:
 
 def obstruction_witness(t1: Tower, t2: Tower) -> tuple[int, int] | None:
     """Smallest prime power p^r dividing exactly one of the two supernatural
-    numbers (smallest p, then least r), or None when they are equal."""
+    numbers (smallest p, then least r), or None when they are equal.
+
+    Tower-built numbers have default exponent 0, so unequal ones differ at a
+    prime keyed in one of them.
+    """
     s1 = supernatural_of_tower(t1)
     s2 = supernatural_of_tower(t2)
-    if sn_equal(s1, s2):
-        return None
-    keyed = set(s1.exponents) | set(s2.exponents)
-    limit = max(keyed, default=1)
-    p = 2
-    while p <= limit:
+    for p in sorted(set(s1.exponents) | set(s2.exponents)):
         e1, e2 = s1.exponent_of(p), s2.exponent_of(p)
         if e1 != e2:
             return p, int(min(e1, e2)) + 1
-        p = nextprime(p)
-    # unequal values with identical keyed exponents must differ in default
-    return p, int(min(s1.default_exponent, s2.default_exponent)) + 1
+    return None

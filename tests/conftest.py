@@ -1,4 +1,6 @@
-"""Shared hypothesis strategies for tower-based tests."""
+"""Shared hypothesis strategies for tower-based tests, and a wall-clock budget."""
+
+import time
 
 from hypothesis import strategies as st
 
@@ -18,3 +20,14 @@ def towers(draw, max_prefix=4, max_tail=3, allow_finite=True, max_ratio=10):
 
 def infinite_towers(max_prefix=4, max_tail=3):
     return towers(max_prefix=max_prefix, max_tail=max_tail, allow_finite=False)
+
+
+class Budget:
+    def __init__(self, seconds):
+        self.limit = seconds
+        self.start = time.monotonic()
+
+    def check(self):
+        elapsed = time.monotonic() - self.start
+        assert elapsed < self.limit, f"took {elapsed:.2f}s, budget {self.limit}s"
+        return elapsed

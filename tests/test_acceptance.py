@@ -5,7 +5,6 @@ wall-clock budget. Run with -v to get a single verdict line per item.
 """
 
 import random
-import time
 from fractions import Fraction
 from math import ceil, lcm
 
@@ -45,16 +44,7 @@ from roeclass.errors import NotBlockDiagonal
 from roeclass.ktheory import _stable_level
 from roeclass.roeops import adjoint, compose, propagation
 
-
-class Budget:
-    def __init__(self, seconds):
-        self.limit = seconds
-        self.start = time.monotonic()
-
-    def check(self):
-        elapsed = time.monotonic() - self.start
-        assert elapsed < self.limit, f"took {elapsed:.2f}s, budget {self.limit}s"
-        return elapsed
+from conftest import Budget
 
 
 def random_tower(rng, max_prefix=4, max_tail=3, allow_finite=True):

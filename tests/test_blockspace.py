@@ -18,7 +18,7 @@ from roeclass import (
     r_components,
 )
 
-from conftest import towers
+from conftest import Budget, towers
 
 
 def bfs_components(m, R):
@@ -164,8 +164,10 @@ class TestRComponents:
     def test_matches_bfs_oracle_on_shuffled_spaces(self, seed):
         m, _ = shuffled_space(Tower((), (2,)), 3, seed)
         for R in range(4):
-            ours = {frozenset(b) for b in r_components(m, R).blocks}
-            assert ours == bfs_components(m, R)
+            part = r_components(m, R)
+            assert {frozenset(b) for b in part.blocks} == bfs_components(m, R)
+            for block, diam in zip(part.blocks, part.diameters):
+                assert diam == max(m.distance(x, y) for x in block for y in block)
 
     @given(small_block_spaces.filter(lambda s: s.size <= 128),
            st.integers(min_value=0, max_value=3))
@@ -216,6 +218,23 @@ class TestEmbedding:
         m, perm = shuffled_space(Tower((), (2,)), 2, seed=7)
         images = embed_into_nonneg_integers(m)
         assert sorted(images) == [0, 1, 3, 4]
+
+    def test_images_pinned(self):
+        # images of the per-scale recursive layout, kept byte-identical
+        assert embed_into_nonneg_integers(line_metric([9, 0, 15, 2, 14, 3])) == [
+            0, 12, 5, 14, 6, 15]
+        m, _ = shuffled_space(Tower((), (2, 3)), 2, seed=5)
+        scaled = FiniteMetricSpace(
+            m.size, tuple(tuple(50 * v for v in row) for row in m.distances))
+        assert embed_into_nonneg_integers(scaled) == [0, 50, 150, 300, 200, 350]
+
+    def test_far_pair_costs_nothing_per_scale(self):
+        budget = Budget(1.0)
+        m = line_metric([0, 10**6])
+        assert embed_into_nonneg_integers(m) == [0, 10**6]
+        assert len(r_components(m, 10**6 - 1)) == 2
+        assert len(r_components(m, 10**6)) == 1
+        budget.check()
 
     @given(st.integers(min_value=0, max_value=49))
     def test_component_preserving_both_ways(self, seed):

@@ -7,6 +7,8 @@ import pytest
 
 from roeclass.cli import main
 
+from conftest import Budget
+
 TOWER2 = '{"prefix": [], "tail": ["2"]}'
 TOWER3 = '{"prefix": [], "tail": ["3"]}'
 TOWER4 = '{"prefix": [], "tail": ["4"]}'
@@ -73,6 +75,14 @@ class TestClassify:
         assert report["k0_iso"] == report["bce"]
         assert (report["obstruction"] is None) == report["bce"]
         assert report["bce"] <= report["ce"]
+
+    def test_large_prime_obstruction(self, files, capsys):
+        budget = Budget(1.0)
+        code, out, _ = run(capsys, "classify", files("a.json", TOWER2),
+                           files("b.json", '{"prefix": [], "tail": ["2", "100000007"]}'))
+        assert code == 0
+        assert json.loads(out)["obstruction"] == [100000007, 1]
+        budget.check()
 
 
 class TestBce:
@@ -191,6 +201,14 @@ class TestEmbed:
         code, out, _ = run(capsys, "embed", files("m.json", json.dumps(space)))
         assert code == 0
         assert json.loads(out) == ["0", "1", "3", "4"]
+
+    def test_far_pair(self, files, capsys):
+        budget = Budget(1.0)
+        space = {"size": 2, "distances": [[0, 10**6], [10**6, 0]]}
+        code, out, _ = run(capsys, "embed", files("m.json", json.dumps(space)))
+        assert code == 0
+        assert json.loads(out) == ["0", "1000000"]
+        budget.check()
 
     def test_invalid_metric_exit_2(self, files, capsys):
         space = {"size": 2, "distances": [[0, 1], [2, 0]]}
