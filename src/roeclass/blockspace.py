@@ -17,6 +17,7 @@ from operator import itemgetter
 
 import numpy as np
 
+from .errors import MalformedInput, PreconditionViolation
 from .supernatural import Tower
 
 
@@ -45,8 +46,8 @@ class BlockSpace:
     _orders: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (isinstance(self.depth, int) and self.depth >= 0):
-            raise ValueError("depth must be an integer >= 0")
+        if isinstance(self.depth, bool) or not (isinstance(self.depth, int) and self.depth >= 0):
+            raise MalformedInput("depth must be an integer >= 0")
         object.__setattr__(self, "_orders", self.tower.orders(self.depth))
 
     @property
@@ -55,12 +56,12 @@ class BlockSpace:
 
     def order(self, n: int) -> int:
         if not 0 <= n <= self.depth:
-            raise ValueError(f"level {n} outside 0..{self.depth}")
+            raise PreconditionViolation(f"level {n} outside 0..{self.depth}")
         return self._orders[n]
 
     def _check_point(self, x: int):
         if not (isinstance(x, int) and 0 <= x < self.size):
-            raise ValueError(f"point {x!r} outside 0..{self.size - 1}")
+            raise PreconditionViolation(f"point {x!r} outside 0..{self.size - 1}")
 
     def distance(self, x: int, y: int) -> int:
         """Least level whose blocks contain both points."""
@@ -105,27 +106,27 @@ class FiniteMetricSpace:
     distances: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if not (isinstance(self.size, int) and self.size >= 1):
-            raise ValueError("size must be >= 1")
+        if isinstance(self.size, bool) or not (isinstance(self.size, int) and self.size >= 1):
+            raise MalformedInput("size must be an integer >= 1")
         rows = tuple(tuple(row) for row in self.distances)
         if len(rows) != self.size or any(len(r) != self.size for r in rows):
-            raise ValueError("distance matrix shape does not match size")
+            raise MalformedInput("distance matrix shape does not match size")
         for row in rows:
             for v in row:
                 if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-                    raise ValueError(f"distance {v!r} is not a nonnegative integer")
+                    raise MalformedInput(f"distance {v!r} is not a nonnegative integer")
                 if v >= 2**62:
-                    raise ValueError("distances this large are not supported")
+                    raise MalformedInput("distances this large are not supported")
         d = np.array(rows, dtype=np.int64)
         if (np.diag(d) != 0).any():
-            raise ValueError("d(x, x) must be 0")
+            raise MalformedInput("d(x, x) must be 0")
         if (d == 0).sum() != self.size:
-            raise ValueError("d(x, y) = 0 requires x = y")
+            raise MalformedInput("d(x, y) = 0 requires x = y")
         if (d != d.T).any():
-            raise ValueError("distance matrix must be symmetric")
+            raise MalformedInput("distance matrix must be symmetric")
         for k in range(self.size):
             if (d > d[:, [k]] + d[[k], :]).any():
-                raise ValueError("triangle inequality fails")
+                raise MalformedInput("triangle inequality fails")
         object.__setattr__(self, "distances", rows)
 
     def distance(self, x: int, y: int) -> int:
@@ -185,7 +186,7 @@ def _scale_tree(m: FiniteMetricSpace):
 def r_components(m: FiniteMetricSpace, R: int) -> Partition:
     """Components of the graph joining points at distance <= R."""
     if R < 0:
-        raise ValueError("R must be >= 0")
+        raise PreconditionViolation("R must be >= 0")
     for scale, clusters in _scale_tree(m):
         if scale > R:
             break

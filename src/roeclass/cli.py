@@ -1,8 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 for a computed result (predicates print ``true`` or ``false``),
-1 when ``bce verify`` produces a failing report, 2 for malformed input,
-3 when a search exhausts its depth budget, 4 for a violated precondition.
+1 when ``bce verify`` produces a failing report; any other failure is a
+RoeclassError, printed as one ``error:`` line and exiting with its
+``exit_code`` (2, 3 or 4, see ``errors``).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from pathlib import Path
 from . import serialize as ser
 from .blockspace import embed_into_nonneg_integers
 from .equivalence import build_back_and_forth, verify_bijective_coarse_equivalence
-from .errors import DepthExhausted, MalformedInput, PreconditionViolation
+from .errors import MalformedInput, RoeclassError
 from .ktheory import k0_equal, k0_iso_exists, k0_positive, unit_divide
 from .roeops import block_decompose, conjugate_by_bijection, trace_vector
 from .supernatural import (
@@ -26,14 +27,14 @@ from .supernatural import (
 
 
 def _read_source(path: str, stdin_used: list) -> str:
-    if path == "-":
-        if stdin_used:
-            raise MalformedInput("stdin ('-') can only be read once")
-        stdin_used.append(True)
-        return sys.stdin.read()
+    if path == "-" and stdin_used:
+        raise MalformedInput("stdin ('-') can only be read once")
     try:
-        return Path(path).read_text()
-    except OSError as e:
+        if path == "-":
+            stdin_used.append(True)
+            return sys.stdin.read()
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
         raise MalformedInput(f"cannot read {path}: {e}") from e
 
 
@@ -198,15 +199,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args, stdin_used=[])
-    except MalformedInput as e:
+    except RoeclassError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except DepthExhausted as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except PreconditionViolation as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
+        return e.exit_code
 
 
 if __name__ == "__main__":

@@ -1,24 +1,32 @@
 """Exception types shared across the library.
 
-The CLI maps these onto exit codes: MalformedInput -> 2, DepthExhausted -> 3,
-PreconditionViolation and its subclasses -> 4.
+Every error the library raises on purpose is a RoeclassError, and each class
+carries the CLI exit code it maps to: MalformedInput -> 2, DepthExhausted -> 3,
+PreconditionViolation and its subclasses -> 4.  MalformedInput and
+PreconditionViolation are also ValueErrors.
 """
 
 
 class RoeclassError(Exception):
-    pass
+    exit_code: int
 
 
-class MalformedInput(RoeclassError):
+class MalformedInput(RoeclassError, ValueError):
     """Input file or argument does not parse or violates its schema."""
+
+    exit_code = 2
 
 
 class DepthExhausted(RoeclassError):
     """A bounded search ran out of levels before meeting its goal."""
 
+    exit_code = 3
 
-class PreconditionViolation(RoeclassError):
+
+class PreconditionViolation(RoeclassError, ValueError):
     """An operation was called outside its contract."""
+
+    exit_code = 4
 
 
 class NotEquivalent(PreconditionViolation):

@@ -24,7 +24,7 @@ from math import gcd, lcm
 from sympy import factorint
 
 from .equivalence import TowerBijection
-from .errors import DepthExhausted, PreconditionViolation
+from .errors import DepthExhausted, MalformedInput, PreconditionViolation
 from .supernatural import (
     Tower,
     _primitive_period,
@@ -37,7 +37,7 @@ from .supernatural import (
 
 def _checked_entry(v) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
-        raise ValueError(f"sequence entry must be an integer, got {v!r}")
+        raise MalformedInput(f"sequence entry must be an integer, got {v!r}")
     return v
 
 
@@ -56,12 +56,13 @@ class K0Class:
     _period_sums: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.context.is_infinite:
-            raise PreconditionViolation("K0 sequence classes need an infinite tower")
         prefix = tuple(map(_checked_entry, self.prefix))
         period = tuple(map(_checked_entry, self.period))
+        # malformed entries are reported before a finite context (exit 2 before 4)
+        if not self.context.is_infinite:
+            raise PreconditionViolation("K0 sequence classes need an infinite tower")
         if not period:
-            raise ValueError("period must be nonempty")
+            raise MalformedInput("period must be nonempty")
         period = _primitive_period(period)
         q = len(period)
 
@@ -91,7 +92,7 @@ class K0Class:
 
     def value(self, i: int) -> int:
         if i < 0:
-            raise ValueError("index must be >= 0")
+            raise PreconditionViolation("index must be >= 0")
         if i < len(self.prefix):
             return self.prefix[i]
         return self.period[(i - len(self.prefix)) % len(self.period)]
@@ -120,9 +121,9 @@ class FiniteK0:
 
     def __post_init__(self):
         if not (isinstance(self.rank, int) and isinstance(self.unit_rank, int)):
-            raise ValueError("ranks must be integers")
+            raise MalformedInput("ranks must be integers")
         if self.unit_rank < 1:
-            raise ValueError("unit rank must be >= 1")
+            raise MalformedInput("unit rank must be >= 1")
 
 
 def k0_unit(t: Tower) -> K0Class | FiniteK0:

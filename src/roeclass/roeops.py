@@ -16,6 +16,7 @@ from .blockspace import BlockSpace
 from .equivalence import TowerBijection
 from .errors import (
     DepthExhausted,
+    MalformedInput,
     NotBlockDiagonal,
     NotProjection,
     PreconditionViolation,
@@ -30,10 +31,10 @@ def _coerce_scalar(v) -> Fraction:
     if type(v) is Fraction:
         return v
     if isinstance(v, bool):
-        raise ValueError("entries must be rational numbers")
+        raise MalformedInput("entries must be rational numbers")
     if isinstance(v, (int, Fraction)):
         return Fraction(v)
-    raise ValueError(f"entries must be rational numbers, got {v!r}")
+    raise MalformedInput(f"entries must be rational numbers, got {v!r}")
 
 
 def _mat_mul(a: Entries, b: Entries) -> Entries:
@@ -86,9 +87,9 @@ class PropagationOperator:
         clean: Entries = {}
         for (r, c), v in self.entries.items():
             if not (isinstance(r, int) and isinstance(c, int)):
-                raise ValueError("entry positions must be integers")
+                raise MalformedInput("entry positions must be integers")
             if not (0 <= r < self.space.size and 0 <= c < self.space.size):
-                raise ValueError(f"entry ({r}, {c}) outside the truncation")
+                raise MalformedInput(f"entry ({r}, {c}) outside the truncation")
             v = _coerce_scalar(v)
             if v:
                 clean[(r, c)] = v
@@ -152,11 +153,11 @@ class BlockTuple:
     def __post_init__(self):
         k = self.space.order(self.level)
         if len(self.blocks) != self.space.size // k:
-            raise ValueError("wrong number of blocks for the level")
+            raise MalformedInput("wrong number of blocks for the level")
         for blk in self.blocks:
             for (r, c), v in blk.items():
                 if not (0 <= r < k and 0 <= c < k):
-                    raise ValueError("block entry outside the block")
+                    raise MalformedInput("block entry outside the block")
 
     @property
     def block_size(self) -> int:

@@ -27,7 +27,7 @@ def canonical_json(obj) -> str:
 def load_json(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested too deep
         raise MalformedInput(f"invalid JSON: {e}") from e
 
 
@@ -43,7 +43,8 @@ def _as_object(obj, what: str, keys: set[str]) -> dict:
 
 
 def _parse_uint(value, what: str) -> int:
-    _expect(isinstance(value, str) and value.isdigit(), f"{what} must be a decimal string")
+    _expect(isinstance(value, str) and value.isascii() and value.isdigit(),
+            f"{what} must be a decimal string")
     return int(value)
 
 
@@ -64,10 +65,7 @@ def tower_from_obj(obj) -> Tower:
             "tower prefix/tail must be lists")
     prefix = tuple(_parse_uint(r, "ratio") for r in obj["prefix"])
     tail = tuple(_parse_uint(r, "ratio") for r in obj["tail"])
-    try:
-        return Tower(prefix, tail)
-    except ValueError as e:
-        raise MalformedInput(str(e)) from e
+    return Tower(prefix, tail)
 
 
 def sn_to_obj(s: SupernaturalNumber) -> dict:
@@ -92,10 +90,7 @@ def sn_from_obj(obj) -> SupernaturalNumber:
     exps = {}
     for p, e in obj["exponents"].items():
         exps[_parse_uint(p, "prime")] = parse_exp(e, f"exponent of {p}")
-    try:
-        return SupernaturalNumber(exps, parse_exp(obj["default"], "default"))
-    except ValueError as e:
-        raise MalformedInput(str(e)) from e
+    return SupernaturalNumber(exps, parse_exp(obj["default"], "default"))
 
 
 # -- metric spaces ----------------------------------------------------------
@@ -106,16 +101,10 @@ def metric_space_to_obj(m: FiniteMetricSpace) -> dict:
 
 def metric_space_from_obj(obj) -> FiniteMetricSpace:
     obj = _as_object(obj, "metric space", {"size", "distances"})
-    size = _parse_small_int(obj["size"], "size")
-    _expect(isinstance(obj["distances"], list), "distances must be a list of rows")
-    rows = []
-    for row in obj["distances"]:
-        _expect(isinstance(row, list), "distances must be a list of rows")
-        rows.append(tuple(_parse_small_int(v, "distance") for v in row))
-    try:
-        return FiniteMetricSpace(size, tuple(rows))
-    except ValueError as e:
-        raise MalformedInput(str(e)) from e
+    rows = obj["distances"]
+    _expect(isinstance(rows, list) and all(isinstance(row, list) for row in rows),
+            "distances must be a list of rows")
+    return FiniteMetricSpace(obj["size"], rows)
 
 
 # -- K0 classes -------------------------------------------------------------
@@ -133,12 +122,7 @@ def k0_from_obj(obj) -> K0Class:
     context = tower_from_obj(obj["context"])
     _expect(isinstance(obj["prefix"], list) and isinstance(obj["period"], list),
             "prefix/period must be lists")
-    prefix = tuple(_parse_small_int(v, "entry") for v in obj["prefix"])
-    period = tuple(_parse_small_int(v, "entry") for v in obj["period"])
-    try:
-        return K0Class(context, prefix, period)
-    except ValueError as e:
-        raise MalformedInput(str(e)) from e
+    return K0Class(context, obj["prefix"], obj["period"])
 
 
 # -- bijections -------------------------------------------------------------
@@ -177,10 +161,7 @@ def bijection_from_obj(obj) -> TowerBijection:
     _expect(set(assignments) == set(range(len(assignments))),
             "map sources must cover 0..N-1 exactly")
     mapping = tuple(assignments[x] for x in range(len(assignments)))
-    try:
-        return TowerBijection(source, target, depth, tuple(levels), mapping)
-    except ValueError as e:
-        raise MalformedInput(str(e)) from e
+    return TowerBijection(source, target, depth, tuple(levels), mapping)
 
 
 def report_to_obj(r: VerificationReport) -> dict:
@@ -207,7 +188,7 @@ def _scalar_to_str(v: Fraction) -> str:
     return str(v)
 
 
-_SCALAR_RE = re.compile(r"-?\d+(/[1-9]\d*)?$")
+_SCALAR_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
 
 def _scalar_from_str(s, what: str) -> Fraction:
@@ -222,12 +203,7 @@ def space_to_obj(s: BlockSpace) -> dict:
 
 def space_from_obj(obj) -> BlockSpace:
     obj = _as_object(obj, "space", {"tower", "depth"})
-    tower = tower_from_obj(obj["tower"])
-    depth = _parse_small_int(obj["depth"], "depth")
-    try:
-        return BlockSpace(tower, depth)
-    except ValueError as e:
-        raise MalformedInput(str(e)) from e
+    return BlockSpace(tower_from_obj(obj["tower"]), obj["depth"])
 
 
 def operator_to_obj(t: PropagationOperator) -> dict:
@@ -246,10 +222,7 @@ def operator_from_obj(obj) -> PropagationOperator:
         c = _parse_small_int(item[1], "col")
         _expect((r, c) not in entries, f"entry ({r}, {c}) given twice")
         entries[(r, c)] = _scalar_from_str(item[2], f"entry ({r}, {c})")
-    try:
-        return PropagationOperator(space, entries)
-    except ValueError as e:
-        raise MalformedInput(str(e)) from e
+    return PropagationOperator(space, entries)
 
 
 def blocktuple_to_obj(bt: BlockTuple) -> dict:

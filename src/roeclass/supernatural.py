@@ -17,7 +17,7 @@ from math import inf, prod
 
 from sympy import factorint, isprime
 
-from .errors import PreconditionViolation
+from .errors import MalformedInput, PreconditionViolation
 
 # Exponent marking a prime of unbounded valuation along the tower.
 INFINITE = inf
@@ -25,9 +25,9 @@ INFINITE = inf
 
 def _checked_ratio(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"ratio must be an integer, got {value!r}")
+        raise MalformedInput(f"ratio must be an integer, got {value!r}")
     if value < 1:
-        raise ValueError(f"ratio must be >= 1, got {value}")
+        raise MalformedInput(f"ratio must be >= 1, got {value}")
     return value
 
 
@@ -72,7 +72,7 @@ class Tower:
     def ratio(self, i: int) -> int:
         """i-th unrolled ratio (0-based); 1 once a finite tower is exhausted."""
         if i < 0:
-            raise ValueError("ratio index must be >= 0")
+            raise PreconditionViolation("ratio index must be >= 0")
         if i < len(self.prefix):
             return self.prefix[i]
         if not self.tail:
@@ -82,7 +82,7 @@ class Tower:
     def order(self, n: int) -> int:
         """Subgroup order k_n; saturates at prod(prefix) for finite towers."""
         if n < 0:
-            raise ValueError("level must be >= 0")
+            raise PreconditionViolation("level must be >= 0")
         k = 1
         for i in range(min(n, len(self.prefix)) if not self.tail else n):
             k *= self.ratio(i)
@@ -91,7 +91,7 @@ class Tower:
     def orders(self, depth: int) -> tuple[int, ...]:
         """(k_0, ..., k_depth) computed in one pass."""
         if depth < 0:
-            raise ValueError("depth must be >= 0")
+            raise PreconditionViolation("depth must be >= 0")
         out = [1]
         for i in range(depth):
             out.append(out[-1] * self.ratio(i))
@@ -116,15 +116,15 @@ class SupernaturalNumber:
 
     def __post_init__(self):
         if self.default_exponent not in (0, INFINITE):
-            raise ValueError("default exponent must be 0 or INFINITE")
+            raise MalformedInput("default exponent must be 0 or INFINITE")
         normalized = {}
         for p, e in sorted(self.exponents.items()):
             if not (isinstance(p, int) and isprime(p)):
-                raise ValueError(f"exponent key {p!r} is not prime")
+                raise MalformedInput(f"exponent key {p!r} is not prime")
             if e == self.default_exponent:
                 continue
             if e != INFINITE and not (isinstance(e, int) and e >= 1):
-                raise ValueError(f"exponent of {p} must be >= 1 or INFINITE, got {e!r}")
+                raise MalformedInput(f"exponent of {p} must be >= 1 or INFINITE, got {e!r}")
             normalized[p] = e
         object.__setattr__(self, "exponents", normalized)
 

@@ -52,6 +52,30 @@ class TestSn:
         code, _, err = run(capsys, "sn", "/nonexistent/path.json")
         assert code == 2
 
+    def test_superscript_ratio_exit_2(self, files, capsys):
+        code, out, err = run(capsys, "sn", files("t.json", '{"prefix": [], "tail": ["²"]}'))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
+    def test_deeply_nested_json_exit_2(self, files, capsys):
+        code, out, err = run(capsys, "sn", files("deep.json", "[" * 100_000 + "]" * 100_000))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
+    def test_non_utf8_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "t.json"
+        path.write_bytes(b'{"prefix": [], "tail": ["\xff"]}')
+        code, out, err = run(capsys, "sn", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
+    def test_non_utf8_stdin_exit_2(self, capsys, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(b'{"prefix": [], "tail": ["\xff"]}'), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run(capsys, "sn", "-")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
 
 class TestClassify:
     def test_golden_two_vs_three(self, files, capsys):
@@ -239,6 +263,15 @@ class TestRoe:
                            files("op.json", json.dumps(op)))
         assert code == 0
         assert json.loads(out) == ["1", "1"]
+
+    @pytest.mark.parametrize("command, level", [("decompose", "99"), ("trace", "-1")])
+    def test_level_out_of_range_exit_4(self, files, capsys, command, level):
+        op = {"space": self.to_space(), "entries": [[0, 0, "1"]]}
+        code, out, err = run(capsys, "roe", command, "--level", level,
+                             files("op.json", json.dumps(op)))
+        assert (code, out) == (4, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:") and "0..2" in err
 
     def test_trace_non_projection_exit_4(self, files, capsys):
         op = {"space": self.to_space(), "entries": [[0, 0, "1/2"]]}

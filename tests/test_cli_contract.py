@@ -1,0 +1,203 @@
+"""The command line exit-code contract, over generated files and argv.
+
+For every generated input ``main`` either returns 0, 2, 3 or 4 (1 only
+from ``bce verify``) or stops in argparse with ``SystemExit(2)``.  Nothing
+else escapes, stderr holds no traceback, and a second run prints
+byte-identical stdout.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from roeclass import Tower
+from roeclass.cli import main
+
+from conftest import Budget
+
+# str.isdigit accepts all of these: superscript two, Arabic-Indic three and
+# zero, fullwidth three
+NON_ASCII_DIGITS = "²٣٠３"
+
+# Decimal-looking text; the ASCII digits stay 0 and 1 so that an accepted
+# value keeps every generated space and witness small.
+decimal_text = st.text(alphabet="01" + NON_ASCII_DIGITS, max_size=2)
+junk = st.sampled_from([2, -1, True, None, 1.5, "-2", "2.0", " 2", [], {}])
+small_ratios = st.lists(st.integers(1, 4), max_size=2)
+
+
+def _nodes(obj, path=()):
+    """Paths to every value inside a JSON object, the root excluded."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return []
+    return [p for k, v in items for p in [path + (k,), *_nodes(v, path + (k,))]]
+
+
+def _spoil(draw, obj):
+    """obj, half the time with one value inside replaced by decimal-looking
+    text or a value of another type."""
+    nodes = _nodes(obj)
+    if nodes and draw(st.booleans()):
+        *path, last = draw(st.sampled_from(nodes))
+        parent = obj
+        for k in path:
+            parent = parent[k]
+        parent[last] = draw(st.one_of(decimal_text, junk))
+    return obj
+
+
+def tower_obj(prefix, tail) -> dict:
+    return {"prefix": list(map(str, prefix)), "tail": list(map(str, tail))}
+
+
+tower_objs = st.builds(tower_obj, small_ratios, small_ratios)
+
+
+@st.composite
+def tower_pairs(draw):
+    """Two towers, the second often the first, so that builds can succeed."""
+    first = (draw(small_ratios), draw(small_ratios))
+    second = draw(st.one_of(st.just(first), st.tuples(small_ratios, small_ratios)))
+    return tower_obj(*first), tower_obj(*second)
+
+
+@st.composite
+def k0_objs(draw):
+    """Classes over a tower that is infinite unless spoiled."""
+    tail = draw(st.lists(st.integers(2, 4), min_size=1, max_size=2))
+    return {"context": tower_obj(draw(small_ratios), tail),
+            "prefix": draw(st.lists(st.integers(-3, 3), max_size=3)),
+            "period": draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3))}
+
+
+@st.composite
+def metric_objs(draw):
+    """Points on a line."""
+    xs = draw(st.lists(st.integers(0, 20), min_size=1, max_size=5, unique=True))
+    return {"size": len(xs), "distances": [[abs(x - y) for y in xs] for x in xs]}
+
+
+@st.composite
+def operator_objs(draw):
+    prefix, tail = draw(small_ratios), draw(small_ratios)
+    depth = draw(st.integers(0, 4))
+    size = Tower(tuple(prefix), tuple(tail)).order(depth)
+    scalars = st.one_of(st.sampled_from(["1", "0", "-1", "1/2", "-3/4"]),
+                        st.integers(-3, 3).map(str),
+                        st.text(alphabet="0123456789-/" + NON_ASCII_DIGITS, max_size=4))
+    point = st.integers(0, size - 1)
+    positions = draw(st.lists(st.one_of(point.map(lambda r: (r, r)), st.tuples(point, point)),
+                              max_size=4, unique=True))
+    entries = [[r, c, draw(scalars)] for r, c in positions]
+    return {"space": {"tower": tower_obj(prefix, tail), "depth": depth},
+            "entries": entries}
+
+
+@st.composite
+def map_objs(draw):
+    """Bijection files whose shape fits their towers, so that most reach the
+    verifier."""
+    src, tgt = (draw(small_ratios), draw(small_ratios)), (draw(small_ratios), draw(small_ratios))
+    depth = draw(st.integers(0, 2))
+    increasing = st.sets(st.integers(1, 4), min_size=depth, max_size=depth).map(sorted)
+    levels = [list(nm) for nm in zip(draw(increasing), draw(increasing))]
+    n_d, m_d = levels[-1] if levels else (0, 0)
+    dom = Tower(*map(tuple, src)).order(n_d)
+    cod = Tower(*map(tuple, tgt)).order(m_d)
+    if dom <= 64:
+        images = draw(st.lists(st.integers(0, cod - 1), min_size=dom, max_size=dom))
+    else:
+        images = [x % cod for x in range(dom)]
+    return {"source": tower_obj(*src), "target": tower_obj(*tgt),
+            "depth": depth, "levels": levels,
+            "map": [str(v) for x, y in enumerate(images) for v in (x, y)]}
+
+
+level_args = st.integers(-3, 8).map(str)
+
+
+@st.composite
+def invocations(draw):
+    """(argv, files): one command line and the JSON text of each file it names."""
+    kind = draw(st.sampled_from(["sn", "classify", "build", "verify", "k0 eq", "k0 pos",
+                                 "divide-unit", "embed", "decompose", "trace", "conjugate"]))
+    if kind == "sn":
+        files = {"t.json": draw(tower_objs)}
+        argv = ["sn", "t.json"]
+    elif kind in ("classify", "build"):
+        t1, t2 = draw(tower_pairs())
+        files = {"t1.json": t1, "t2.json": t2}
+        argv = ["classify", "t1.json", "t2.json"]
+        if kind == "build":
+            argv = ["bce", "build", "--depth", str(draw(st.integers(-1, 4))), *argv[1:]]
+    elif kind == "verify":
+        files = {"m.json": draw(map_objs())}
+        argv = ["bce", "verify", "m.json"]
+    elif kind == "k0 eq":
+        files = {"a.json": draw(k0_objs()), "b.json": draw(k0_objs())}
+        argv = ["k0", "eq", "a.json", "b.json"]
+    elif kind == "k0 pos":
+        files = {"a.json": draw(k0_objs())}
+        argv = ["k0", "pos", "a.json"]
+    elif kind == "divide-unit":
+        files = {"t.json": draw(tower_objs)}
+        argv = ["k0", "divide-unit", "--prime", str(draw(st.integers(-1, 7))),
+                "--exp", str(draw(st.integers(-1, 4))), "t.json"]
+    elif kind == "embed":
+        files = {"s.json": draw(metric_objs())}
+        argv = ["embed", "s.json"]
+    elif kind in ("decompose", "trace"):
+        files = {"op.json": draw(operator_objs())}
+        argv = ["roe", kind, "--level", draw(level_args), "op.json"]
+        if kind == "trace" and draw(st.booleans()):
+            argv.insert(2, "--projection")
+    else:
+        files = {"m.json": draw(map_objs()), "op.json": draw(operator_objs())}
+        argv = ["roe", "conjugate", "m.json", "op.json"]
+    if draw(st.integers(0, 9)) == 5:
+        argv = argv[:-1]  # a missing argument: argparse's usage error
+    return argv, {name: json.dumps(_spoil(draw, obj), ensure_ascii=False)
+                  for name, obj in files.items()}
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            assert e.code == 2, f"argparse exited {e.code}"
+            code = "usage"
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_exit_code_contract():
+    budget = Budget(30.0)
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(invocations())
+    def check(invocation):
+        argv, files = invocation
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, text in files.items():
+                Path(tmp, name).write_text(text, encoding="utf-8")
+            argv = [str(Path(tmp, a)) if a in files else a for a in argv]
+            code, out, err = run(argv)
+            again = run(argv)
+        verify = argv[:2] == ["bce", "verify"]
+        assert code in (0, 2, 3, 4, "usage") or (code == 1 and verify), (argv, code, err)
+        assert "Traceback" not in err
+        assert again[:2] == (code, out), argv
+
+    check()
+    budget.check()

@@ -1,0 +1,79 @@
+"""Every library error carries its CLI exit code; validation errors are ValueErrors."""
+
+import pytest
+
+from roeclass import (
+    BlockSpace,
+    DepthExhausted,
+    FiniteMetricSpace,
+    K0Class,
+    MalformedInput,
+    NotBlockDiagonal,
+    NotEquivalent,
+    NotProjection,
+    PreconditionViolation,
+    RoeclassError,
+    SupernaturalNumber,
+    Tower,
+    UnsupportedEntries,
+    r_components,
+)
+
+
+@pytest.mark.parametrize("cls, code", [
+    (MalformedInput, 2),
+    (DepthExhausted, 3),
+    (PreconditionViolation, 4),
+    (NotEquivalent, 4),
+    (NotBlockDiagonal, 4),
+    (NotProjection, 4),
+    (UnsupportedEntries, 4),
+])
+def test_exit_codes(cls, code):
+    assert issubclass(cls, RoeclassError)
+    assert cls.exit_code == code
+
+
+def test_validation_errors_are_value_errors():
+    assert issubclass(MalformedInput, ValueError)
+    assert issubclass(PreconditionViolation, ValueError)
+    assert not issubclass(DepthExhausted, ValueError)
+
+
+T2 = Tower((), (2,))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Tower((0,), ()),
+    lambda: Tower((True,), ()),
+    lambda: SupernaturalNumber({4: 1}),
+    lambda: BlockSpace(T2, True),
+    lambda: FiniteMetricSpace(True, ((0,),)),
+    lambda: FiniteMetricSpace(2, ((0, 1), (2, 0))),
+    lambda: K0Class(T2, (), ()),
+    lambda: K0Class(T2, (True,), (1,)),
+], ids=["ratio", "bool_ratio", "prime", "bool_depth", "bool_size", "metric", "period", "entry"])
+def test_constructors_raise_malformed_input(make):
+    with pytest.raises(MalformedInput):
+        make()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: T2.ratio(-1),
+    lambda: T2.order(-1),
+    lambda: T2.orders(-1),
+    lambda: BlockSpace(T2, 2).order(3),
+    lambda: BlockSpace(T2, 2).distance(0, 4),
+    lambda: r_components(BlockSpace(T2, 1).to_metric_space(), -1),
+    lambda: K0Class(T2, (), (1,)).value(-1),
+], ids=["ratio", "order", "orders", "level", "point", "radius", "index"])
+def test_out_of_range_arguments_raise_precondition_violation(call):
+    with pytest.raises(PreconditionViolation):
+        call()
+
+
+def test_finite_context_checked_after_entries():
+    with pytest.raises(MalformedInput):
+        K0Class(Tower((6,), ()), (None,), (1,))
+    with pytest.raises(PreconditionViolation):
+        K0Class(Tower((6,), ()), (1,), (1,))

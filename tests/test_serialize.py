@@ -63,6 +63,12 @@ class TestTower:
         with pytest.raises(MalformedInput):
             tower_from_obj({"prefix": ["0"], "tail": []})
 
+    @pytest.mark.parametrize("ratio", ["²", "٣", "1٣", "３"])
+    def test_rejects_non_ascii_digits(self, ratio):
+        # str.isdigit accepts each of these; "²" then made int() raise
+        with pytest.raises(MalformedInput):
+            tower_from_obj({"prefix": [], "tail": [ratio]})
+
 
 class TestSupernatural:
     def test_format(self):
@@ -83,6 +89,12 @@ class TestSupernatural:
         with pytest.raises(MalformedInput):
             sn_from_obj({"exponents": {"4": "1"}, "default": "0"})
 
+    def test_rejects_non_ascii_digits(self):
+        with pytest.raises(MalformedInput):
+            sn_from_obj({"exponents": {"٣": "1"}, "default": "0"})
+        with pytest.raises(MalformedInput):
+            sn_from_obj({"exponents": {"3": "²"}, "default": "0"})
+
 
 class TestMetricSpace:
     def test_bare_int_format(self):
@@ -100,6 +112,16 @@ class TestMetricSpace:
     def test_rejects_invalid_metric(self):
         with pytest.raises(MalformedInput):
             metric_space_from_obj({"size": 2, "distances": [[0, 1], [2, 0]]})
+
+    @pytest.mark.parametrize("obj", [
+        {"size": True, "distances": [[0]]},
+        {"size": 2, "distances": [[0, True], [True, 0]]},
+        {"size": 1, "distances": [[0.0]]},
+        {"size": 1, "distances": ["0"]},
+    ])
+    def test_rejects_non_integers(self, obj):
+        with pytest.raises(MalformedInput):
+            metric_space_from_obj(obj)
 
 
 class TestK0:
@@ -119,6 +141,17 @@ class TestK0:
         with pytest.raises(MalformedInput):
             k0_from_obj({"context": {"prefix": [], "tail": ["2"]},
                          "prefix": [], "period": []})
+
+    @pytest.mark.parametrize("entry", [True, "1", 1.5, None])
+    def test_rejects_non_integer_entry(self, entry):
+        with pytest.raises(MalformedInput):
+            k0_from_obj({"context": {"prefix": [], "tail": ["2"]},
+                         "prefix": [entry], "period": [1]})
+
+    def test_bad_entry_is_malformed_before_finite_context(self):
+        with pytest.raises(MalformedInput):
+            k0_from_obj({"context": {"prefix": ["6"], "tail": []},
+                         "prefix": [True], "period": [1]})
 
 
 class TestBijection:
@@ -149,6 +182,14 @@ class TestBijection:
         b = build_back_and_forth(Tower((), (2,)), Tower((), (2,)), 1)
         obj = bijection_to_obj(b)
         obj["map"] = ["0", "0", "2", "1"]
+        with pytest.raises(MalformedInput):
+            bijection_from_obj(obj)
+
+    @pytest.mark.parametrize("i", [0, 1])
+    def test_rejects_non_ascii_digit_point(self, i):
+        b = build_back_and_forth(Tower((), (2,)), Tower((), (2,)), 1)
+        obj = bijection_to_obj(b)
+        obj["map"][i] = "٠"
         with pytest.raises(MalformedInput):
             bijection_from_obj(obj)
 
@@ -183,6 +224,18 @@ class TestOperator:
         with pytest.raises(MalformedInput):
             operator_from_obj(obj)
 
+    @pytest.mark.parametrize("scalar", ["٣", "1/٣", "-²"])
+    def test_rejects_non_ascii_digit_scalar(self, scalar):
+        s = BlockSpace(Tower((), (2,)), 1)
+        obj = {"space": space_to_obj(s), "entries": [[0, 0, scalar]]}
+        with pytest.raises(MalformedInput):
+            operator_from_obj(obj)
+
+    @pytest.mark.parametrize("depth", [True, -1, "1", 1.0])
+    def test_rejects_bad_depth(self, depth):
+        with pytest.raises(MalformedInput):
+            space_from_obj({"tower": {"prefix": [], "tail": ["2"]}, "depth": depth})
+
 
 class TestCanonicalJson:
     def test_sorted_compact(self):
@@ -191,6 +244,11 @@ class TestCanonicalJson:
     def test_load_rejects_garbage(self):
         with pytest.raises(MalformedInput):
             load_json("{not json")
+
+    def test_load_rejects_deep_nesting(self):
+        # json raises RecursionError here, not JSONDecodeError
+        with pytest.raises(MalformedInput):
+            load_json("[" * 100_000 + "]" * 100_000)
 
     @given(towers())
     def test_emit_parse_emit_stable(self, t):
