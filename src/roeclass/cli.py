@@ -41,7 +41,10 @@ def _read_source(path: str, stdin_used: list) -> str:
 def _emit(obj, output: str | None):
     text = ser.canonical_json(obj)
     if output:
-        Path(output).write_text(text + "\n")
+        try:
+            Path(output).write_text(text + "\n")
+        except OSError as e:
+            raise MalformedInput(f"cannot write {output}: {e}") from e
     else:
         print(text)
 
@@ -159,9 +162,9 @@ def _dispatch(args, stdin_used: list) -> int:
         if args.subcommand == "pos":
             a = ser.k0_from_obj(read(args.class1))
             positive, witness = k0_positive(a)
-            _emit(positive, None)
             if positive and args.output:
-                Path(args.output).write_text(ser.canonical_json(ser.k0_to_obj(witness)) + "\n")
+                _emit(ser.k0_to_obj(witness), args.output)
+            _emit(positive, None)
             return 0
         t = ser.tower_from_obj(read(args.tower))
         result = unit_divide(t, args.prime, args.exp)

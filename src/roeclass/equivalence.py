@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import DepthExhausted, MalformedInput, NotEquivalent, PreconditionViolation
-from .supernatural import Tower, bijectively_coarsely_equivalent
+from .supernatural import Tower, _checked_int, bijectively_coarsely_equivalent
 
 
 def interleave_towers(t1: Tower, t2: Tower, depth: int) -> tuple[tuple[int, int], ...]:
@@ -85,7 +85,10 @@ class TowerBijection:
     modulus: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        levels = tuple((int(n), int(m)) for n, m in self.levels)
+        _checked_int(self.depth, "depth")
+        if not all(isinstance(pair, (tuple, list)) and len(pair) == 2 for pair in self.levels):
+            raise MalformedInput("each level must be a pair")
+        levels = tuple((_checked_int(n, "level"), _checked_int(m, "level")) for n, m in self.levels)
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "mapping", tuple(self.mapping))
         if len(levels) != self.depth:
@@ -101,7 +104,7 @@ class TowerBijection:
         if len(self.mapping) != dom:
             raise MalformedInput(f"map must cover the full source truncation ({dom} points)")
         for y in self.mapping:
-            if not (isinstance(y, int) and 0 <= y < cod):
+            if isinstance(y, bool) or not (isinstance(y, int) and 0 <= y < cod):
                 raise MalformedInput(f"image {y!r} outside the target truncation")
         object.__setattr__(self, "modulus", _measure_modulus(self))
 
@@ -116,24 +119,22 @@ class TowerBijection:
 
 def _measure_modulus(b: TowerBijection) -> tuple[int, ...]:
     n_d, m_d = b.final_levels
-    src_orders = b.source.orders(n_d)
     tgt_orders = b.target.orders(m_d)
+    # a block's image lies in one aligned target block exactly when its least
+    # and greatest images do; each level merges runs of ratio(l-1) spans
+    los = his = b.mapping
     out = []
+    s = 0
     for level in range(n_d + 1):
-        k = src_orders[level]
-        # span of each source block's image: containment in one aligned
-        # target interval only depends on min and max
-        spans = []
-        for j in range(b.domain_size // k):
-            img = b.mapping[j * k : (j + 1) * k]
-            spans.append((min(img), max(img)))
-        for s in range(m_d + 1):
-            w = tgt_orders[s]
-            if all(lo // w == hi // w for lo, hi in spans):
-                out.append(s)
-                break
-        else:  # whole truncation is one m_d-component, cannot happen
-            raise AssertionError("modulus measurement failed")
+        if level:
+            r = b.source.ratio(level - 1)
+            los = [min(los[i : i + r]) for i in range(0, len(los), r)]
+            his = [max(his[i : i + r]) for i in range(0, len(his), r)]
+        # coarser source blocks contain finer ones, so the modulus never
+        # decreases; level m_d, one block holding every image, always fits
+        while any(lo // tgt_orders[s] != hi // tgt_orders[s] for lo, hi in zip(los, his)):
+            s += 1
+        out.append(s)
     return tuple(out)
 
 
@@ -182,6 +183,12 @@ def verify_bijective_coarse_equivalence(b: TowerBijection) -> VerificationReport
     (j(l) = least j with n_j >= l); the covered part of each such target
     component must decompose into complete source-component images; and the
     source component order must divide the promised target component order.
+
+    The decomposition needs no scan of its own: modulus[l] <= bound puts each
+    source l-component's image in one target modulus[l]-component, inside one
+    bound-component as target orders divide one another, so an injective map
+    covers bound-components with whole, disjoint images.  Without the bound
+    an image straddles two bound-components; without injectivity images meet.
     """
     n_d, m_d = b.final_levels
     src_orders = b.source.orders(n_d)
@@ -196,26 +203,6 @@ def verify_bijective_coarse_equivalence(b: TowerBijection) -> VerificationReport
             bound = next(m for n, m in b.levels if n >= level)
         rho = b.modulus[level]
         within = rho <= bound
-
-        k = src_orders[level]
-        w = tgt_orders[bound]
-        decomposition = within and injective
-        if decomposition:
-            # every covered target `bound`-component must be a disjoint union
-            # of whole source level-`level` component images
-            covered: dict[int, int] = {}
-            for j in range(b.domain_size // k):
-                img = b.mapping[j * k : (j + 1) * k]
-                tgt_block = img[0] // w
-                if any(y // w != tgt_block for y in img):
-                    decomposition = False
-                    break
-                covered[tgt_block] = covered.get(tgt_block, 0) + k
-            if decomposition:
-                seen: dict[int, int] = {}
-                for y in b.mapping:
-                    seen[y // w] = seen.get(y // w, 0) + 1
-                decomposition = covered == seen
-        divides = tgt_orders[bound] % k == 0
-        checks.append(LevelCheck(level, rho, bound, within, decomposition, divides))
+        divides = tgt_orders[bound] % src_orders[level] == 0
+        checks.append(LevelCheck(level, rho, bound, within, within and injective, divides))
     return VerificationReport(injective, tuple(checks))

@@ -21,24 +21,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd, lcm
 
-from sympy import factorint
-
 from .equivalence import TowerBijection
 from .errors import DepthExhausted, MalformedInput, PreconditionViolation
 from .supernatural import (
     Tower,
+    _checked_int,
     _primitive_period,
     bijectively_coarsely_equivalent,
     coarsely_equivalent,
     sn_divides,
     supernatural_of_tower,
 )
-
-
-def _checked_entry(v) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise MalformedInput(f"sequence entry must be an integer, got {v!r}")
-    return v
 
 
 @dataclass(frozen=True)
@@ -56,8 +49,8 @@ class K0Class:
     _period_sums: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        prefix = tuple(map(_checked_entry, self.prefix))
-        period = tuple(map(_checked_entry, self.period))
+        prefix = tuple(_checked_int(v, "sequence entry") for v in self.prefix)
+        period = tuple(_checked_int(v, "sequence entry") for v in self.period)
         # malformed entries are reported before a finite context (exit 2 before 4)
         if not self.context.is_infinite:
             raise PreconditionViolation("K0 sequence classes need an infinite tower")
@@ -158,7 +151,7 @@ def k0_neg(a: K0Class) -> K0Class:
 
 
 def k0_scale(c: int, a: K0Class) -> K0Class:
-    c = _checked_entry(c)
+    c = _checked_int(c, "sequence entry")
     return K0Class(a.context, tuple(c * v for v in a.prefix), tuple(c * v for v in a.period))
 
 
@@ -201,14 +194,13 @@ def _stable_level(d: K0Class) -> int:
     the subgroup generated by g* modulo the period length, so an existential
     search over all levels collapses to this single one.
     """
-    s, q = len(d.prefix), len(d.period)
-    sn = supernatural_of_tower(d.context)
-    g_star = 1
-    for p, e in factorint(q).items():
-        g_star *= p ** min(e, sn.exponent_of(p))
+    t, s, q = d.context, len(d.prefix), len(d.period)
+    # every tail prime gains a valuation per tail period and q's valuations
+    # are below its bit length, so past this level gcd(k_n, q) no longer grows
+    g_star = gcd(q, t.order(len(t.prefix) + len(t.tail) * q.bit_length()))
     n, k = 0, 1
     while gcd(k, q) != g_star or k < s + q:
-        k *= d.context.ratio(n)
+        k *= t.ratio(n)
         n += 1
     return n
 

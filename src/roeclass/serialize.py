@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 
 from .blockspace import BlockSpace, FiniteMetricSpace
@@ -27,7 +28,8 @@ def canonical_json(obj) -> str:
 def load_json(text: str):
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested too deep
+    # ValueError: JSONDecodeError or over the digit limit; RecursionError: too deep
+    except (ValueError, RecursionError) as e:
         raise MalformedInput(f"invalid JSON: {e}") from e
 
 
@@ -42,10 +44,18 @@ def _as_object(obj, what: str, keys: set[str]) -> dict:
     return obj
 
 
+def _convert(convert, text: str, what: str):
+    # text is well formed; only Python's int/str digit limit can still fail
+    try:
+        return convert(text)
+    except ValueError as e:
+        raise MalformedInput(f"{what} is over the {sys.get_int_max_str_digits()}-digit limit") from e
+
+
 def _parse_uint(value, what: str) -> int:
     _expect(isinstance(value, str) and value.isascii() and value.isdigit(),
             f"{what} must be a decimal string")
-    return int(value)
+    return _convert(int, value, what)
 
 
 def _parse_small_int(value, what: str) -> int:
@@ -144,12 +154,7 @@ def bijection_from_obj(obj) -> TowerBijection:
     obj = _as_object(obj, "bijection", {"source", "target", "depth", "levels", "map"})
     source = tower_from_obj(obj["source"])
     target = tower_from_obj(obj["target"])
-    depth = _parse_small_int(obj["depth"], "depth")
     _expect(isinstance(obj["levels"], list), "levels must be a list")
-    levels = []
-    for pair in obj["levels"]:
-        _expect(isinstance(pair, list) and len(pair) == 2, "each level must be a pair")
-        levels.append((_parse_small_int(pair[0], "level"), _parse_small_int(pair[1], "level")))
     flat = obj["map"]
     _expect(isinstance(flat, list) and len(flat) % 2 == 0, "map must be a flat pair list")
     assignments = {}
@@ -161,7 +166,7 @@ def bijection_from_obj(obj) -> TowerBijection:
     _expect(set(assignments) == set(range(len(assignments))),
             "map sources must cover 0..N-1 exactly")
     mapping = tuple(assignments[x] for x in range(len(assignments)))
-    return TowerBijection(source, target, depth, tuple(levels), mapping)
+    return TowerBijection(source, target, obj["depth"], obj["levels"], mapping)
 
 
 def report_to_obj(r: VerificationReport) -> dict:
@@ -194,7 +199,7 @@ _SCALAR_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 def _scalar_from_str(s, what: str) -> Fraction:
     _expect(isinstance(s, str) and _SCALAR_RE.fullmatch(s) is not None,
             f"{what} must be a string like '-3' or '3/4'")
-    return Fraction(s)
+    return _convert(Fraction, s, what)
 
 
 def space_to_obj(s: BlockSpace) -> dict:

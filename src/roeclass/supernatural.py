@@ -23,10 +23,14 @@ from .errors import MalformedInput, PreconditionViolation
 INFINITE = inf
 
 
-def _checked_ratio(value) -> int:
+def _checked_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise MalformedInput(f"ratio must be an integer, got {value!r}")
-    if value < 1:
+        raise MalformedInput(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _checked_ratio(value) -> int:
+    if _checked_int(value, "ratio") < 1:
         raise MalformedInput(f"ratio must be >= 1, got {value}")
     return value
 

@@ -69,6 +69,12 @@ class TestSn:
         assert (code, out) == (2, "")
         assert err.startswith("error:")
 
+    def test_ratio_over_digit_limit_exit_2(self, files, capsys):
+        tower = json.dumps({"prefix": [], "tail": ["1" * 5000]})
+        code, out, err = run(capsys, "sn", files("t.json", tower))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "4300" in err
+
     def test_non_utf8_stdin_exit_2(self, capsys, monkeypatch):
         stdin = io.TextIOWrapper(io.BytesIO(b'{"prefix": [], "tail": ["\xff"]}'), encoding="utf-8")
         monkeypatch.setattr("sys.stdin", stdin)
@@ -142,6 +148,14 @@ class TestBce:
         report = json.loads(out)
         assert report["passed"] is False
 
+    def test_build_unwritable_output_exit_2(self, files, capsys, tmp_path):
+        output = str(tmp_path / "missing" / "x.json")
+        code, out, err = run(capsys, "bce", "build", "--depth", "1", "--output", output,
+                             files("a.json", TOWER2), files("b.json", TOWER2))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {output}: ")
+        assert len(err.splitlines()) == 1
+
     def test_build_deterministic(self, files, capsys):
         a, b = files("a.json", TOWER2), files("b.json", TOWER4)
         code1, out1, _ = run(capsys, "bce", "build", "--depth", "2", a, b)
@@ -183,6 +197,21 @@ class TestK0:
         assert out == "true\n"
         witness = json.loads(rep.read_text())
         assert all(v >= 0 for v in witness["prefix"] + witness["period"])
+
+    def test_pos_unwritable_output_exit_2(self, files, capsys, tmp_path):
+        cls = {"context": json.loads(TOWER2), "prefix": [], "period": [1, -1]}
+        output = str(tmp_path / "missing" / "w.json")
+        code, out, err = run(capsys, "k0", "pos", "--output", output,
+                             files("c.json", json.dumps(cls)))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {output}: ")
+        assert len(err.splitlines()) == 1
+
+    def test_pos_entry_over_digit_limit_exit_2(self, files, capsys):
+        cls = '{"context": %s, "prefix": [%s], "period": [1]}' % (TOWER2, "1" * 5000)
+        code, out, err = run(capsys, "k0", "pos", files("c.json", cls))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "4300" in err
 
     def test_pos_false(self, files, capsys):
         cls = {"context": json.loads(TOWER2), "prefix": [], "period": [-1, 0]}
@@ -272,6 +301,15 @@ class TestRoe:
         assert (code, out) == (4, "")
         assert len(err.splitlines()) == 1
         assert err.startswith("error:") and "0..2" in err
+
+    @pytest.mark.parametrize("scalar", ["1" * 5000, "-1/" + "1" * 5000],
+                             ids=["integer", "denominator"])
+    def test_trace_scalar_over_digit_limit_exit_2(self, files, capsys, scalar):
+        op = {"space": self.to_space(), "entries": [[0, 0, scalar]]}
+        code, out, err = run(capsys, "roe", "trace", "--level", "1",
+                             files("op.json", json.dumps(op)))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "4300" in err
 
     def test_trace_non_projection_exit_4(self, files, capsys):
         op = {"space": self.to_space(), "entries": [[0, 0, "1/2"]]}

@@ -3,7 +3,8 @@
 For every generated input ``main`` either returns 0, 2, 3 or 4 (1 only
 from ``bce verify``) or stops in argparse with ``SystemExit(2)``.  Nothing
 else escapes, stderr holds no traceback, and a second run prints
-byte-identical stdout.
+byte-identical stdout.  Inputs include decimal strings over Python's
+4300-digit conversion limit and ``--output`` paths that cannot be written.
 """
 
 import contextlib
@@ -28,6 +29,8 @@ NON_ASCII_DIGITS = "²٣٠３"
 # value keeps every generated space and witness small.
 decimal_text = st.text(alphabet="01" + NON_ASCII_DIGITS, max_size=2)
 junk = st.sampled_from([2, -1, True, None, 1.5, "-2", "2.0", " 2", [], {}])
+# Python's int/str conversion refuses more than 4300 digits
+too_long = st.sampled_from(["1" * 4301, "1/" + "1" * 4301])
 small_ratios = st.lists(st.integers(1, 4), max_size=2)
 
 
@@ -51,7 +54,7 @@ def _spoil(draw, obj):
         parent = obj
         for k in path:
             parent = parent[k]
-        parent[last] = draw(st.one_of(decimal_text, junk))
+        parent[last] = draw(st.one_of(decimal_text, junk, too_long))
     return obj
 
 
@@ -92,7 +95,7 @@ def operator_objs(draw):
     depth = draw(st.integers(0, 4))
     size = Tower(tuple(prefix), tuple(tail)).order(depth)
     scalars = st.one_of(st.sampled_from(["1", "0", "-1", "1/2", "-3/4"]),
-                        st.integers(-3, 3).map(str),
+                        st.integers(-3, 3).map(str), too_long,
                         st.text(alphabet="0123456789-/" + NON_ASCII_DIGITS, max_size=4))
     point = st.integers(0, size - 1)
     positions = draw(st.lists(st.one_of(point.map(lambda r: (r, r)), st.tuples(point, point)),
@@ -123,6 +126,8 @@ def map_objs(draw):
 
 
 level_args = st.integers(-3, 8).map(str)
+# a file in the run's directory, or one under a directory that does not exist
+OUTPUTS = ("out.json", "missing/out.json")
 
 
 @st.composite
@@ -163,6 +168,8 @@ def invocations(draw):
     else:
         files = {"m.json": draw(map_objs()), "op.json": draw(operator_objs())}
         argv = ["roe", "conjugate", "m.json", "op.json"]
+    if kind in ("build", "k0 pos", "embed", "decompose", "conjugate") and draw(st.booleans()):
+        argv[-1:-1] = ["--output", draw(st.sampled_from(OUTPUTS))]
     if draw(st.integers(0, 9)) == 5:
         argv = argv[:-1]  # a missing argument: argparse's usage error
     return argv, {name: json.dumps(_spoil(draw, obj), ensure_ascii=False)
@@ -191,7 +198,7 @@ def test_exit_code_contract():
         with tempfile.TemporaryDirectory() as tmp:
             for name, text in files.items():
                 Path(tmp, name).write_text(text, encoding="utf-8")
-            argv = [str(Path(tmp, a)) if a in files else a for a in argv]
+            argv = [str(Path(tmp, a)) if a in files or a in OUTPUTS else a for a in argv]
             code, out, err = run(argv)
             again = run(argv)
         verify = argv[:2] == ["bce", "verify"]

@@ -19,6 +19,8 @@ from roeclass import (
 )
 from roeclass.serialize import bijection_to_obj, canonical_json
 
+from conftest import towers
+
 
 @st.composite
 def equivalent_pairs(draw):
@@ -69,6 +71,61 @@ def brute_modulus(b):
                 need += 1
         out.append(need)
     return tuple(out)
+
+
+def brute_levels(b):
+    """Every LevelCheck field from its definition, by listing components.
+
+    The decomposition holds when the map is injective and every covered
+    target bound-component holds exactly the images of the whole source
+    components that meet it.
+    """
+    modulus = brute_modulus(b)
+    injective = len(set(b.mapping)) == len(b.mapping)
+    rows = []
+    for level in range(b.final_levels[0] + 1):
+        bound = min((m for n, m in b.levels if n >= level), default=0) if level else 0
+        k, w = b.source.order(level), b.target.order(bound)
+        images = [set(b.mapping[j * k : (j + 1) * k]) for j in range(len(b.mapping) // k)]
+        covered = {}
+        for y in b.mapping:
+            covered.setdefault(y // w, set()).add(y)
+        whole = all(
+            points == set().union(*(img for img in images if any(y // w == c for y in img)))
+            for c, points in covered.items()
+        )
+        rows.append((level, modulus[level], bound, modulus[level] <= bound,
+                     injective and whole, w % k == 0))
+    return rows
+
+
+# orders stay at most 4**4 = 256
+map_towers = towers(max_prefix=2, max_tail=2, allow_finite=False, max_ratio=4)
+
+
+@st.composite
+def candidate_maps(draw):
+    """Arbitrary candidate witnesses: inclusions, injections (permutations
+    when the truncations have equal size), inclusions with the target blocks
+    of one level shuffled, and maps with repeated images."""
+    source, target = draw(map_towers), draw(map_towers)
+    depth = draw(st.integers(min_value=0, max_value=3))
+    increasing = st.sets(st.integers(1, 4), min_size=depth, max_size=depth).map(sorted)
+    levels = tuple(zip(draw(increasing), draw(increasing)))
+    n_d, m_d = levels[-1] if levels else (0, 0)
+    dom, cod = source.order(n_d), target.order(m_d)
+    kind = draw(st.sampled_from(["inclusion", "injection", "block_shuffle", "repeats"]))
+    if kind == "repeats" or dom > cod:
+        images = draw(st.lists(st.integers(0, cod - 1), min_size=dom, max_size=dom))
+    elif kind == "inclusion":
+        images = list(range(dom))
+    elif kind == "injection":
+        images = draw(st.permutations(range(cod)))[:dom]
+    else:
+        w = target.order(draw(st.integers(0, m_d)))
+        blocks = draw(st.permutations(range(cod // w)))
+        images = [blocks[y // w] * w + y % w for y in range(dom)]
+    return TowerBijection(source, target, depth, levels, tuple(images))
 
 
 class TestInterleave:
@@ -180,6 +237,16 @@ class TestVerify:
         failing = [c.level for c in report.levels if not c.passed]
         assert 1 in failing
         assert report.levels[1].modulus > report.levels[1].bound
+
+    @settings(max_examples=300, deadline=None)
+    @given(candidate_maps())
+    def test_report_matches_brute_force(self, b):
+        report = verify_bijective_coarse_equivalence(b)
+        assert b.modulus == brute_modulus(b)
+        assert report.injective == (len(set(b.mapping)) == len(b.mapping))
+        fields = [(c.level, c.modulus, c.bound, c.within_bound, c.decomposition_ok,
+                   c.order_divides) for c in report.levels]
+        assert fields == brute_levels(b)
 
     def test_non_injective_reported(self):
         t = Tower((), (2,))

@@ -15,6 +15,7 @@ from roeclass import (
     RoeclassError,
     SupernaturalNumber,
     Tower,
+    TowerBijection,
     UnsupportedEntries,
     r_components,
 )
@@ -77,3 +78,20 @@ def test_finite_context_checked_after_entries():
         K0Class(Tower((6,), ()), (None,), (1,))
     with pytest.raises(PreconditionViolation):
         K0Class(Tower((6,), ()), (1,), (1,))
+
+
+@pytest.mark.parametrize("depth, levels, mapping", [
+    (1, ((1.9, 1),), (0, 1)),
+    (1, (("1", 1),), (0, 1)),
+    (1, ((1, True),), (0, 1)),
+    (True, ((1, 1),), (0, 1)),
+    (1.0, ((1, 1),), (0, 1)),
+    (1, ((1, 1),), (False, True)),
+    (1, ((1, 1),), (0, 1.0)),
+    (1, ((1, 1, 1),), (0, 1)),
+    (1, (1,), (0, 1)),
+], ids=["float_level", "str_level", "bool_level", "bool_depth", "float_depth",
+        "bool_images", "float_image", "triple_level", "bare_level"])
+def test_bijection_fields_must_be_ints(depth, levels, mapping):
+    with pytest.raises(MalformedInput):
+        TowerBijection(T2, T2, depth, levels, mapping)

@@ -1,10 +1,11 @@
 """K0 classes, the H-quotient decision procedures, and unit divisibility."""
 
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sympy import factorint
 
 from roeclass import (
     DepthExhausted,
@@ -197,6 +198,30 @@ class TestHMembership:
     def test_alpha_kernel_identity(self, d, n):
         image = alpha_iterate(d.context, n, d)
         assert h_membership(d.context, d, n) == image.is_zero()
+
+
+def stable_level_oracle(d):
+    """Least n with gcd(k_n, q) = g* and k_n >= s + q, where g* is read off
+    the supernatural number by factoring q: the product over p | q of
+    p ** min(v_p(q), exponent of p)."""
+    s, q = len(d.prefix), len(d.period)
+    sn = supernatural_of_tower(d.context)
+    g_star = 1
+    for p, e in factorint(q).items():
+        g_star *= p ** min(e, sn.exponent_of(p))
+    n = 0
+    while gcd(d.context.order(n), q) != g_star or d.context.order(n) < s + q:
+        n += 1
+    return n
+
+
+class TestStableLevel:
+    @settings(max_examples=300)
+    @given(towers(max_prefix=3, max_tail=3, allow_finite=False, max_ratio=12),
+           st.lists(entries, max_size=8), st.lists(entries, min_size=1, max_size=72))
+    def test_matches_factoring_oracle(self, t, prefix, period):
+        d = K0Class(t, tuple(prefix), tuple(period))
+        assert _stable_level(d) == stable_level_oracle(d)
 
 
 class TestK0Equal:
