@@ -12,13 +12,14 @@ that components are preserved at every scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 
 import numpy as np
 
 from .errors import MalformedInput, PreconditionViolation
-from .supernatural import Tower
+from .supernatural import Tower, _checked_int
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,7 @@ class BlockSpace:
     _orders: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if isinstance(self.depth, bool) or not (isinstance(self.depth, int) and self.depth >= 0):
+        if _checked_int(self.depth, "depth") < 0:
             raise MalformedInput("depth must be an integer >= 0")
         object.__setattr__(self, "_orders", self.tower.orders(self.depth))
 
@@ -106,7 +107,7 @@ class FiniteMetricSpace:
     distances: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if isinstance(self.size, bool) or not (isinstance(self.size, int) and self.size >= 1):
+        if _checked_int(self.size, "size") < 1:
             raise MalformedInput("size must be an integer >= 1")
         rows = tuple(tuple(row) for row in self.distances)
         if len(rows) != self.size or any(len(r) != self.size for r in rows):
@@ -136,6 +137,11 @@ class FiniteMetricSpace:
     def max_distance(self) -> int:
         return max(max(row) for row in self.distances)
 
+    @cached_property
+    def _scales(self) -> tuple:
+        """Every (R, clusters) state of ``_scale_tree``, built on first use."""
+        return tuple(_scale_tree(self))
+
 
 def _scale_tree(m: FiniteMetricSpace):
     """Single-linkage clusters of m, as (R, clusters) for R = 0 and for each
@@ -160,7 +166,7 @@ def _scale_tree(m: FiniteMetricSpace):
     edges.sort()
     key = list(range(n))  # point -> least point of its cluster
     clusters = {x: ((x,), 0, {x: 0}) for x in range(n)}
-    yield 0, list(clusters.values())
+    yield 0, tuple(clusters.values())
     for R, group in groupby(edges, key=itemgetter(0)):
         merged: dict[int, list[int]] = {}  # new cluster key -> old keys
         for _, a, b in group:
@@ -180,14 +186,14 @@ def _scale_tree(m: FiniteMetricSpace):
                 offset += max(c_images.values()) + R
                 points += pts
             clusters[k] = (tuple(sorted(points)), diam, images)
-        yield R, [clusters[k] for k in sorted(clusters)]
+        yield R, tuple(clusters[k] for k in sorted(clusters))
 
 
 def r_components(m: FiniteMetricSpace, R: int) -> Partition:
     """Components of the graph joining points at distance <= R."""
     if R < 0:
         raise PreconditionViolation("R must be >= 0")
-    for scale, clusters in _scale_tree(m):
+    for scale, clusters in m._scales:
         if scale > R:
             break
         state = clusters
@@ -198,7 +204,7 @@ def asdim_zero_profile(m: FiniteMetricSpace) -> dict[int, tuple[int, int]]:
     """R -> (max component diameter, max component cardinality), R = 0..max."""
     profile: dict[int, tuple[int, int]] = {}
     entry = None
-    for scale, clusters in _scale_tree(m):
+    for scale, clusters in m._scales:
         profile.update(dict.fromkeys(range(len(profile), scale), entry))
         entry = (max(c[1] for c in clusters), max(len(c[0]) for c in clusters))
     profile.update(dict.fromkeys(range(len(profile), m.max_distance + 1), entry))
@@ -213,7 +219,5 @@ def embed_into_nonneg_integers(m: FiniteMetricSpace) -> list[int]:
     for every scale the image of each component is exactly a component of
     the image.  The base point (least index) goes to 0.
     """
-    for _, clusters in _scale_tree(m):
-        pass
-    images = clusters[0][2]
+    images = m._scales[-1][1][0][2]
     return [images[x] for x in range(m.size)]

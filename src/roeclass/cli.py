@@ -1,9 +1,12 @@
 """Command line front end.
 
-Exit codes: 0 for a computed result (predicates print ``true`` or ``false``),
-1 when ``bce verify`` produces a failing report; any other failure is a
-RoeclassError, printed as one ``error:`` line and exiting with its
-``exit_code`` (2, 3 or 4, see ``errors``).
+Each command is one entry of COMMANDS: help, options, input files with their
+``serialize`` parsers, and an action.  The parser is built from the table and
+``main`` reads, runs and emits every command the same way.  Exit codes: 0 for
+a computed result (predicates print ``true`` or ``false``), 1 when ``bce
+verify`` produces a failing report; any other failure is a RoeclassError,
+printed as one ``error:`` line and exiting with its ``exit_code`` (2, 3 or 4,
+see ``errors``).
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import serialize as ser
 from .blockspace import embed_into_nonneg_integers
@@ -49,159 +53,113 @@ def _emit(obj, output: str | None):
         print(text)
 
 
+class Command(NamedTuple):
+    help: str
+    options: tuple  # (names, keywords) of add_argument, one pair per option
+    inputs: tuple  # (argument, kind): files read and parsed by kind_from_obj, in order
+    action: Callable  # (args, *parsed inputs) -> the object to print
+    exit_code: Callable = lambda out: 0
+
+
+def _opt(*names, **keywords):
+    return names, keywords
+
+
+OUTPUT = _opt("--output")
+LEVEL = _opt("--level", type=int, required=True)
+TOWERS = (("tower1", "tower"), ("tower2", "tower"))
+OPERATOR = (("operator", "operator"),)
+WITNESS = _opt("--output", dest="witness", metavar="OUTPUT",
+               help="write a nonnegative representative here")
+GROUPS = {"bce": "explicit coarse equivalences", "k0": "ordered K0 computations",
+          "roe": "band dominated operator calculus"}
+
+
+def _k0_pos(args, a):
+    # --output holds the witness, not the verdict main prints; it is written
+    # first, so a failed write leaves stdout empty
+    positive, witness = k0_positive(a)
+    if positive and args.witness:
+        _emit(ser.k0_to_obj(witness), args.witness)
+    return positive
+
+
+# "group name" keys are the subcommands of GROUPS
+COMMANDS = {
+    "sn": Command("supernatural number of a tower", (), (("tower", "tower"),),
+                  lambda args, t: ser.sn_to_obj(supernatural_of_tower(t))),
+    "classify": Command("compare two towers", (), TOWERS, lambda args, t1, t2: {
+        "bce": bijectively_coarsely_equivalent(t1, t2),
+        "ce": coarsely_equivalent(t1, t2),
+        "k0_iso": k0_iso_exists(t1, t2),
+        "obstruction": obstruction_witness(t1, t2),  # a pair or None
+    }),
+    "bce build": Command(
+        "build a back-and-forth bijection", (_opt("--depth", type=int, required=True), OUTPUT),
+        TOWERS, lambda args, *ts: ser.bijection_to_obj(build_back_and_forth(*ts, args.depth))),
+    "bce verify": Command(
+        "check a bijection file", (), (("mapfile", "bijection"),),
+        lambda args, b: ser.report_to_obj(verify_bijective_coarse_equivalence(b)),
+        lambda out: 0 if out["passed"] else 1),
+    "k0 eq": Command("decide equality of two classes", (), (("class1", "k0"), ("class2", "k0")),
+                     lambda args, a, b: k0_equal(a, b)),
+    "k0 pos": Command("decide positivity of a class", (WITNESS,), (("class", "k0"),), _k0_pos),
+    "k0 divide-unit": Command(
+        "divide the unit class by a prime power",
+        (_opt("--prime", type=int, required=True), _opt("--exp", type=int, required=True)),
+        (("tower", "tower"),),
+        lambda args, t: None if (w := unit_divide(t, args.prime, args.exp)) is None
+        else ser.k0_to_obj(w)),
+    "embed": Command(
+        "embed a finite metric space into the integers", (OUTPUT,), (("space", "metric_space"),),
+        lambda args, m: [ser.scalar_to_str(v) for v in embed_into_nonneg_integers(m)]),
+    "roe decompose": Command(
+        "split an operator into blocks", (LEVEL, OUTPUT), OPERATOR,
+        lambda args, op: ser.blocktuple_to_obj(block_decompose(op, args.level))),
+    "roe trace": Command(
+        "blockwise trace vector",
+        (LEVEL, _opt("--projection", action="store_true",
+                     help="insist every block is a projection")),
+        OPERATOR, lambda args, op: [ser.scalar_to_str(v) for v in trace_vector(
+            block_decompose(op, args.level), require_projection=args.projection)]),
+    "roe conjugate": Command(
+        "conjugate an operator by a bijection", (OUTPUT,), (("mapfile", "bijection"), *OPERATOR),
+        lambda args, b, op: ser.operator_to_obj(conjugate_by_bijection(b, op))),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="roeclass",
         description="Coarse classification of block metric spaces from order towers.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sn", help="supernatural number of a tower")
-    p.add_argument("tower")
-
-    p = sub.add_parser("classify", help="compare two towers")
-    p.add_argument("tower1")
-    p.add_argument("tower2")
-
-    bce = sub.add_parser("bce", help="explicit coarse equivalences")
-    bce_sub = bce.add_subparsers(dest="subcommand", required=True)
-
-    p = bce_sub.add_parser("build", help="build a back-and-forth bijection")
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--output")
-    p.add_argument("tower1")
-    p.add_argument("tower2")
-
-    p = bce_sub.add_parser("verify", help="check a bijection file")
-    p.add_argument("mapfile")
-
-    k0 = sub.add_parser("k0", help="ordered K0 computations")
-    k0_sub = k0.add_subparsers(dest="subcommand", required=True)
-
-    p = k0_sub.add_parser("eq", help="decide equality of two classes")
-    p.add_argument("class1")
-    p.add_argument("class2")
-
-    p = k0_sub.add_parser("pos", help="decide positivity of a class")
-    p.add_argument("--output", help="write a nonnegative representative here")
-    p.add_argument("class1", metavar="class")
-
-    p = k0_sub.add_parser("divide-unit", help="divide the unit class by a prime power")
-    p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--exp", type=int, required=True)
-    p.add_argument("tower")
-
-    p = sub.add_parser("embed", help="embed a finite metric space into the integers")
-    p.add_argument("--output")
-    p.add_argument("space")
-
-    roe = sub.add_parser("roe", help="band dominated operator calculus")
-    roe_sub = roe.add_subparsers(dest="subcommand", required=True)
-
-    p = roe_sub.add_parser("decompose", help="split an operator into blocks")
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--output")
-    p.add_argument("operator")
-
-    p = roe_sub.add_parser("trace", help="blockwise trace vector")
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--projection", action="store_true",
-                   help="insist every block is a projection")
-    p.add_argument("operator")
-
-    p = roe_sub.add_parser("conjugate", help="conjugate an operator by a bijection")
-    p.add_argument("--output")
-    p.add_argument("mapfile")
-    p.add_argument("operator")
-
+    subs = {"": parser.add_subparsers(dest="command", required=True)}
+    for key, command in COMMANDS.items():
+        group, _, name = key.rpartition(" ")
+        if group not in subs:
+            subs[group] = subs[""].add_parser(group, help=GROUPS[group]).add_subparsers(
+                dest="subcommand", required=True)
+        p = subs[group].add_parser(name, help=command.help)
+        for names, keywords in command.options:
+            p.add_argument(*names, **keywords)
+        for argument, _ in command.inputs:
+            p.add_argument(argument)
+        p.set_defaults(key=key)
     return parser
 
 
-def _dispatch(args, stdin_used: list) -> int:
-    def read(path):
-        return ser.load_json(_read_source(path, stdin_used))
-
-    if args.command == "sn":
-        t = ser.tower_from_obj(read(args.tower))
-        _emit(ser.sn_to_obj(supernatural_of_tower(t)), None)
-        return 0
-
-    if args.command == "classify":
-        t1 = ser.tower_from_obj(read(args.tower1))
-        t2 = ser.tower_from_obj(read(args.tower2))
-        witness = obstruction_witness(t1, t2)
-        _emit(
-            {
-                "bce": bijectively_coarsely_equivalent(t1, t2),
-                "ce": coarsely_equivalent(t1, t2),
-                "k0_iso": k0_iso_exists(t1, t2),
-                "obstruction": None if witness is None else list(witness),
-            },
-            None,
-        )
-        return 0
-
-    if args.command == "bce":
-        if args.subcommand == "build":
-            t1 = ser.tower_from_obj(read(args.tower1))
-            t2 = ser.tower_from_obj(read(args.tower2))
-            b = build_back_and_forth(t1, t2, args.depth)
-            _emit(ser.bijection_to_obj(b), args.output)
-            return 0
-        b = ser.bijection_from_obj(read(args.mapfile))
-        report = verify_bijective_coarse_equivalence(b)
-        _emit(ser.report_to_obj(report), None)
-        return 0 if report.passed else 1
-
-    if args.command == "k0":
-        if args.subcommand == "eq":
-            a = ser.k0_from_obj(read(args.class1))
-            b = ser.k0_from_obj(read(args.class2))
-            _emit(k0_equal(a, b), None)
-            return 0
-        if args.subcommand == "pos":
-            a = ser.k0_from_obj(read(args.class1))
-            positive, witness = k0_positive(a)
-            if positive and args.output:
-                _emit(ser.k0_to_obj(witness), args.output)
-            _emit(positive, None)
-            return 0
-        t = ser.tower_from_obj(read(args.tower))
-        result = unit_divide(t, args.prime, args.exp)
-        _emit(None if result is None else ser.k0_to_obj(result), None)
-        return 0
-
-    if args.command == "embed":
-        m = ser.metric_space_from_obj(read(args.space))
-        images = embed_into_nonneg_integers(m)
-        _emit([str(v) for v in images], args.output)
-        return 0
-
-    if args.command == "roe":
-        if args.subcommand == "decompose":
-            op = ser.operator_from_obj(read(args.operator))
-            bt = block_decompose(op, args.level)
-            _emit(ser.blocktuple_to_obj(bt), args.output)
-            return 0
-        if args.subcommand == "trace":
-            op = ser.operator_from_obj(read(args.operator))
-            bt = block_decompose(op, args.level)
-            tr = trace_vector(bt, require_projection=args.projection)
-            _emit([str(v) for v in tr], None)
-            return 0
-        b = ser.bijection_from_obj(read(args.mapfile))
-        op = ser.operator_from_obj(read(args.operator))
-        _emit(ser.operator_to_obj(conjugate_by_bijection(b, op)), args.output)
-        return 0
-
-    raise AssertionError(f"unhandled command {args.command}")
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    command = COMMANDS[args.key]
+    stdin_used: list = []
     try:
-        return _dispatch(args, stdin_used=[])
+        # each file is parsed before the next is read: the first bad one sets the exit code
+        inputs = [getattr(ser, f"{kind}_from_obj")(
+                      ser.load_json(_read_source(getattr(args, argument), stdin_used)))
+                  for argument, kind in command.inputs]
+        out = command.action(args, *inputs)
+        _emit(out, getattr(args, "output", None))
+        return command.exit_code(out)
     except RoeclassError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code

@@ -99,13 +99,23 @@ class TowerBijection:
                 raise MalformedInput("level indices must be strictly increasing")
             prev_n, prev_m = n, m
         n_d, m_d = self.final_levels
-        dom = self.source.order(n_d)
-        cod = self.target.order(m_d)
-        if len(self.mapping) != dom:
-            raise MalformedInput(f"map must cover the full source truncation ({dom} points)")
-        for y in self.mapping:
-            if isinstance(y, bool) or not (isinstance(y, int) and 0 <= y < cod):
-                raise MalformedInput(f"image {y!r} outside the target truncation")
+        # source orders are walked only until one passes the map's length, so
+        # a huge level in a small file costs nothing (finite towers saturate)
+        src, size, dom = self.source, len(self.mapping), 1
+        for i in range(n_d if src.is_infinite else min(n_d, len(src.prefix))):
+            if dom > size:
+                break
+            dom *= src.ratio(i)
+        if dom != size:
+            points = f"at least {dom}" if dom > size else dom
+            raise MalformedInput(f"map must cover the full source truncation ({points} points)")
+        # whole-map passes in C: a witness has tens of thousands of images
+        if set(map(type, self.mapping)) - {int}:
+            for y in self.mapping:
+                _checked_int(y, "image")
+        lo, hi, cod = min(self.mapping), max(self.mapping), self.target.order(m_d)
+        if lo < 0 or hi >= cod:
+            raise MalformedInput(f"image {lo if lo < 0 else hi} outside the target truncation")
         object.__setattr__(self, "modulus", _measure_modulus(self))
 
     @property

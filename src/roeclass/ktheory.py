@@ -113,9 +113,8 @@ class FiniteK0:
     unit_rank: int
 
     def __post_init__(self):
-        if not (isinstance(self.rank, int) and isinstance(self.unit_rank, int)):
-            raise MalformedInput("ranks must be integers")
-        if self.unit_rank < 1:
+        _checked_int(self.rank, "rank")
+        if _checked_int(self.unit_rank, "unit rank") < 1:
             raise MalformedInput("unit rank must be >= 1")
 
 
@@ -254,9 +253,15 @@ def k0_positive(a: K0Class) -> tuple[bool, K0Class | None]:
     return True, _block_collapse(a, n)
 
 
+# unit_divide refuses a witness whose period would exceed 2^UNIT_DIVIDE_BITS entries
+UNIT_DIVIDE_BITS = 20
+
+
 def unit_divide(t: Tower, p: int, r: int) -> K0Class | None:
     """Witness w with p^r * w = [1] in K0, when p^r divides the supernatural
-    number; None otherwise (the main obstruction to equivalence)."""
+    number; None otherwise (the main obstruction to equivalence).  The
+    witness has a period of p^r entries; over 2^UNIT_DIVIDE_BITS it is
+    refused before anything is allocated."""
     if not t.is_infinite:
         raise PreconditionViolation("unit division needs an infinite tower")
     if not (isinstance(r, int) and r >= 0):
@@ -265,6 +270,10 @@ def unit_divide(t: Tower, p: int, r: int) -> K0Class | None:
         return K0Class(t, (), (1,))
     if not sn_divides(p, r, supernatural_of_tower(t)):
         return None
+    # p >= 2, so an exponent over the cap's bits is over the cap
+    if r > UNIT_DIVIDE_BITS or p**r > 2**UNIT_DIVIDE_BITS:
+        raise PreconditionViolation(
+            f"[1]/{p}^{r} needs a period of {p}^{r} entries, over the 2^{UNIT_DIVIDE_BITS} limit")
     # any block of size k_n with p^r | k_n holds whole periods, so this is
     # the shortest representative; p^r copies sum blockwise to the unit
     target = p**r

@@ -23,6 +23,7 @@ from .errors import (
     UnsupportedEntries,
 )
 from .ktheory import K0Class
+from .supernatural import _checked_int
 
 Entries = dict[tuple[int, int], Fraction]
 
@@ -30,11 +31,9 @@ Entries = dict[tuple[int, int], Fraction]
 def _coerce_scalar(v) -> Fraction:
     if type(v) is Fraction:
         return v
-    if isinstance(v, bool):
-        raise MalformedInput("entries must be rational numbers")
-    if isinstance(v, (int, Fraction)):
+    if isinstance(v, Fraction):
         return Fraction(v)
-    raise MalformedInput(f"entries must be rational numbers, got {v!r}")
+    return Fraction(_checked_int(v, "an entry that is not a Fraction"))
 
 
 def _mat_mul(a: Entries, b: Entries) -> Entries:
@@ -86,8 +85,8 @@ class PropagationOperator:
     def __post_init__(self):
         clean: Entries = {}
         for (r, c), v in self.entries.items():
-            if not (isinstance(r, int) and isinstance(c, int)):
-                raise MalformedInput("entry positions must be integers")
+            _checked_int(r, "entry row")
+            _checked_int(c, "entry column")
             if not (0 <= r < self.space.size and 0 <= c < self.space.size):
                 raise MalformedInput(f"entry ({r}, {c}) outside the truncation")
             v = _coerce_scalar(v)

@@ -12,17 +12,19 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import partial
 
 from .blockspace import BlockSpace, FiniteMetricSpace
 from .equivalence import TowerBijection, VerificationReport
-from .errors import MalformedInput
+from .errors import MalformedInput, PreconditionViolation
 from .ktheory import K0Class
 from .roeops import BlockTuple, PropagationOperator
-from .supernatural import INFINITE, SupernaturalNumber, Tower
+from .supernatural import INFINITE, SupernaturalNumber, Tower, _checked_int
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    dumps = partial(json.dumps, sort_keys=True, separators=(",", ":"))
+    return _convert(dumps, obj, "output number", PreconditionViolation)
 
 
 def load_json(text: str):
@@ -44,23 +46,24 @@ def _as_object(obj, what: str, keys: set[str]) -> dict:
     return obj
 
 
-def _convert(convert, text: str, what: str):
-    # text is well formed; only Python's int/str digit limit can still fail
+def _convert(convert, value, what: str, error=MalformedInput):
+    """convert(value), turning Python's int/str digit limit into ``error``.
+
+    Every caller hands over a well-formed value (checked text on input,
+    numbers and JSON-ready objects on output), so that limit is the one
+    ValueError left.
+    """
     try:
-        return convert(text)
+        return convert(value)
     except ValueError as e:
-        raise MalformedInput(f"{what} is over the {sys.get_int_max_str_digits()}-digit limit") from e
+        limit = sys.get_int_max_str_digits()
+        raise error(f"{what} is over the {limit}-digit limit") from e
 
 
 def _parse_uint(value, what: str) -> int:
     _expect(isinstance(value, str) and value.isascii() and value.isdigit(),
             f"{what} must be a decimal string")
     return _convert(int, value, what)
-
-
-def _parse_small_int(value, what: str) -> int:
-    _expect(isinstance(value, int) and not isinstance(value, bool), f"{what} must be an integer")
-    return value
 
 
 # -- towers and supernatural numbers --------------------------------------
@@ -189,8 +192,8 @@ def report_to_obj(r: VerificationReport) -> dict:
 
 # -- operators ---------------------------------------------------------------
 
-def _scalar_to_str(v: Fraction) -> str:
-    return str(v)
+def scalar_to_str(v: Fraction | int) -> str:
+    return _convert(str, v, "output number", PreconditionViolation)
 
 
 _SCALAR_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
@@ -212,7 +215,7 @@ def space_from_obj(obj) -> BlockSpace:
 
 
 def operator_to_obj(t: PropagationOperator) -> dict:
-    entries = [[r, c, _scalar_to_str(v)] for (r, c), v in sorted(t.entries.items())]
+    entries = [[r, c, scalar_to_str(v)] for (r, c), v in sorted(t.entries.items())]
     return {"space": space_to_obj(t.space), "entries": entries}
 
 
@@ -223,8 +226,8 @@ def operator_from_obj(obj) -> PropagationOperator:
     entries = {}
     for item in obj["entries"]:
         _expect(isinstance(item, list) and len(item) == 3, "each entry must be [row, col, value]")
-        r = _parse_small_int(item[0], "row")
-        c = _parse_small_int(item[1], "col")
+        r = _checked_int(item[0], "row")
+        c = _checked_int(item[1], "col")
         _expect((r, c) not in entries, f"entry ({r}, {c}) given twice")
         entries[(r, c)] = _scalar_from_str(item[2], f"entry ({r}, {c})")
     return PropagationOperator(space, entries)
@@ -235,7 +238,7 @@ def blocktuple_to_obj(bt: BlockTuple) -> dict:
         "space": space_to_obj(bt.space),
         "level": bt.level,
         "blocks": [
-            [[r, c, _scalar_to_str(v)] for (r, c), v in sorted(blk.items())]
+            [[r, c, scalar_to_str(v)] for (r, c), v in sorted(blk.items())]
             for blk in bt.blocks
         ],
     }

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roeclass import blockspace
 from roeclass import (
     BlockSpace,
     FiniteMetricSpace,
@@ -177,6 +178,17 @@ class TestRComponents:
         ours = {frozenset(b) for b in r_components(m, n).blocks}
         theirs = {frozenset(b) for b in components(s, n).blocks}
         assert ours == theirs
+
+    def test_scale_tree_built_once_per_space(self, monkeypatch):
+        built = []
+        real = blockspace._scale_tree
+        monkeypatch.setattr(blockspace, "_scale_tree", lambda m: built.append(m) or real(m))
+        m, _ = shuffled_space(Tower((), (2,)), 3, 0)
+        for R in range(m.max_distance + 1):
+            r_components(m, R)
+        asdim_zero_profile(m)
+        embed_into_nonneg_integers(m)
+        assert built == [m]
 
     @given(st.integers(min_value=0, max_value=20), st.integers(min_value=0, max_value=20))
     def test_monotone_coarsening(self, r_small, extra):

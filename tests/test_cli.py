@@ -2,10 +2,13 @@
 
 import io
 import json
+import re
+from itertools import takewhile
+from pathlib import Path
 
 import pytest
 
-from roeclass.cli import main
+from roeclass.cli import COMMANDS, main
 
 from conftest import Budget
 
@@ -42,6 +45,12 @@ class TestSn:
         code, out, _ = run(capsys, "sn", "-")
         assert code == 0
         assert json.loads(out)["exponents"] == {"2": "inf"}
+
+    def test_stdin_twice_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(TOWER2))
+        code, out, err = run(capsys, "classify", "-", "-")
+        assert (code, out) == (2, "")
+        assert err == "error: stdin ('-') can only be read once\n"
 
     def test_malformed_json(self, files, capsys):
         code, _, err = run(capsys, "sn", files("bad.json", "{oops"))
@@ -156,6 +165,15 @@ class TestBce:
         assert err.startswith(f"error: cannot write {output}: ")
         assert len(err.splitlines()) == 1
 
+    def test_verify_huge_source_level_small_map_exit_2(self, files, capsys):
+        budget = Budget(1.0)
+        bad = {"source": json.loads(TOWER2), "target": json.loads(TOWER2), "depth": 1,
+               "levels": [[10_000_000, 10_000_000]], "map": ["0", "0", "1", "1"]}
+        code, out, err = run(capsys, "bce", "verify", files("m.json", json.dumps(bad)))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: map must cover the full source truncation")
+        budget.check()
+
     def test_build_deterministic(self, files, capsys):
         a, b = files("a.json", TOWER2), files("b.json", TOWER4)
         code1, out1, _ = run(capsys, "bce", "build", "--depth", "2", a, b)
@@ -213,6 +231,17 @@ class TestK0:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "4300" in err
 
+    def test_pos_witness_over_digit_limit_exit_4(self, files, capsys, tmp_path):
+        # each entry is within the limit; the witness's block sum has 4301 digits
+        big = 10**4300 - 1
+        cls = '{"context": %s, "prefix": [%d, %d], "period": [0]}' % (TOWER2, big, big)
+        witness = tmp_path / "w.json"
+        code, out, err = run(capsys, "k0", "pos", "--output", str(witness),
+                             files("c.json", cls))
+        assert (code, out) == (4, "")
+        assert err.startswith("error:") and "4300-digit limit" in err
+        assert not witness.exists()
+
     def test_pos_false(self, files, capsys):
         cls = {"context": json.loads(TOWER2), "prefix": [], "period": [-1, 0]}
         code, out, _ = run(capsys, "k0", "pos", files("c.json", json.dumps(cls)))
@@ -231,10 +260,30 @@ class TestK0:
         assert code == 0
         assert out == "null\n"
 
+    def test_divide_unit_over_size_cap_exit_4(self, files, capsys):
+        code, out, err = run(capsys, "k0", "divide-unit", "--prime", "2",
+                             "--exp", "30", files("t.json", TOWER2))
+        assert (code, out) == (4, "")
+        assert err == "error: [1]/2^30 needs a period of 2^30 entries, over the 2^20 limit\n"
+
+    def test_divide_unit_absent_over_size_cap_is_null(self, files, capsys):
+        code, out, _ = run(capsys, "k0", "divide-unit", "--prime", "3",
+                           "--exp", "30", files("t.json", TOWER2))
+        assert (code, out) == (0, "null\n")
+
     def test_divide_unit_finite_exit_4(self, files, capsys):
         code, _, _ = run(capsys, "k0", "divide-unit", "--prime", "2",
                          "--exp", "1", files("t.json", FINITE6))
         assert code == 4
+
+    def test_first_bad_input_sets_exit_code(self, files, capsys):
+        # each file is parsed before the next is read: the finite context
+        # (exit 4) is met before the malformed second file (exit 2)
+        finite = {"context": json.loads(FINITE6), "prefix": [], "period": [1]}
+        code, out, err = run(capsys, "k0", "eq", files("a.json", json.dumps(finite)),
+                             files("b.json", "{oops"))
+        assert (code, out) == (4, "")
+        assert "infinite tower" in err
 
     def test_class_context_mismatch_is_precondition(self, files, capsys):
         a = {"context": json.loads(TOWER2), "prefix": [], "period": [1]}
@@ -311,6 +360,16 @@ class TestRoe:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "4300" in err
 
+    def test_trace_output_over_digit_limit_exit_4(self, files, capsys):
+        # both denominators are within the limit; the block trace's has about 4400 digits
+        a = 10**2200
+        op = {"space": self.to_space(), "entries": [[0, 0, f"1/{a + 1}"], [1, 1, f"1/{a + 3}"]]}
+        code, out, err = run(capsys, "roe", "trace", "--level", "1",
+                             files("op.json", json.dumps(op)))
+        assert (code, out) == (4, "")
+        assert err.startswith("error:") and "4300-digit limit" in err
+        assert len(err.splitlines()) == 1
+
     def test_trace_non_projection_exit_4(self, files, capsys):
         op = {"space": self.to_space(), "entries": [[0, 0, "1/2"]]}
         code, _, _ = run(capsys, "roe", "trace", "--level", "1", "--projection",
@@ -339,6 +398,19 @@ class TestRoe:
         code, _, _ = run(capsys, "roe", "conjugate", mapfile,
                          files("op.json", json.dumps(op)))
         assert code == 3
+
+
+class TestDocs:
+    def test_readme_usage_lists_every_command(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("## Command line", 1)[1]
+        usage = section.split("```", 2)[1]
+        listed = []
+        for line in usage.strip().splitlines():
+            # "roeclass k0 divide-unit --prime P ..." names the command "k0 divide-unit"
+            words = line.split()[1:]
+            listed.append(" ".join(takewhile(re.compile("[a-z][a-z0-9-]*").fullmatch, words)))
+        assert listed == list(COMMANDS)
 
 
 class TestEntryPoint:

@@ -156,7 +156,7 @@ def invocations(draw):
     elif kind == "divide-unit":
         files = {"t.json": draw(tower_objs)}
         argv = ["k0", "divide-unit", "--prime", str(draw(st.integers(-1, 7))),
-                "--exp", str(draw(st.integers(-1, 4))), "t.json"]
+                "--exp", str(draw(st.integers(-1, 64))), "t.json"]
     elif kind == "embed":
         files = {"s.json": draw(metric_objs())}
         argv = ["embed", "s.json"]

@@ -5,6 +5,7 @@ import pytest
 from roeclass import (
     BlockSpace,
     DepthExhausted,
+    FiniteK0,
     FiniteMetricSpace,
     K0Class,
     MalformedInput,
@@ -12,6 +13,7 @@ from roeclass import (
     NotEquivalent,
     NotProjection,
     PreconditionViolation,
+    PropagationOperator,
     RoeclassError,
     SupernaturalNumber,
     Tower,
@@ -53,7 +55,11 @@ T2 = Tower((), (2,))
     lambda: FiniteMetricSpace(2, ((0, 1), (2, 0))),
     lambda: K0Class(T2, (), ()),
     lambda: K0Class(T2, (True,), (1,)),
-], ids=["ratio", "bool_ratio", "prime", "bool_depth", "bool_size", "metric", "period", "entry"])
+    lambda: FiniteK0(True, 1),
+    # a bool position would be written to JSON as true
+    lambda: PropagationOperator(BlockSpace(T2, 1), {(True, 0): 1}),
+], ids=["ratio", "bool_ratio", "prime", "bool_depth", "bool_size", "metric", "period", "entry",
+        "bool_rank", "bool_position"])
 def test_constructors_raise_malformed_input(make):
     with pytest.raises(MalformedInput):
         make()

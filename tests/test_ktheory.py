@@ -330,6 +330,13 @@ class TestUnitDivide:
         with pytest.raises(PreconditionViolation):
             unit_divide(Tower((), (2,)), 4, 1)
 
+    @pytest.mark.parametrize("tail, p, r", [(2, 2, 21), (2, 2, 10**18), (1031, 1031, 2)],
+                             ids=["exponent", "huge_exponent", "prime_power"])
+    def test_refuses_period_over_size_cap(self, tail, p, r):
+        # 1031^2 = 1062961 is over 2^20 = 1048576 with an exponent of 2
+        with pytest.raises(PreconditionViolation, match=r"over the 2\^20 limit"):
+            unit_divide(Tower((), (tail,)), p, r)
+
     @settings(deadline=None)
     @given(towers(allow_finite=False, max_ratio=6), st.sampled_from([2, 3, 5, 7]),
            st.integers(min_value=1, max_value=3))
