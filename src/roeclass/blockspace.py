@@ -16,10 +16,8 @@ from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 
-import numpy as np
-
 from .errors import MalformedInput, PreconditionViolation
-from .supernatural import Tower, _checked_int
+from .supernatural import Tower, _checked_int, _clip
 
 
 @dataclass(frozen=True)
@@ -62,7 +60,7 @@ class BlockSpace:
 
     def _check_point(self, x: int):
         if not (isinstance(x, int) and 0 <= x < self.size):
-            raise PreconditionViolation(f"point {x!r} outside 0..{self.size - 1}")
+            raise PreconditionViolation(f"point {_clip(x)} outside 0..{self.size - 1}")
 
     def distance(self, x: int, y: int) -> int:
         """Least level whose blocks contain both points."""
@@ -74,6 +72,8 @@ class BlockSpace:
         raise AssertionError("unreachable: whole truncation is one block")
 
     def metric_matrix(self) -> list[list[int]]:
+        import numpy as np  # only here and in FiniteMetricSpace, to keep it off light commands
+
         pts = np.arange(self.size)
         d = np.zeros((self.size, self.size), dtype=np.int64)
         for n in range(self.depth):
@@ -115,9 +115,11 @@ class FiniteMetricSpace:
         for row in rows:
             for v in row:
                 if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-                    raise MalformedInput(f"distance {v!r} is not a nonnegative integer")
+                    raise MalformedInput(f"distance {_clip(v)} is not a nonnegative integer")
                 if v >= 2**62:
                     raise MalformedInput("distances this large are not supported")
+        import numpy as np
+
         d = np.array(rows, dtype=np.int64)
         if (np.diag(d) != 0).any():
             raise MalformedInput("d(x, x) must be 0")

@@ -11,28 +11,115 @@ equivalence only sees whether the group is finite or infinite.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import inf, prod
-
-from sympy import factorint, isprime
+from math import gcd, inf, isqrt, prod
 
 from .errors import MalformedInput, PreconditionViolation
 
 # Exponent marking a prime of unbounded valuation along the tower.
 INFINITE = inf
 
+# Trial division runs over the primes below _SMALL; a number below _SMALL**2
+# with no such factor is prime.
+_SMALL = 1000
+_SMALL_PRIMES = tuple(n for n in range(2, _SMALL) if all(n % q for q in range(2, isqrt(n) + 1)))
+_SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
+# Miller-Rabin with the first 13 prime bases (2..41) is exact below this
+# bound, its least strong pseudoprime (Sorenson & Webster, Math. Comp. 2017).
+_MR_BASES = _SMALL_PRIMES[:13]
+_MR_LIMIT = 3317044064679887385961981
+
+
+def _clip(value) -> str:
+    """repr of value, cut to 40 characters for an error message."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:40] + "..."
+
 
 def _checked_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise MalformedInput(f"{what} must be an integer, got {value!r}")
+        raise MalformedInput(
+            f"{what} must be an integer, got {type(value).__name__} {_clip(value)}")
     return value
 
 
 def _checked_ratio(value) -> int:
     if _checked_int(value, "ratio") < 1:
-        raise MalformedInput(f"ratio must be >= 1, got {value}")
+        raise MalformedInput(f"ratio must be >= 1, got {_clip(value)}")
     return value
+
+
+def _residue_is_prime(n: int) -> bool:
+    """Primality of n >= _SMALL**2 with no prime factor below _SMALL.
+
+    Deterministic Miller-Rabin below _MR_LIMIT; sympy decides larger n.
+    """
+    if n >= _MR_LIMIT:
+        from sympy import isprime as sympy_isprime
+
+        return sympy_isprime(n)
+    m = n - 1
+    s = (m & -m).bit_length() - 1
+    d = m >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == m:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == m:
+                break
+        else:
+            return False
+    return True
+
+
+def isprime(n: int) -> bool:
+    """Exact primality test of an integer."""
+    if n < _SMALL:
+        return n in _SMALL_PRIME_SET
+    if any(n % p == 0 for p in _SMALL_PRIMES):
+        return False
+    return n < _SMALL**2 or _residue_is_prime(n)
+
+
+def factorint(n: int) -> dict[int, int]:
+    """Prime factorization {p: e} of n >= 1, by trial division below _SMALL.
+
+    A residue with no small factor is prime when it is below _SMALL**2 or
+    passes ``_residue_is_prime``; sympy factors any other residue.
+    """
+    if n < 1:
+        raise PreconditionViolation("can only factor integers >= 1")
+    out: dict[int, int] = {}
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out[p] = e
+    else:
+        if n >= _SMALL**2 and not _residue_is_prime(n):
+            from sympy import factorint as sympy_factorint
+
+            return out | sympy_factorint(n)
+    if n > 1:
+        out[n] = 1
+    return out
+
+
+def _strip(n: int, m: int) -> int:
+    """n with every prime factor of m divided out."""
+    g = gcd(n, m)
+    while g > 1:
+        n //= g
+        g = gcd(n, g * g)  # the primes of g that n still has, up to twice as often
+    return n
 
 
 def _primitive_period(items: tuple) -> tuple:
@@ -124,11 +211,12 @@ class SupernaturalNumber:
         normalized = {}
         for p, e in sorted(self.exponents.items()):
             if not (isinstance(p, int) and isprime(p)):
-                raise MalformedInput(f"exponent key {p!r} is not prime")
+                raise MalformedInput(f"exponent key {_clip(p)} is not prime")
             if e == self.default_exponent:
                 continue
             if e != INFINITE and not (isinstance(e, int) and e >= 1):
-                raise MalformedInput(f"exponent of {p} must be >= 1 or INFINITE, got {e!r}")
+                raise MalformedInput(
+                    f"exponent of {_clip(p)} must be >= 1 or INFINITE, got {_clip(e)}")
             normalized[p] = e
         object.__setattr__(self, "exponents", normalized)
 
@@ -136,23 +224,27 @@ class SupernaturalNumber:
         return self.exponents.get(p, self.default_exponent)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def supernatural_of_tower(t: Tower) -> SupernaturalNumber:
     """sup_n k_n as a supernatural number.
 
     A prime dividing the tail product recurs forever, so its exponent is
     INFINITE; otherwise the exponent is its valuation in the prefix product.
+    Each distinct ratio is factored once.
     """
-    exps: dict[int, int | float] = dict(factorint(prod(t.prefix, start=1)))
-    for p in factorint(prod(t.tail, start=1)):
-        exps[p] = INFINITE
+    exps: dict[int, int | float] = {}
+    for r, count in Counter(t.prefix).items():
+        for p, e in factorint(r).items():
+            exps[p] = exps.get(p, 0) + e * count
+    for r in set(t.tail):
+        exps.update(dict.fromkeys(factorint(r), INFINITE))
     return SupernaturalNumber(exps, 0)
 
 
 def sn_divides(p: int, m: int, s: SupernaturalNumber) -> bool:
     """Whether p^m divides s.  Requires p prime and m >= 1."""
     if not (isinstance(p, int) and isprime(p)):
-        raise PreconditionViolation(f"{p!r} is not prime")
+        raise PreconditionViolation(f"{_clip(p)} is not prime")
     if not (isinstance(m, int) and m >= 1):
         raise PreconditionViolation("exponent m must be an integer >= 1")
     return m <= s.exponent_of(p)
@@ -163,8 +255,16 @@ def sn_equal(s: SupernaturalNumber, u: SupernaturalNumber) -> bool:
 
 
 def bijectively_coarsely_equivalent(t1: Tower, t2: Tower) -> bool:
-    """Complete invariant: equality of the towers' supernatural numbers."""
-    return sn_equal(supernatural_of_tower(t1), supernatural_of_tower(t2))
+    """Complete invariant: equality of the towers' supernatural numbers,
+    decided by gcds without factoring.
+
+    The primes of infinite exponent are those of the tail product, so the two
+    tail products must have the same primes.  Every other exponent is a
+    valuation of the prefix product once the tail's primes are divided out.
+    """
+    tail1, tail2 = prod(t1.tail, start=1), prod(t2.tail, start=1)
+    return (_strip(tail1, tail2) == 1 and _strip(tail2, tail1) == 1
+            and _strip(prod(t1.prefix, start=1), tail1) == _strip(prod(t2.prefix, start=1), tail2))
 
 
 def coarsely_equivalent(t1: Tower, t2: Tower) -> bool:
@@ -176,13 +276,14 @@ def obstruction_witness(t1: Tower, t2: Tower) -> tuple[int, int] | None:
     """Smallest prime power p^r dividing exactly one of the two supernatural
     numbers (smallest p, then least r), or None when they are equal.
 
+    Equal numbers are found by gcds before anything is factored.
     Tower-built numbers have default exponent 0, so unequal ones differ at a
     prime keyed in one of them.
     """
+    if bijectively_coarsely_equivalent(t1, t2):
+        return None
     s1 = supernatural_of_tower(t1)
     s2 = supernatural_of_tower(t2)
-    for p in sorted(set(s1.exponents) | set(s2.exponents)):
-        e1, e2 = s1.exponent_of(p), s2.exponent_of(p)
-        if e1 != e2:
-            return p, int(min(e1, e2)) + 1
-    return None
+    p = min(p for p in s1.exponents.keys() | s2.exponents.keys()
+            if s1.exponent_of(p) != s2.exponent_of(p))
+    return p, int(min(s1.exponent_of(p), s2.exponent_of(p))) + 1

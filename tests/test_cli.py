@@ -2,7 +2,10 @@
 
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from itertools import takewhile
 from pathlib import Path
 
@@ -317,6 +320,13 @@ class TestEmbed:
         code, _, _ = run(capsys, "embed", files("m.json", json.dumps(space)))
         assert code == 2
 
+    def test_long_bad_size_error_is_short(self, files, capsys):
+        space = {"size": "1" * 4301, "distances": [[0]]}
+        code, out, err = run(capsys, "embed", files("m.json", json.dumps(space)))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert len(err) < 200 and "str" in err
+
 
 class TestRoe:
     def to_space(self):
@@ -413,10 +423,79 @@ class TestDocs:
         assert listed == list(COMMANDS)
 
 
+# Runs main() on each argv in a fresh interpreter and reports the exit codes,
+# the stdout of each run and which heavy modules ended up imported.
+FRESH_MAIN = """
+import contextlib, io, json, sys
+from roeclass.cli import main
+report = {"codes": [], "outs": []}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        report["codes"].append(main(argv))
+    report["outs"].append(out.getvalue())
+report["loaded"] = sorted(m for m in ("sympy", "numpy") if m in sys.modules)
+print(json.dumps(report))
+"""
+
+
+def fresh_main(tmp_path, *argvs):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", FRESH_MAIN, json.dumps(argvs)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestImportGate:
+    """Light commands import neither sympy nor numpy; only a metric space
+    (``embed``) imports numpy."""
+
+    def test_light_commands_load_neither(self, files, tmp_path):
+        t2, t4 = files("t2.json", TOWER2), files("t4.json", TOWER4)
+        unit = {"context": json.loads(TOWER2), "prefix": [], "period": [1]}
+        two0 = {"context": json.loads(TOWER2), "prefix": [], "period": [2, 0]}
+        u, v = files("u.json", json.dumps(unit)), files("v.json", json.dumps(two0))
+        op = files("op.json", json.dumps({"space": {"tower": json.loads(TOWER2), "depth": 2},
+                                          "entries": [[0, 0, "1"], [2, 3, "1/2"]]}))
+        mapfile = str(tmp_path / "map.json")
+        report = fresh_main(
+            tmp_path, ["sn", t2], ["classify", t2, files("t3.json", TOWER3)],
+            ["classify", t2, t4], ["classify", t2, files("f6.json", FINITE6)],
+            ["k0", "eq", u, v], ["k0", "pos", "--output", str(tmp_path / "w.json"), v],
+            ["k0", "divide-unit", "--prime", "2", "--exp", "2", t2],
+            ["bce", "build", "--depth", "2", "--output", mapfile, t2, t4],
+            ["bce", "verify", mapfile], ["roe", "decompose", "--level", "1", op],
+            ["roe", "trace", "--level", "1", op], ["roe", "conjugate", mapfile, op])
+        assert report["codes"] == [0] * 12
+        assert json.loads(report["outs"][1])["obstruction"] == [2, 1]
+        assert json.loads(report["outs"][8])["passed"] is True
+        assert report["loaded"] == []
+
+    def test_embed_loads_numpy_only(self, files, tmp_path):
+        space = files("m.json", '{"size": 2, "distances": [[0, 3], [3, 0]]}')
+        report = fresh_main(tmp_path, ["embed", space])
+        assert report["codes"] == [0]
+        assert report["outs"] == ['["0","3"]\n']
+        assert report["loaded"] == ["numpy"]
+
+    def test_equal_semiprime_towers_without_sympy(self, files, tmp_path):
+        # 46-digit semiprime ratios: the verdicts take gcds and factor nothing
+        n = 40000000000000000000021 * 70000000000000000000003
+        a = files("a.json", json.dumps({"prefix": [str(n)], "tail": ["2"]}))
+        b = files("b.json", json.dumps({"prefix": ["2", str(n)], "tail": ["4"]}))
+        budget = Budget(1.0)
+        report = fresh_main(tmp_path, ["classify", a, b])
+        budget.check()
+        assert report["codes"] == [0]
+        assert json.loads(report["outs"][0]) == {
+            "bce": True, "ce": True, "k0_iso": True, "obstruction": None}
+        assert report["loaded"] == []
+
+
 class TestEntryPoint:
     def test_console_script(self, files, tmp_path):
-        import subprocess
-
         t = tmp_path / "t.json"
         t.write_text(TOWER2)
         proc = subprocess.run(["roeclass", "sn", str(t)],

@@ -1,12 +1,15 @@
 """Towers, supernatural numbers, and the equivalence predicates."""
 
 import math
+import sys
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import factorint
 
+from roeclass import supernatural
 from roeclass import (
     INFINITE,
     PreconditionViolation,
@@ -274,3 +277,86 @@ class TestSupernaturalNumberValidation:
 
     def test_exponent_is_math_inf(self):
         assert supernatural_of_tower(Tower((), (2,))).exponent_of(2) == math.inf
+
+
+# Carmichael numbers: the first ten, two with many small factors, and one
+# (1171 * 2341 * 3511) with no factor below 1000, so Miller-Rabin decides it
+CARMICHAEL = [561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341,
+              232250619601, 9746347772161, 9624742921]
+# least strong pseudoprimes to the first 9, 12 and 13 prime bases
+STRONG_PSEUDOPRIMES = [3825123056546413051, 318665857834031151167461,
+                       3317044064679887385961981]
+PRIME_SQUARES = [4, 961, 997**2, 1009**2, 1000003**2, 1000000000039**2, 999999999989**3]
+
+
+class TestPrimalityAndFactoring:
+    """The in-repo isprime and factorint against sympy as the oracle."""
+
+    @settings(max_examples=1000, derandomize=True)
+    @given(st.integers(min_value=-10, max_value=10**30))
+    def test_isprime_matches_sympy(self, n):
+        assert supernatural.isprime(n) == sympy.isprime(n)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.integers(min_value=1, max_value=10**30))
+    def test_factorint_matches_sympy(self, n):
+        assert supernatural.factorint(n) == sympy.factorint(n)
+
+    @settings(max_examples=300, derandomize=True)
+    @given(st.lists(st.sampled_from([2, 3, 997, 1009, 65537, 1000003, 2147483647]), max_size=8),
+           st.integers(min_value=1, max_value=10**12))
+    def test_factorint_of_products_matches_sympy(self, primes, cofactor):
+        n = math.prod(primes, start=cofactor)
+        assert supernatural.factorint(n) == sympy.factorint(n)
+
+    @pytest.mark.parametrize("n", CARMICHAEL + STRONG_PSEUDOPRIMES + PRIME_SQUARES)
+    def test_named_composites(self, n):
+        assert not supernatural.isprime(n)
+        assert supernatural.factorint(n) == sympy.factorint(n)
+
+    def test_primes_either_side_of_small_bound(self):
+        for n in (997, 1009, 999983, 1000003, 3317044064679887385961813):
+            assert supernatural.isprime(n) and supernatural.factorint(n) == {n: 1}
+
+    def test_below_bound_needs_no_sympy(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "sympy", None)  # any import of sympy now fails
+        for n in (3317044064679887385961813, 318665857834031151167461, 2**61 - 1):
+            assert supernatural.isprime(n) == (n != 318665857834031151167461)
+        # the residue after trial division is prime, so Miller-Rabin settles it
+        assert supernatural.factorint(2**3 * 997 * (2**61 - 1)) == {2: 3, 997: 1, 2**61 - 1: 1}
+
+    def test_prime_above_bound_goes_to_sympy(self, monkeypatch):
+        big = 10000000000000000000000013  # prime, above the Miller-Rabin bound
+        asked = []
+
+        def spy(n):
+            asked.append(n)
+            return True
+
+        monkeypatch.setattr(sympy, "isprime", spy)
+        assert supernatural.isprime(big)
+        assert supernatural.factorint(6 * big) == {2: 1, 3: 1, big: 1}
+        assert asked == [big, big]
+
+    def test_factorint_rejects_zero(self):
+        with pytest.raises(PreconditionViolation):
+            supernatural.factorint(0)
+
+
+# ratios over a few primes, one of them large, so equal supernatural numbers are common
+shared_ratios = st.sampled_from([2, 3, 4, 6, 8, 9, 12, 1000003, 2 * 1000003])
+
+
+@st.composite
+def shared_towers(draw):
+    return Tower(tuple(draw(st.lists(shared_ratios, max_size=3))),
+                 tuple(draw(st.lists(shared_ratios, max_size=2))))
+
+
+class TestVerdictByGcd:
+    @settings(max_examples=500)
+    @given(shared_towers(), shared_towers())
+    def test_matches_supernatural_equality(self, t1, t2):
+        equal = supernatural_of_tower(t1) == supernatural_of_tower(t2)
+        assert bijectively_coarsely_equivalent(t1, t2) == equal
+        assert (obstruction_witness(t1, t2) is None) == equal
