@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import groupby
+from itertools import groupby, islice
 from operator import itemgetter
 
 from .errors import MalformedInput, PreconditionViolation
@@ -47,16 +47,17 @@ class BlockSpace:
     def __post_init__(self):
         if _checked_int(self.depth, "depth") < 0:
             raise MalformedInput("depth must be an integer >= 0")
-        object.__setattr__(self, "_orders", self.tower.orders(self.depth))
+        # k_0..k_depth, cut where a finite tower's orders saturate
+        object.__setattr__(self, "_orders", tuple(islice(self.tower.levels(), self.depth + 1)))
 
     @property
     def size(self) -> int:
-        return self._orders[self.depth]
+        return self._orders[-1]
 
     def order(self, n: int) -> int:
         if not 0 <= n <= self.depth:
             raise PreconditionViolation(f"level {n} outside 0..{self.depth}")
-        return self._orders[n]
+        return self._orders[min(n, len(self._orders) - 1)]
 
     def _check_point(self, x: int):
         if not (isinstance(x, int) and 0 <= x < self.size):
@@ -66,8 +67,8 @@ class BlockSpace:
         """Least level whose blocks contain both points."""
         self._check_point(x)
         self._check_point(y)
-        for n in range(self.depth + 1):
-            if x // self._orders[n] == y // self._orders[n]:
+        for n, k in enumerate(self._orders):
+            if x // k == y // k:
                 return n
         raise AssertionError("unreachable: whole truncation is one block")
 
@@ -76,8 +77,8 @@ class BlockSpace:
 
         pts = np.arange(self.size)
         d = np.zeros((self.size, self.size), dtype=np.int64)
-        for n in range(self.depth):
-            labels = pts // self._orders[n]
+        for k in self._orders[:-1]:  # saturated levels add nothing
+            labels = pts // k
             d += labels[:, None] != labels[None, :]
         return d.tolist()
 

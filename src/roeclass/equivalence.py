@@ -17,6 +17,7 @@ reports rather than raises.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .errors import DepthExhausted, MalformedInput, NotEquivalent, PreconditionViolation
 from .supernatural import Tower, _checked_int, bijectively_coarsely_equivalent
@@ -36,33 +37,21 @@ def interleave_towers(t1: Tower, t2: Tower, depth: int) -> tuple[tuple[int, int]
     if not bijectively_coarsely_equivalent(t1, t2):
         raise NotEquivalent("towers have different supernatural numbers")
 
-    def scan_cap(t: Tower, level: int, divisor: int) -> int:
-        # every tail prime gains a valuation per period and the divisor's
-        # valuations are at most its bit length, so this level always works
-        return max(level + 1,
-                   len(t.prefix) + len(t.tail) * (divisor.bit_length() + 1) + 2)
+    def scan(t: Tower, walk, level: int, divisor: int, proper: bool, side: str):
+        # a period past saturation_level(divisor) always works; the rest is slack
+        cap = max(level + 1, t.saturation_level(divisor) + 2 * len(t.tail) + 2)
+        for n, k in walk:
+            if n > cap:
+                raise DepthExhausted(f"no {side} level above {level} found by level {cap}")
+            if k % divisor == 0 and not (proper and k == divisor):
+                return n, k
 
+    walk1, walk2 = enumerate(t1.levels()), enumerate(t2.levels())
+    (n, k1), (m, k2) = next(walk1), next(walk2)
     pairs = []
-    n, m = 0, 0
-    k1, k2 = 1, 1  # orders at levels n and m
     for _ in range(depth):
-        kn, nn, cap = k1, n, scan_cap(t1, n, k2)
-        while True:
-            nn += 1
-            if nn > cap:
-                raise DepthExhausted(f"no source level above {n} found by level {cap}")
-            kn *= t1.ratio(nn - 1)
-            if kn % k2 == 0 and kn != k2:
-                break
-        km, mm, cap = k2, m, scan_cap(t2, m, kn)
-        while True:
-            mm += 1
-            if mm > cap:
-                raise DepthExhausted(f"no target level above {m} found by level {cap}")
-            km *= t2.ratio(mm - 1)
-            if km % kn == 0:
-                break
-        n, m, k1, k2 = nn, mm, kn, km
+        n, k1 = scan(t1, walk1, n, k2, True, "source")
+        m, k2 = scan(t2, walk2, m, k1, False, "target")
         pairs.append((n, m))
     return tuple(pairs)
 
@@ -99,24 +88,21 @@ class TowerBijection:
                 raise MalformedInput("level indices must be strictly increasing")
             prev_n, prev_m = n, m
         n_d, m_d = self.final_levels
-        # source orders are walked only until one passes the map's length, so
-        # a huge level in a small file costs nothing (finite towers saturate)
-        src, size, dom = self.source, len(self.mapping), 1
-        for i in range(n_d if src.is_infinite else min(n_d, len(src.prefix))):
-            if dom > size:
-                break
-            dom *= src.ratio(i)
-        if dom != size:
-            points = f"at least {dom}" if dom > size else dom
+        # each side's orders are walked only until one passes the map's size
+        # or its largest image, so a huge level in a small file costs nothing
+        dom = _orders_upto(self.source, n_d, len(self.mapping))[-1]
+        if dom != len(self.mapping):
+            points = f"at least {dom}" if dom > len(self.mapping) else dom
             raise MalformedInput(f"map must cover the full source truncation ({points} points)")
         # whole-map passes in C: a witness has tens of thousands of images
         if set(map(type, self.mapping)) - {int}:
             for y in self.mapping:
                 _checked_int(y, "image")
-        lo, hi, cod = min(self.mapping), max(self.mapping), self.target.order(m_d)
-        if lo < 0 or hi >= cod:
+        lo, hi = min(self.mapping), max(self.mapping)
+        tgt_orders = _orders_upto(self.target, m_d, hi)
+        if lo < 0 or hi >= tgt_orders[-1]:
             raise MalformedInput(f"image {lo if lo < 0 else hi} outside the target truncation")
-        object.__setattr__(self, "modulus", _measure_modulus(self))
+        object.__setattr__(self, "modulus", _measure_modulus(self, tgt_orders))
 
     @property
     def final_levels(self) -> tuple[int, int]:
@@ -127,9 +113,18 @@ class TowerBijection:
         return len(self.mapping)
 
 
-def _measure_modulus(b: TowerBijection) -> tuple[int, ...]:
-    n_d, m_d = b.final_levels
-    tgt_orders = b.target.orders(m_d)
+def _orders_upto(t: Tower, level: int, cap: int) -> list[int]:
+    """k_0, ..., k_level, cut after the first order above cap."""
+    out = []
+    for k in islice(t.levels(), level + 1):
+        out.append(k)
+        if k > cap:
+            break
+    return out
+
+
+def _measure_modulus(b: TowerBijection, tgt_orders: list[int]) -> tuple[int, ...]:
+    n_d = b.final_levels[0]
     # a block's image lies in one aligned target block exactly when its least
     # and greatest images do; each level merges runs of ratio(l-1) spans
     los = his = b.mapping
@@ -141,7 +136,7 @@ def _measure_modulus(b: TowerBijection) -> tuple[int, ...]:
             los = [min(los[i : i + r]) for i in range(0, len(los), r)]
             his = [max(his[i : i + r]) for i in range(0, len(his), r)]
         # coarser source blocks contain finer ones, so the modulus never
-        # decreases; level m_d, one block holding every image, always fits
+        # decreases; the last order, one block holding every image, fits
         while any(lo // tgt_orders[s] != hi // tgt_orders[s] for lo, hi in zip(los, his)):
             s += 1
         out.append(s)
@@ -202,17 +197,19 @@ def verify_bijective_coarse_equivalence(b: TowerBijection) -> VerificationReport
     """
     n_d, m_d = b.final_levels
     src_orders = b.source.orders(n_d)
-    tgt_orders = b.target.orders(m_d)
+    # k1 | k2_bound is decided at min(bound, saturation_level(k1)): past that
+    # level gcd(k2_n, k1) no longer grows, and it only grows along the chain
+    tgt_orders = b.target.orders(min(m_d, b.target.saturation_level(src_orders[-1])))
     injective = len(set(b.mapping)) == len(b.mapping)
 
     checks = []
-    for level in range(n_d + 1):
+    for level, k in enumerate(src_orders):
         if level == 0:
             bound = 0
         else:
             bound = next(m for n, m in b.levels if n >= level)
         rho = b.modulus[level]
         within = rho <= bound
-        divides = tgt_orders[bound] % src_orders[level] == 0
+        divides = tgt_orders[min(bound, b.target.saturation_level(k))] % k == 0
         checks.append(LevelCheck(level, rho, bound, within, within and injective, divides))
     return VerificationReport(injective, tuple(checks))

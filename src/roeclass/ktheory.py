@@ -194,14 +194,8 @@ def _stable_level(d: K0Class) -> int:
     search over all levels collapses to this single one.
     """
     t, s, q = d.context, len(d.prefix), len(d.period)
-    # every tail prime gains a valuation per tail period and q's valuations
-    # are below its bit length, so past this level gcd(k_n, q) no longer grows
-    g_star = gcd(q, t.order(len(t.prefix) + len(t.tail) * q.bit_length()))
-    n, k = 0, 1
-    while gcd(k, q) != g_star or k < s + q:
-        k *= t.ratio(n)
-        n += 1
-    return n
+    g_star = gcd(q, t.order(t.saturation_level(q)))
+    return next(n for n, k in enumerate(t.levels()) if gcd(k, q) == g_star and k >= s + q)
 
 
 def k0_equal(a: K0Class, b: K0Class) -> bool:
@@ -246,10 +240,8 @@ def k0_positive(a: K0Class) -> tuple[bool, K0Class | None]:
         return True, _block_collapse(a, n)
     s, q = len(a.prefix), len(a.period)
     bound = (s + 2 * q) * max(abs(v) for v in a.prefix + a.period)
-    n, k = 0, 1
-    while (k // q) * sigma <= bound or not _blocks_nonneg(a, n):
-        k *= a.context.ratio(n)
-        n += 1
+    n = next(n for n, k in enumerate(a.context.levels())
+             if (k // q) * sigma > bound and _blocks_nonneg(a, n))
     return True, _block_collapse(a, n)
 
 

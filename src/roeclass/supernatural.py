@@ -11,10 +11,13 @@ equivalence only sees whether the group is finite or infinite.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, chain, cycle, islice
 from math import gcd, inf, isqrt, prod
+from operator import mul
 
 from .errors import MalformedInput, PreconditionViolation
 
@@ -170,23 +173,30 @@ class Tower:
             return 1
         return self.tail[(i - len(self.prefix)) % len(self.tail)]
 
+    def levels(self) -> Iterator[int]:
+        """k_0 = 1, k_1, ...: endless on an infinite tower; a finite one ends
+        at k_len(prefix), the order every later level saturates at."""
+        return accumulate(chain(self.prefix, cycle(self.tail)), mul, initial=1)
+
+    def saturation_level(self, d: int) -> int:
+        """A level from which gcd(k_n, d) no longer grows (d >= 1): each tail
+        period raises every tail prime's valuation, no valuation of d exceeds
+        d.bit_length() - 1, and a prefix-only prime is done with the prefix.
+        Sharp: tail (2,) and d = 2^j need all j periods."""
+        return len(self.prefix) + len(self.tail) * (d.bit_length() - 1)
+
     def order(self, n: int) -> int:
         """Subgroup order k_n; saturates at prod(prefix) for finite towers."""
         if n < 0:
             raise PreconditionViolation("level must be >= 0")
-        k = 1
-        for i in range(min(n, len(self.prefix)) if not self.tail else n):
-            k *= self.ratio(i)
-        return k
+        return deque(islice(self.levels(), n + 1), maxlen=1)[0]
 
     def orders(self, depth: int) -> tuple[int, ...]:
         """(k_0, ..., k_depth) computed in one pass."""
         if depth < 0:
             raise PreconditionViolation("depth must be >= 0")
-        out = [1]
-        for i in range(depth):
-            out.append(out[-1] * self.ratio(i))
-        return tuple(out)
+        out = tuple(islice(self.levels(), depth + 1))
+        return out + out[-1:] * (depth + 1 - len(out))
 
 
 def tower_order(t: Tower, n: int) -> int:

@@ -177,6 +177,32 @@ class TestBce:
         assert err.startswith("error: map must cover the full source truncation")
         budget.check()
 
+    @pytest.mark.parametrize("target, level", [
+        ({"prefix": [], "tail": ["2"]}, 10_000_000),
+        ({"prefix": [], "tail": ["6"]}, 1_000_000_000),
+        ({"prefix": ["2"], "tail": []}, 1_000_000_000),
+    ])
+    def test_verify_huge_target_level_small_map(self, files, capsys, target, level):
+        budget = Budget(1.0)
+        m = {"source": json.loads(TOWER2), "target": target, "depth": 1,
+             "levels": [[1, level]], "map": ["0", "0", "1", "1"]}
+        code, out, _ = run(capsys, "bce", "verify", files("m.json", json.dumps(m)))
+        assert code == 0
+        report = json.loads(out)
+        assert report["passed"] is True
+        assert report["levels"][1]["bound"] == level
+        budget.check()
+
+    def test_verify_finite_source_huge_level_exit_2(self, files, capsys):
+        budget = Budget(1.0)
+        bad = {"source": {"prefix": ["2"], "tail": []}, "target": json.loads(TOWER2),
+               "depth": 1, "levels": [[1_000_000_000, 1]],
+               "map": ["0", "0", "1", "1", "2", "2", "3", "3"]}
+        code, out, err = run(capsys, "bce", "verify", files("m.json", json.dumps(bad)))
+        assert (code, out) == (2, "")
+        assert err == "error: map must cover the full source truncation (2 points)\n"
+        budget.check()
+
     def test_build_deterministic(self, files, capsys):
         a, b = files("a.json", TOWER2), files("b.json", TOWER4)
         code1, out1, _ = run(capsys, "bce", "build", "--depth", "2", a, b)

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from roeclass import (
@@ -128,6 +128,21 @@ def candidate_maps(draw):
     return TowerBijection(source, target, depth, levels, tuple(images))
 
 
+@st.composite
+def deep_inclusions(draw):
+    """Inclusion maps of small domain whose last target level lies past the
+    target's saturation level for the domain size (candidate_maps never gets
+    there: its levels stop at 4)."""
+    source = draw(map_towers)
+    target = draw(towers(max_prefix=2, max_tail=2, max_ratio=4))
+    depth = draw(st.integers(min_value=1, max_value=3))
+    ns = sorted(draw(st.sets(st.integers(1, 3), min_size=depth, max_size=depth)))
+    ms = sorted(draw(st.sets(st.integers(1, 30), min_size=depth, max_size=depth)))
+    dom = source.order(ns[-1])
+    assume(dom <= target.order(ms[-1]) and ms[-1] > target.saturation_level(dom))
+    return TowerBijection(source, target, depth, tuple(zip(ns, ms)), tuple(range(dom)))
+
+
 class TestInterleave:
     def test_identical_towers(self):
         t = Tower((), (2,))
@@ -247,6 +262,13 @@ class TestVerify:
         fields = [(c.level, c.modulus, c.bound, c.within_bound, c.decomposition_ok,
                    c.order_divides) for c in report.levels]
         assert fields == brute_levels(b)
+
+    @given(deep_inclusions())
+    def test_order_divides_past_saturation(self, b):
+        report = verify_bijective_coarse_equivalence(b)
+        for check in report.levels:
+            expected = b.target.order(check.bound) % b.source.order(check.level) == 0
+            assert check.order_divides == expected
 
     def test_non_injective_reported(self):
         t = Tower((), (2,))

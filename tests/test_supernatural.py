@@ -1,11 +1,12 @@
 """Towers, supernatural numbers, and the equivalence predicates."""
 
+import itertools
 import math
 import sys
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import factorint
 
@@ -67,6 +68,29 @@ class TestTowerOrder:
         a, b = tower_order(t, n), tower_order(t, n + 1)
         assert b % a == 0
         assert b >= a
+
+    @given(towers(), st.integers(min_value=0, max_value=3))
+    def test_level_stream_is_running_product(self, t, periods):
+        # past the prefix and across several tail periods
+        depth = len(t.prefix) + len(t.tail) * periods + 2
+        running = [1]
+        for i in range(depth):
+            running.append(running[-1] * t.ratio(i))
+        assert t.orders(depth) == tuple(running)
+        assert [t.order(n) for n in range(depth + 1)] == running
+        if t.is_infinite:
+            assert list(itertools.islice(t.levels(), depth + 1)) == running
+        else:
+            assert list(t.levels()) == running[: len(t.prefix) + 1]
+
+    @example(Tower((), (2,)), 2**10)
+    @given(towers(), st.builds(lambda p, e, c: p**e * c, st.sampled_from([2, 3, 5, 7]),
+                               st.integers(0, 12), st.integers(1, 50)))
+    def test_gcd_settles_at_saturation_level(self, t, d):
+        s = t.saturation_level(d)
+        g = math.gcd(t.order(s), d)
+        for n in range(s, s + 3 * len(t.tail) + 1):
+            assert math.gcd(t.order(n), d) == g
 
 
 class TestNormalization:
