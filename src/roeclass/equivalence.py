@@ -202,12 +202,12 @@ def verify_bijective_coarse_equivalence(b: TowerBijection) -> VerificationReport
     tgt_orders = b.target.orders(min(m_d, b.target.saturation_level(src_orders[-1])))
     injective = len(set(b.mapping)) == len(b.mapping)
 
+    # bound at level l is m_j for the least j with n_j >= l, and 0 at level 0
+    bounds = [0]
+    for n, m in b.levels:
+        bounds += [m] * (n + 1 - len(bounds))
     checks = []
-    for level, k in enumerate(src_orders):
-        if level == 0:
-            bound = 0
-        else:
-            bound = next(m for n, m in b.levels if n >= level)
+    for level, (k, bound) in enumerate(zip(src_orders, bounds)):
         rho = b.modulus[level]
         within = rho <= bound
         divides = tgt_orders[min(bound, b.target.saturation_level(k))] % k == 0

@@ -19,6 +19,7 @@ to zero, so they are all nonnegative only if they all vanish.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from math import gcd, lcm
 
 from .equivalence import TowerBijection
@@ -26,7 +27,7 @@ from .errors import DepthExhausted, MalformedInput, PreconditionViolation
 from .supernatural import (
     Tower,
     _checked_int,
-    _primitive_period,
+    _normal_form,
     bijectively_coarsely_equivalent,
     coarsely_equivalent,
     sn_divides,
@@ -56,28 +57,11 @@ class K0Class:
             raise PreconditionViolation("K0 sequence classes need an infinite tower")
         if not period:
             raise MalformedInput("period must be nonempty")
-        period = _primitive_period(period)
-        q = len(period)
-
-        def at(i: int) -> int:
-            return prefix[i] if i < len(prefix) else period[(i - len(prefix)) % q]
-
-        s = len(prefix)
-        while s > 0 and at(s - 1) == at(s - 1 + q):
-            s -= 1
-        new_prefix = tuple(at(i) for i in range(s))
-        new_period = tuple(at(s + j) for j in range(q))
-        prefix, period = new_prefix, new_period
+        prefix, period = _normal_form(prefix, period)
         object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "period", period)
-        sums = [0]
-        for v in prefix:
-            sums.append(sums[-1] + v)
-        object.__setattr__(self, "_prefix_sums", tuple(sums))
-        sums = [0]
-        for v in period:
-            sums.append(sums[-1] + v)
-        object.__setattr__(self, "_period_sums", tuple(sums))
+        object.__setattr__(self, "_prefix_sums", tuple(accumulate(prefix, initial=0)))
+        object.__setattr__(self, "_period_sums", tuple(accumulate(period, initial=0)))
 
     @property
     def period_sum(self) -> int:

@@ -134,6 +134,19 @@ def _primitive_period(items: tuple) -> tuple:
     return items
 
 
+def _normal_form(prefix: tuple, period: tuple) -> tuple[tuple, tuple]:
+    """Shortest prefix and primitive period of prefix, period, period, ...
+    (period nonempty): one walk back absorbs each prefix entry equal to the
+    entry a period later, then one rotation realigns the period."""
+    period = _primitive_period(period)
+    p, q = len(prefix), len(period)
+    s = p
+    while s and prefix[s - 1] == period[(s - 1 - p) % q]:
+        s -= 1
+    shift = (s - p) % q
+    return prefix[:s], period[shift:] + period[:shift]
+
+
 @dataclass(frozen=True)
 class Tower:
     """Ratio stream of an increasing chain of finite subgroup orders.
@@ -152,10 +165,7 @@ class Tower:
         prefix = tuple(r for r in map(_checked_ratio, self.prefix) if r > 1)
         tail = tuple(r for r in map(_checked_ratio, self.tail) if r > 1)
         if tail:
-            tail = _primitive_period(tail)
-            while prefix and prefix[-1] == tail[-1]:
-                prefix = prefix[:-1]
-                tail = tail[-1:] + tail[:-1]
+            prefix, tail = _normal_form(prefix, tail)
         object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "tail", tail)
 

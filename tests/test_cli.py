@@ -8,9 +8,11 @@ import subprocess
 import sys
 from itertools import takewhile
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
+import roeclass
 from roeclass.cli import COMMANDS, main
 
 from conftest import Budget
@@ -40,6 +42,15 @@ def run(capsys, *argv):
 class TestSn:
     def test_golden(self, files, capsys):
         code, out, _ = run(capsys, "sn", files("t.json", TOWER2))
+        assert code == 0
+        assert out == '{"default":"0","exponents":{"2":"inf"}}\n'
+
+    def test_long_absorbed_prefix(self, files, capsys):
+        # 80,000 prefix entries that all fold into the tail (about 400 KB)
+        tower = json.dumps({"prefix": ["2"] * 80_000, "tail": ["2"]})
+        budget = Budget(2.0)
+        code, out, _ = run(capsys, "sn", files("t.json", tower))
+        budget.check()
         assert code == 0
         assert out == '{"default":"0","exponents":{"2":"inf"}}\n'
 
@@ -447,6 +458,11 @@ class TestDocs:
             words = line.split()[1:]
             listed.append(" ".join(takewhile(re.compile("[a-z][a-z0-9-]*").fullmatch, words)))
         assert listed == list(COMMANDS)
+
+    def test_package_exports_every_public_name(self):
+        public = [name for name, value in vars(roeclass).items()
+                  if not name.startswith("_") and not isinstance(value, ModuleType)]
+        assert sorted(roeclass.__all__) == sorted(public)
 
 
 # Runs main() on each argv in a fresh interpreter and reports the exit codes,

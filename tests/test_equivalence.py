@@ -19,7 +19,7 @@ from roeclass import (
 )
 from roeclass.serialize import bijection_to_obj, canonical_json
 
-from conftest import towers
+from conftest import Budget, towers
 
 
 @st.composite
@@ -269,6 +269,17 @@ class TestVerify:
         for check in report.levels:
             expected = b.target.order(check.bound) % b.source.order(check.level) == 0
             assert check.order_divides == expected
+
+    def test_many_level_pairs_verify_in_one_pass(self):
+        # 20,001 levels: each level's bound must not cost a scan of the level pairs
+        t = Tower((2,), ())
+        n = 20_000
+        b = TowerBijection(t, t, n, tuple((i, i) for i in range(1, n + 1)), (0, 1))
+        budget = Budget(1.0)
+        report = verify_bijective_coarse_equivalence(b)
+        budget.check()
+        assert len(report.levels) == n + 1
+        assert report.passed
 
     def test_non_injective_reported(self):
         t = Tower((), (2,))

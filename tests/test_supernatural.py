@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from sympy import factorint
 
 from roeclass import supernatural
+from roeclass.ktheory import K0Class
+from roeclass.supernatural import _normal_form
 from roeclass import (
     INFINITE,
     PreconditionViolation,
@@ -25,7 +27,7 @@ from roeclass import (
     tower_order,
 )
 
-from conftest import ratios, towers
+from conftest import Budget, ratios, towers
 
 
 def exponent_oracle(t, p, depth=12):
@@ -124,6 +126,48 @@ class TestNormalization:
     @given(towers(max_tail=2), st.integers(min_value=2, max_value=3))
     def test_tail_concatenation_invisible(self, t, k):
         assert Tower(t.prefix, t.tail * k) == t
+
+    def test_long_absorbed_prefix_is_linear(self):
+        # absorbing 10^5 prefix entries into the tail takes one walk, not a copy per entry
+        budget = Budget(1.0)
+        assert Tower((2,) * 100_000, (2,)) == Tower((), (2,))
+        budget.check()
+
+
+def unroll(prefix, period, n):
+    return [prefix[i] if i < len(prefix) else period[(i - len(prefix)) % len(period)]
+            for i in range(n)]
+
+
+@st.composite
+def eventually_periodic(draw, alphabet):
+    """A prefix and a period that is often a repeated pattern."""
+    prefix = tuple(draw(st.lists(alphabet, max_size=8)))
+    base = tuple(draw(st.lists(alphabet, min_size=1, max_size=4)))
+    return prefix, base * draw(st.integers(min_value=1, max_value=3))
+
+
+class TestNormalForm:
+    @settings(max_examples=500)
+    @given(eventually_periodic(st.integers(0, 2)))
+    def test_shortest_prefix_primitive_period(self, seq):
+        prefix, period = seq
+        new_prefix, new_period = _normal_form(prefix, period)
+        n = len(prefix) + 2 * math.lcm(len(period), len(new_period))
+        assert unroll(new_prefix, new_period, n) == unroll(prefix, period, n)
+        q = len(new_period)
+        assert all(new_period != new_period[:d] * (q // d) for d in range(1, q) if q % d == 0)
+        assert not new_prefix or new_prefix[-1] != new_period[-1]
+
+    @given(eventually_periodic(st.sampled_from([2, 3])))
+    def test_tower_stores_normal_form(self, seq):
+        t = Tower(*seq)
+        assert (t.prefix, t.tail) == _normal_form(*seq)
+
+    @given(eventually_periodic(st.integers(-1, 1)))
+    def test_k0_class_stores_normal_form(self, seq):
+        c = K0Class(Tower((), (2,)), *seq)
+        assert (c.prefix, c.period) == _normal_form(*seq)
 
 
 class TestSupernaturalOfTower:
