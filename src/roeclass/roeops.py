@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .blockspace import BlockSpace
 from .equivalence import TowerBijection
@@ -68,11 +69,62 @@ def _mat_adjoint(a: Entries) -> Entries:
     return {(c, r): v for (r, c), v in a.items()}
 
 
+Rows = dict[int, dict[int, int]]
+
+
+def _independent_rows(rows: Rows) -> list[int]:
+    """Indices of a maximal set of linearly independent integer rows.
+
+    Fraction-free elimination: each row is reduced against the kept rows in
+    the order they were kept, and divided by the gcd of its entries after
+    every step, so it stays the primitive multiple of a vector of minors.
+    """
+    kept: list[int] = []
+    # pivot column -> (order kept, pivot column, reduced row)
+    pivots: dict[int, tuple[int, int, dict[int, int]]] = {}
+    for i, x in rows.items():
+        while hit := [pivots[c] for c in x if c in pivots]:
+            _, c, p = min(hit)
+            s, t = p[c], x[c]
+            x = {k: s * v for k, v in x.items()}
+            for k, v in p.items():
+                w = x.get(k, 0) - t * v
+                if w:
+                    x[k] = w
+                else:
+                    del x[k]
+            g = gcd(*x.values())
+            if g > 1:
+                x = {k: v // g for k, v in x.items()}
+        if x:
+            c = next(iter(x))
+            pivots[c] = (len(pivots), c, x)
+            kept.append(i)
+    return kept
+
+
 def _is_projection(a: Entries) -> bool:
     if all(r == c for r, c in a):
         # a rational v with v*v = v is 0 or 1; a stored 0 fails p*p = p too
         return all(v == 1 for v in a.values())
-    return _mat_mul(a, a) == a and _mat_adjoint(a) == a
+    # p = M/D: integer numerators over one positive denominator
+    d = lcm(*(v.denominator for v in a.values()))
+    rows: Rows = {}
+    for (r, c), v in a.items():
+        rows.setdefault(r, {})[c] = v.numerator * (d // v.denominator)
+    # a stored 0 never survives p*p; p* = p entry by entry
+    if any(not m or rows.get(c, {}).get(r) != m for r, row in rows.items() for c, m in row.items()):
+        return False
+    # A symmetric p is idempotent exactly when it fixes its column space,
+    # which the independent columns of M (its rows, by symmetry) span.
+    for i in _independent_rows(rows):
+        image: dict[int, int] = {}
+        for k, x in rows[i].items():
+            for r, m in rows[k].items():
+                image[r] = image.get(r, 0) + m * x
+        if {r: v for r, v in image.items() if v} != {c: d * x for c, x in rows[i].items()}:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

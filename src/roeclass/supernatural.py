@@ -126,12 +126,20 @@ def _strip(n: int, m: int) -> int:
 
 
 def _primitive_period(items: tuple) -> tuple:
-    """Shortest pattern whose repetition reproduces ``items``."""
+    """Shortest pattern whose repetition reproduces ``items`` (nonempty).
+    One prefix-function pass gives the longest proper border b of ``items``;
+    the pattern has length n - b when that divides n, else it is ``items``."""
     n = len(items)
-    for d in range(1, n + 1):
-        if n % d == 0 and all(items[i] == items[i % d] for i in range(n)):
-            return items[:d]
-    return items
+    border = [0] * n
+    b = 0
+    for i in range(1, n):
+        while b and items[i] != items[b]:
+            b = border[b - 1]
+        if items[i] == items[b]:
+            b += 1
+        border[i] = b
+    d = n - b
+    return items[:d] if n % d == 0 else items
 
 
 def _normal_form(prefix: tuple, period: tuple) -> tuple[tuple, tuple]:

@@ -1,5 +1,8 @@
 """Finite-propagation operator calculus on block spaces."""
 
+import functools
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -27,6 +30,9 @@ from roeclass import (
     recompose,
     trace_vector,
 )
+from roeclass.roeops import _is_projection, _mat_adjoint, _mat_mul
+
+from conftest import Budget
 
 
 def dense(op):
@@ -79,6 +85,94 @@ def diagonal_projections(draw, space, level):
         support = draw(st.sets(st.integers(min_value=0, max_value=k - 1), max_size=k))
         blocks.append({(x, x): Fraction(1) for x in support})
     return BlockTuple(space, level, tuple(blocks))
+
+
+def is_projection_oracle(a):
+    """The projection rule by squaring: p*p = p = p*, entry by entry."""
+    return _mat_mul(a, a) == a and _mat_adjoint(a) == a
+
+
+def orthogonal_projection(vectors, k):
+    """Exact orthogonal projection of Q^k onto the span of integer
+    ``vectors``, and its rank: Gram-Schmidt kept on integer vectors."""
+    basis = []
+    for v in vectors:
+        w = list(v)
+        for u in basis:
+            uu, wu = sum(y * y for y in u), sum(x * y for x, y in zip(w, u))
+            w = [uu * x - wu * y for x, y in zip(w, u)]
+            g = math.gcd(*w)
+            if g > 1:
+                w = [x // g for x in w]
+        if any(w):
+            basis.append(w)
+    p = {}
+    for u in basis:
+        uu = sum(y * y for y in u)
+        for i in range(k):
+            for j in range(k):
+                if u[i] and u[j]:
+                    p[(i, j)] = p.get((i, j), 0) + Fraction(u[i] * u[j], uu)
+    return {key: v for key, v in p.items() if v}, len(basis)
+
+
+def dense_matrix(a, k):
+    m = [[Fraction(0)] * k for _ in range(k)]
+    for (r, c), v in a.items():
+        m[r][c] = v
+    return m
+
+
+def sparse_matrix(m):
+    return {(r, c): v for r, row in enumerate(m) for c, v in enumerate(row) if v}
+
+
+def one_block(blk, k):
+    """A hand-built level-1 tuple holding ``blk`` as its only k x k block."""
+    return BlockTuple(BlockSpace(Tower((k,), ()), 1), 1, (blk,))
+
+
+@st.composite
+def projection_candidates(draw):
+    """A k x k block, 1 <= k <= 8, of one of these kinds: random rational,
+    random symmetric, an exact projection of any rank, a projection with one
+    entry changed (mirrored or not), an idempotent that is not symmetric, a
+    projection holding an explicit 0, a projection with int entries."""
+    k = draw(st.integers(min_value=1, max_value=8))
+    kind = draw(st.sampled_from(["random", "symmetric", "projection", "mirrored",
+                                 "unmirrored", "oblique", "stored_zero", "ints"]))
+    pts = st.integers(min_value=0, max_value=k - 1)
+    nonzero = scalars.filter(bool)
+    if kind in ("random", "symmetric"):
+        blk = draw(st.dictionaries(st.tuples(pts, pts), nonzero, max_size=k * k))
+        if kind == "symmetric":
+            blk.update({(c, r): v for (r, c), v in list(blk.items())})
+        return k, blk
+    rank = draw(st.integers(min_value=0, max_value=k))
+    vectors = draw(st.lists(st.lists(st.integers(-2, 2), min_size=k, max_size=k),
+                            min_size=rank, max_size=rank))
+    blk, _ = orthogonal_projection(vectors, k)
+    if kind in ("mirrored", "unmirrored"):
+        i, j, delta = draw(pts), draw(pts), draw(nonzero)
+        for key in {(i, j), (j, i)} if kind == "mirrored" else {(i, j)}:
+            blk[key] = blk.get(key, 0) + delta
+            if not blk[key]:
+                del blk[key]
+    elif kind == "oblique":
+        # p + p n (1 - p) is idempotent for every n, and symmetric only by chance
+        p = dense_matrix(blk, k)
+        n = dense_matrix(draw(st.dictionaries(st.tuples(pts, pts), nonzero, max_size=3)), k)
+        one_minus_p = [[int(r == c) - p[r][c] for c in range(k)] for r in range(k)]
+        pnq = dense_mul(dense_mul(p, n), one_minus_p)
+        blk = sparse_matrix([[p[r][c] + pnq[r][c] for c in range(k)] for r in range(k)])
+    elif kind == "stored_zero":
+        blk[(draw(pts), draw(pts))] = Fraction(0)
+    elif kind == "ints":
+        blk = {key: int(v) if v.denominator == 1 else v for key, v in blk.items()}
+        # an integral block beside it keeps int entries off the diagonal too
+        blk.update({(r, c): draw(st.integers(-1, 1)) for r, c in draw(st.lists(
+            st.tuples(pts, pts), max_size=2)) if (r, c) not in blk})
+    return k, blk
 
 
 class TestPropagation:
@@ -276,6 +370,74 @@ class TestTraceVector:
         assert grouped_tr == tuple(
             sum(tr[i * r_n + j] for j in range(r_n)) for i in range(len(grouped_tr))
         )
+
+
+@functools.cache
+def rank_18_projection():
+    """A dense rank-18 projection on the 36 points of tower 6 at depth 2."""
+    rng = random.Random(36)
+    vectors = [[rng.randint(-3, 3) for _ in range(36)] for _ in range(18)]
+    blk, rank = orthogonal_projection(vectors, 36)
+    assert rank == 18 and len(blk) == 36 * 36
+    return PropagationOperator(BlockSpace(Tower((), (6,)), 2), blk)
+
+
+class TestProjectionCheck:
+    @settings(max_examples=500)
+    @given(projection_candidates())
+    def test_matches_squaring_rule(self, case):
+        k, blk = case
+        expected = is_projection_oracle(blk)
+        assert _is_projection(blk) is expected
+        bt = one_block(blk, k)
+        if expected:
+            trace_vector(bt, require_projection=True)
+        else:
+            with pytest.raises(NotProjection):
+                trace_vector(bt, require_projection=True)
+
+    def test_projections_of_every_rank_accepted(self):
+        rng = random.Random(8)
+        for rank in range(9):
+            vectors = [[rng.randint(-2, 2) for _ in range(8)] for _ in range(rank)]
+            blk, got = orthogonal_projection(vectors, 8)
+            assert _is_projection(blk) and is_projection_oracle(blk)
+            assert trace_vector(one_block(blk, 8), require_projection=True) == (got,)
+
+    def test_non_symmetric_idempotent_refused(self):
+        blk = {(0, 0): Fraction(1), (0, 1): Fraction(1)}
+        assert _mat_mul(blk, blk) == blk
+        assert not is_projection_oracle(blk) and not _is_projection(blk)
+
+    def test_216_point_rank_one_block(self):
+        # a dense 216-point block took 35 s through the squared block
+        rng = random.Random(216)
+        v = [rng.randint(-3, 3) for _ in range(216)]
+        v[0] = 1
+        norm = sum(x * x for x in v)
+        entries = {(i, j): Fraction(v[i] * v[j], norm)
+                   for i in range(216) for j in range(216) if v[i] * v[j]}
+        bt = block_decompose(PropagationOperator(BlockSpace(Tower((), (6,)), 3), entries), 3)
+        budget = Budget(2.0)
+        assert trace_vector(bt, require_projection=True) == (1,)
+        budget.check()
+
+    def test_36_point_rank_18_block(self):
+        # half the columns independent: guards coefficient growth in the elimination
+        bt = block_decompose(rank_18_projection(), 2)
+        budget = Budget(1.0)
+        assert trace_vector(bt, require_projection=True) == (18,)
+        budget.check()
+
+    def test_36_point_rank_18_block_one_entry_changed(self):
+        op = rank_18_projection()
+        entries = dict(op.entries)
+        entries[(5, 5)] = entries.get((5, 5), 0) + Fraction(1, 7)
+        bt = block_decompose(PropagationOperator(op.space, entries), 2)
+        budget = Budget(1.0)
+        with pytest.raises(NotProjection):
+            trace_vector(bt, require_projection=True)
+        budget.check()
 
 
 class TestMvn:

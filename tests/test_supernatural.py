@@ -12,7 +12,7 @@ from sympy import factorint
 
 from roeclass import supernatural
 from roeclass.ktheory import K0Class
-from roeclass.supernatural import _normal_form
+from roeclass.supernatural import _normal_form, _primitive_period
 from roeclass import (
     INFINITE,
     PreconditionViolation,
@@ -145,6 +145,34 @@ def eventually_periodic(draw, alphabet):
     prefix = tuple(draw(st.lists(alphabet, max_size=8)))
     base = tuple(draw(st.lists(alphabet, min_size=1, max_size=4)))
     return prefix, base * draw(st.integers(min_value=1, max_value=3))
+
+
+def primitive_period_oracle(items):
+    """Shortest pattern whose repetition reproduces ``items``: every divisor
+    of the length, smallest first, compared entry by entry."""
+    n = len(items)
+    for d in range(1, n + 1):
+        if n % d == 0 and all(items[i] == items[i % d] for i in range(n)):
+            return items[:d]
+    return items
+
+
+class TestPrimitivePeriod:
+    @settings(max_examples=500)
+    @given(st.lists(st.integers(0, 2), min_size=1, max_size=6),
+           st.integers(min_value=1, max_value=4), st.lists(st.integers(0, 2), max_size=3))
+    def test_matches_divisor_scan(self, base, k, noise):
+        # repeated patterns, and repeated patterns with a few entries appended
+        for items in (tuple(base) * k, tuple(base) * k + tuple(noise)):
+            assert _primitive_period(items) == primitive_period_oracle(items)
+
+    def test_long_primitive_period_is_linear(self):
+        # 166,320 entries have 160 divisors: a divisor scan compares all of
+        # them for each one, the prefix function walks them once
+        budget = Budget(1.0)
+        t = Tower((), (2,) * 166_319 + (3,))
+        budget.check()
+        assert len(t.tail) == 166_320
 
 
 class TestNormalForm:
