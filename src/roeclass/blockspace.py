@@ -11,9 +11,10 @@ that components are preserved at every scale.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import groupby, islice
+from itertools import chain, groupby, islice
 from operator import itemgetter
 
 from .errors import MalformedInput, PreconditionViolation
@@ -64,13 +65,28 @@ class BlockSpace:
             raise PreconditionViolation(f"point {_clip(x)} outside 0..{self.size - 1}")
 
     def distance(self, x: int, y: int) -> int:
-        """Least level whose blocks contain both points."""
-        self._check_point(x)
-        self._check_point(y)
-        for n, k in enumerate(self._orders):
+        """Least level whose blocks contain both points.
+
+        Each order divides the next, so "same block" is false and then true
+        as the level grows: bisect for the first level where it holds.  It
+        needs k_n > |x - y| and holds once k_n > max(x, y), so only the
+        levels between those two are searched.
+        """
+        orders = self._orders
+        size = orders[-1]
+        if not (isinstance(x, int) and isinstance(y, int) and 0 <= x < size and 0 <= y < size):
+            self._check_point(x)
+            self._check_point(y)
+        lo = bisect_right(orders, x - y if x > y else y - x)
+        hi = bisect_right(orders, x if x > y else y, lo)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            k = orders[mid]
             if x // k == y // k:
-                return n
-        raise AssertionError("unreachable: whole truncation is one block")
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
 
     def metric_matrix(self) -> list[list[int]]:
         import numpy as np  # only here and in FiniteMetricSpace, to keep it off light commands
@@ -113,24 +129,34 @@ class FiniteMetricSpace:
         rows = tuple(tuple(row) for row in self.distances)
         if len(rows) != self.size or any(len(r) != self.size for r in rows):
             raise MalformedInput("distance matrix shape does not match size")
-        for row in rows:
-            for v in row:
-                if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-                    raise MalformedInput(f"distance {_clip(v)} is not a nonnegative integer")
-                if v >= 2**62:
-                    raise MalformedInput("distances this large are not supported")
+        # screen all entries at C speed; walk them only to name the first bad one
+        plain = set(map(type, chain.from_iterable(rows))) == {int}
+        top = max(map(max, rows)) if plain else -1
+        if not (plain and 0 <= min(map(min, rows)) and top < 2**62):
+            for row in rows:
+                for v in row:
+                    if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+                        raise MalformedInput(f"distance {_clip(v)} is not a nonnegative integer")
+                    if v >= 2**62:
+                        raise MalformedInput("distances this large are not supported")
+            top = max(map(max, rows))  # only int subclasses get here
         import numpy as np
 
-        d = np.array(rows, dtype=np.int64)
+        # the narrowest unsigned type that holds a sum of two entries
+        d = np.array(rows, dtype=np.min_scalar_type(2 * top))
         if (np.diag(d) != 0).any():
             raise MalformedInput("d(x, x) must be 0")
         if (d == 0).sum() != self.size:
             raise MalformedInput("d(x, y) = 0 requires x = y")
         if (d != d.T).any():
             raise MalformedInput("distance matrix must be symmetric")
-        for k in range(self.size):
-            if (d > d[:, [k]] + d[[k], :]).any():
-                raise MalformedInput("triangle inequality fails")
+        # with a zero diagonal, the triangle inequality says d is its own
+        # min-plus square
+        square, through_k = d[:, 0, None] + d[0], np.empty_like(d)
+        for k in range(1, self.size):
+            np.minimum(square, np.add(d[:, k, None], d[k], out=through_k), out=square)
+        if not np.array_equal(square, d):
+            raise MalformedInput("triangle inequality fails")
         object.__setattr__(self, "distances", rows)
 
     def distance(self, x: int, y: int) -> int:

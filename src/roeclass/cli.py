@@ -20,7 +20,7 @@ from . import serialize as ser
 from .blockspace import embed_into_nonneg_integers
 from .equivalence import build_back_and_forth, verify_bijective_coarse_equivalence
 from .errors import MalformedInput, RoeclassError
-from .ktheory import k0_equal, k0_iso_exists, k0_positive, unit_divide
+from .ktheory import _positive_level, k0_equal, k0_iso_exists, k0_positive, unit_divide
 from .roeops import block_decompose, conjugate_by_bijection, trace_vector
 from .supernatural import (
     bijectively_coarsely_equivalent,
@@ -77,9 +77,12 @@ GROUPS = {"bce": "explicit coarse equivalences", "k0": "ordered K0 computations"
 
 def _k0_pos(args, a):
     # --output holds the witness, not the verdict main prints; it is written
-    # first, so a failed write leaves stdout empty
+    # first, so a failed write leaves stdout empty.  Without --output the
+    # witness, which can be huge, is never built.
+    if not args.witness:
+        return _positive_level(a) is not None
     positive, witness = k0_positive(a)
-    if positive and args.witness:
+    if positive:
         _emit(ser.k0_to_obj(witness), args.witness)
     return positive
 

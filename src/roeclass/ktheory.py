@@ -206,8 +206,9 @@ def _block_collapse(a: K0Class, n: int) -> K0Class:
     return K0Class(a.context, *parts)
 
 
-def k0_positive(a: K0Class) -> tuple[bool, K0Class | None]:
-    """Membership in the positive cone, with a pointwise-nonnegative witness.
+def _positive_level(a: K0Class) -> int | None:
+    """A level whose aligned block sums of a are all nonnegative, or None
+    when a is not in the positive cone.
 
     Positive period sum dominates boundary effects once
     floor(k_n/q)*sigma > (|prefix| + 2|period|)*max|entry|; negative period
@@ -216,16 +217,22 @@ def k0_positive(a: K0Class) -> tuple[bool, K0Class | None]:
     """
     sigma = a.period_sum
     if sigma < 0:
-        return False, None
+        return None
     if sigma == 0:
         n = _stable_level(a)
-        if not _blocks_nonneg(a, n):
-            return False, None
-        return True, _block_collapse(a, n)
+        return n if _blocks_nonneg(a, n) else None
     s, q = len(a.prefix), len(a.period)
     bound = (s + 2 * q) * max(abs(v) for v in a.prefix + a.period)
-    n = next(n for n, k in enumerate(a.context.levels())
-             if (k // q) * sigma > bound and _blocks_nonneg(a, n))
+    return next(n for n, k in enumerate(a.context.levels())
+                if (k // q) * sigma > bound and _blocks_nonneg(a, n))
+
+
+def k0_positive(a: K0Class) -> tuple[bool, K0Class | None]:
+    """Membership in the positive cone, with a pointwise-nonnegative witness:
+    the block collapse of a at the level ``_positive_level`` finds."""
+    n = _positive_level(a)
+    if n is None:
+        return False, None
     return True, _block_collapse(a, n)
 
 

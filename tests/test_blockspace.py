@@ -1,16 +1,20 @@
 """Block metric spaces, R-components, and the integer embedding."""
 
 import random
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from roeclass import blockspace
 from roeclass import (
     BlockSpace,
     FiniteMetricSpace,
+    MalformedInput,
+    PreconditionViolation,
     Tower,
     asdim_zero_profile,
     components,
@@ -18,6 +22,7 @@ from roeclass import (
     embed_into_nonneg_integers,
     r_components,
 )
+from roeclass.supernatural import _clip
 
 from conftest import Budget, towers
 
@@ -70,6 +75,43 @@ small_block_spaces = st.builds(
 ).filter(lambda s: s.size <= 512)
 
 
+def scan_distance(s, x, y):
+    """Oracle: the bottom-up scan over the orders, with the point checks
+    written out, as BlockSpace.distance was before it bisected."""
+    size = s._orders[-1]
+    for p in (x, y):
+        if not (isinstance(p, int) and 0 <= p < size):
+            raise PreconditionViolation(f"point {_clip(p)} outside 0..{size - 1}")
+    for n, k in enumerate(s._orders):
+        if x // k == y // k:
+            return n
+    raise AssertionError("unreachable: whole truncation is one block")
+
+
+@st.composite
+def divisor_chain_spaces(draw):
+    """Spaces the shared strategies never draw: prefix ratios of 1, finite
+    towers cut past saturation, depths up to 12.  Tower drops ratio 1 and
+    BlockSpace cuts saturated levels, so half the spaces get a divisor
+    chain with repeated orders written in directly."""
+    r = st.integers(min_value=1, max_value=5)
+    prefix, tail = draw(st.lists(r, max_size=6)), draw(st.lists(r, max_size=2))
+    s = BlockSpace(Tower(tuple(prefix), tuple(tail)), draw(st.integers(0, 12)))
+    if draw(st.booleans()):
+        orders = tuple(accumulate(draw(st.lists(r, max_size=12)), mul, initial=1))
+        object.__setattr__(s, "depth", len(orders) - 1)
+        object.__setattr__(s, "_orders", orders)
+    return s
+
+
+def points(s):
+    """Points of s, nearly always; sometimes out of range or not an int."""
+    inside = st.integers(min_value=0, max_value=s.size - 1)
+    outside = st.one_of(st.integers(max_value=-1), st.integers(min_value=s.size))
+    odd = st.sampled_from([1.0, "0", None, True, False, 2**70])
+    return st.one_of(inside, inside, inside, outside, odd)
+
+
 class TestDistance:
     def test_identity(self):
         s = BlockSpace(Tower((), (2,)), 3)
@@ -86,6 +128,35 @@ class TestDistance:
             s.distance(0, 4)
         with pytest.raises(ValueError):
             distance(s, -1, 0)
+        for x, y, bad in [(4, -1, "4"), (-1, 4, "-1"), (1.0, "1", "1.0"), (3, None, "None")]:
+            with pytest.raises(PreconditionViolation, match=f"^point {bad} outside 0..3$"):
+                s.distance(x, y)
+
+    @settings(max_examples=500)
+    @given(divisor_chain_spaces(), st.data())
+    def test_matches_bottom_up_scan(self, s, data):
+        x = data.draw(points(s))
+        y = data.draw(st.one_of(st.just(x), points(s)))
+        try:
+            want = scan_distance(s, x, y)
+        except PreconditionViolation as e:
+            with pytest.raises(PreconditionViolation) as got:
+                s.distance(x, y)
+            assert str(got.value) == str(e)
+        else:
+            assert s.distance(x, y) == want
+
+    def test_deep_space_within_budget(self):
+        # a scan from level 0 is quadratic on the far pair (20,000 divisions
+        # of 20,000-bit numbers); one from the top is slow on the near pairs
+        s = BlockSpace(Tower((), (2,)), 20000)
+        rng = random.Random(0)
+        pairs = [(rng.randrange(1000), rng.randrange(1000)) for _ in range(1000)]
+        budget = Budget(1.0)
+        got = [s.distance(x, y) for x, y in pairs]
+        assert s.distance(2**19999 - 1, 2**19999) == 20000
+        budget.check()
+        assert got == [(x ^ y).bit_length() for x, y in pairs]
 
     @given(small_block_spaces, st.data())
     def test_min_level_definition(self, s, data):
@@ -270,7 +341,101 @@ class TestEmbedding:
             assert source == image_parts
 
 
+def reference_check(size, distances):
+    """Oracle: the checks of FiniteMetricSpace as they were before the entry
+    screen and the min-plus square; returns the MalformedInput message, or
+    None when the matrix is accepted."""
+    if isinstance(size, bool) or not isinstance(size, int) or size < 1:
+        return "size must be an integer >= 1"
+    rows = tuple(tuple(row) for row in distances)
+    if len(rows) != size or any(len(r) != size for r in rows):
+        return "distance matrix shape does not match size"
+    for row in rows:
+        for v in row:
+            if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+                return f"distance {_clip(v)} is not a nonnegative integer"
+            if v >= 2**62:
+                return "distances this large are not supported"
+    d = np.array(rows, dtype=np.int64)
+    if (np.diag(d) != 0).any():
+        return "d(x, x) must be 0"
+    if (d == 0).sum() != size:
+        return "d(x, y) = 0 requires x = y"
+    if (d != d.T).any():
+        return "distance matrix must be symmetric"
+    for k in range(size):
+        if (d > d[:, [k]] + d[[k], :]).any():
+            return "triangle inequality fails"
+    return None
+
+
+class Dist(int):
+    """An int subclass, which the entry screen leaves to the per-entry walk."""
+
+
+@st.composite
+def ultrametrics(draw, n):
+    """Merge n singletons one random pair at a time, at rising heights."""
+    clusters, d = [[i] for i in range(n)], [[0] * n for _ in range(n)]
+    height = 0
+    while len(clusters) > 1:
+        height += draw(st.integers(min_value=0, max_value=3))
+        i, j = sorted(draw(st.lists(st.integers(0, len(clusters) - 1), min_size=2,
+                                    max_size=2, unique=True)))
+        for x in clusters[i]:
+            for y in clusters[j]:
+                d[x][y] = d[y][x] = max(height, 1)
+        clusters[i] += clusters.pop(j)
+    return d
+
+
+@st.composite
+def candidate_matrices(draw):
+    """1-6-point matrices: valid line metrics and ultrametrics, either kept,
+    with one entry changed (mirrored or not), or wholly random entries."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    kind = draw(st.sampled_from(["line", "ultra", "line", "ultra", "random"]))
+    entry = st.one_of(st.integers(0, 9), st.integers(-3, -1), st.booleans(),
+                      st.sampled_from([2**62 - 1, 2**62, 2**62 + 1, 1.0, "1", Dist(2)]))
+    if kind == "line":
+        top = draw(st.sampled_from([20, 2**61]))
+        pos = draw(st.lists(st.integers(0, top), min_size=n, max_size=n, unique=True))
+        d = [[abs(a - b) for b in pos] for a in pos]
+    elif kind == "ultra":
+        d = draw(ultrametrics(n))
+    else:
+        d = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    changes = ["none", "one", "mirrored"] + ["stretch"] * (n >= 3)
+    change = "none" if kind == "random" else draw(st.sampled_from(changes))
+    if change == "stretch":  # d(x, y) at, or just past, d(x, z) + d(z, y)
+        x, y, z = draw(st.permutations(range(n)))[:3]
+        d[x][y] = d[y][x] = d[x][z] + d[z][y] + draw(st.integers(0, 1))
+    elif change != "none":
+        x, y = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        near = st.integers(0, 2 * max(map(max, d)) + 1)  # often breaks the triangle
+        d[x][y] = draw(st.one_of(st.just(0), near, near, entry))
+        if change == "mirrored":
+            d[y][x] = d[x][y]
+    return n, tuple(map(tuple, d))
+
+
 class TestFiniteMetricSpaceValidation:
+    @settings(max_examples=500)
+    @given(candidate_matrices())
+    @example((2, ((0, 2**62), (-1, 0))))  # too large comes first, row-major
+    @example((2, ((0, -1), (2**62, 0))))
+    @example((3, ((0, 1, 3), (1, 0, 1), (3, 1, 0))))
+    @example((2, ((0, Dist(2)), (2, 0))))
+    def test_agrees_with_reference(self, case):
+        n, d = case
+        want = reference_check(n, d)
+        if want is None:
+            assert FiniteMetricSpace(n, d).distances == d
+        else:
+            with pytest.raises(MalformedInput) as got:
+                FiniteMetricSpace(n, d)
+            assert str(got.value) == want
+
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             FiniteMetricSpace(2, ((0, 1), (2, 0)))

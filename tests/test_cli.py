@@ -288,6 +288,14 @@ class TestK0:
         assert code == 0
         assert out == "false\n"
 
+    def test_pos_verdict_without_output_builds_no_witness(self, files, capsys):
+        # positive from level 32 on, where the witness would have 2^33 entries
+        cls = {"context": json.loads(TOWER2), "prefix": [-10**9], "period": [1]}
+        budget = Budget(2.0)
+        code, out, _ = run(capsys, "k0", "pos", files("c.json", json.dumps(cls)))
+        budget.check()
+        assert (code, out) == (0, "true\n")
+
     def test_divide_unit(self, files, capsys):
         code, out, _ = run(capsys, "k0", "divide-unit", "--prime", "2",
                            "--exp", "2", files("t.json", TOWER2))
