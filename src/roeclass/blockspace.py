@@ -12,7 +12,7 @@ that components are preserved at every scale.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, groupby, islice
 from operator import itemgetter
@@ -43,22 +43,25 @@ class BlockSpace:
 
     tower: Tower
     depth: int
-    _orders: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if _checked_int(self.depth, "depth") < 0:
             raise MalformedInput("depth must be an integer >= 0")
-        # k_0..k_depth, cut where a finite tower's orders saturate
-        object.__setattr__(self, "_orders", tuple(islice(self.tower.levels(), self.depth + 1)))
 
-    @property
+    @cached_property
     def size(self) -> int:
-        return self._orders[-1]
+        return self.tower.order(self.depth)
+
+    @cached_property
+    def _orders(self) -> tuple[int, ...]:
+        """k_0..k_depth, cut where a finite tower's orders saturate; built on
+        first use, so questions that never bisect never pay for it."""
+        return tuple(islice(self.tower.levels(), self.depth + 1))
 
     def order(self, n: int) -> int:
-        if not 0 <= n <= self.depth:
+        if not 0 <= _checked_int(n, "level") <= self.depth:
             raise PreconditionViolation(f"level {n} outside 0..{self.depth}")
-        return self._orders[min(n, len(self._orders) - 1)]
+        return self.tower.order(n)
 
     def _check_point(self, x: int):
         if not (isinstance(x, int) and 0 <= x < self.size):
@@ -220,7 +223,7 @@ def _scale_tree(m: FiniteMetricSpace):
 
 def r_components(m: FiniteMetricSpace, R: int) -> Partition:
     """Components of the graph joining points at distance <= R."""
-    if R < 0:
+    if _checked_int(R, "R") < 0:
         raise PreconditionViolation("R must be >= 0")
     for scale, clusters in m._scales:
         if scale > R:

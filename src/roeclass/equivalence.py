@@ -16,8 +16,8 @@ reports rather than raises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import islice
+from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DepthExhausted, MalformedInput, NotEquivalent, PreconditionViolation
 from .supernatural import Tower, _checked_int, bijectively_coarsely_equivalent
@@ -30,7 +30,7 @@ def interleave_towers(t1: Tower, t2: Tower, depth: int) -> tuple[tuple[int, int]
     n_{j-1} whose order is a proper multiple of k2_{m_{j-1}}, and m_j the
     least level above m_{j-1} whose order k1_{n_j} divides (equality allowed).
     """
-    if not (isinstance(depth, int) and depth >= 0):
+    if _checked_int(depth, "depth") < 0:
         raise PreconditionViolation("depth must be an integer >= 0")
     if not (t1.is_infinite and t2.is_infinite):
         raise PreconditionViolation("interleaving requires two infinite towers")
@@ -71,7 +71,6 @@ class TowerBijection:
     depth: int
     levels: tuple[tuple[int, int], ...]
     mapping: tuple[int, ...]
-    modulus: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _checked_int(self.depth, "depth")
@@ -88,9 +87,9 @@ class TowerBijection:
                 raise MalformedInput("level indices must be strictly increasing")
             prev_n, prev_m = n, m
         n_d, m_d = self.final_levels
-        # each side's orders are walked only until one passes the map's size
-        # or its largest image, so a huge level in a small file costs nothing
-        dom = _orders_upto(self.source, n_d, len(self.mapping))[-1]
+        # every ratio is >= 2, so k_n > cap once n >= cap.bit_length(): each
+        # side's order is taken no higher, and a huge level costs nothing
+        dom = self.source.order(min(n_d, len(self.mapping).bit_length()))
         if dom != len(self.mapping):
             points = f"at least {dom}" if dom > len(self.mapping) else dom
             raise MalformedInput(f"map must cover the full source truncation ({points} points)")
@@ -99,10 +98,8 @@ class TowerBijection:
             for y in self.mapping:
                 _checked_int(y, "image")
         lo, hi = min(self.mapping), max(self.mapping)
-        tgt_orders = _orders_upto(self.target, m_d, hi)
-        if lo < 0 or hi >= tgt_orders[-1]:
+        if lo < 0 or hi >= self.target.order(min(m_d, hi.bit_length())):
             raise MalformedInput(f"image {lo if lo < 0 else hi} outside the target truncation")
-        object.__setattr__(self, "modulus", _measure_modulus(self, tgt_orders))
 
     @property
     def final_levels(self) -> tuple[int, int]:
@@ -112,24 +109,20 @@ class TowerBijection:
     def domain_size(self) -> int:
         return len(self.mapping)
 
-
-def _orders_upto(t: Tower, level: int, cap: int) -> list[int]:
-    """k_0, ..., k_level, cut after the first order above cap."""
-    out = []
-    for k in islice(t.levels(), level + 1):
-        out.append(k)
-        if k > cap:
-            break
-    return out
+    @cached_property
+    def modulus(self) -> tuple[int, ...]:
+        """Measured on first use: building or conjugating never pays for it."""
+        return _measure_modulus(self)
 
 
-def _measure_modulus(b: TowerBijection, tgt_orders: list[int]) -> tuple[int, ...]:
+def _measure_modulus(b: TowerBijection) -> tuple[int, ...]:
     n_d = b.final_levels[0]
     # a block's image lies in one aligned target block exactly when its least
     # and greatest images do; each level merges runs of ratio(l-1) spans
     los = his = b.mapping
     out = []
-    s = 0
+    walk = enumerate(b.target.levels())
+    s, k = next(walk)
     for level in range(n_d + 1):
         if level:
             r = b.source.ratio(level - 1)
@@ -137,8 +130,8 @@ def _measure_modulus(b: TowerBijection, tgt_orders: list[int]) -> tuple[int, ...
             his = [max(his[i : i + r]) for i in range(0, len(his), r)]
         # coarser source blocks contain finer ones, so the modulus never
         # decreases; the last order, one block holding every image, fits
-        while any(lo // tgt_orders[s] != hi // tgt_orders[s] for lo, hi in zip(los, his)):
-            s += 1
+        while any(lo // k != hi // k for lo, hi in zip(los, his)):
+            s, k = next(walk)
         out.append(s)
     return tuple(out)
 

@@ -159,7 +159,7 @@ def h_membership(t: Tower, d: K0Class, n: int) -> bool:
     """
     if d.context != t:
         raise PreconditionViolation("sequence context does not match the tower")
-    if not (isinstance(n, int) and n >= 0):
+    if _checked_int(n, "level") < 0:
         raise PreconditionViolation("level must be an integer >= 0")
     prefix, period = _block_sums(d, n)
     return not any(prefix + period)
@@ -247,7 +247,7 @@ def unit_divide(t: Tower, p: int, r: int) -> K0Class | None:
     refused before anything is allocated."""
     if not t.is_infinite:
         raise PreconditionViolation("unit division needs an infinite tower")
-    if not (isinstance(r, int) and r >= 0):
+    if _checked_int(r, "exponent") < 0:
         raise PreconditionViolation("exponent must be an integer >= 0")
     if r == 0:
         return K0Class(t, (), (1,))
@@ -267,7 +267,7 @@ def alpha_iterate(t: Tower, n: int, v: K0Class) -> K0Class:
     """Level-n connecting map on sequences: aligned k_n-block sums."""
     if v.context != t:
         raise PreconditionViolation("sequence context does not match the tower")
-    if not (isinstance(n, int) and n >= 0):
+    if _checked_int(n, "level") < 0:
         raise PreconditionViolation("level must be an integer >= 0")
     return K0Class(t, *_block_sums(v, n))
 

@@ -72,17 +72,14 @@ def _mat_adjoint(a: Entries) -> Entries:
 Rows = dict[int, dict[int, int]]
 
 
-def _independent_rows(rows: Rows) -> list[int]:
-    """Indices of a maximal set of linearly independent integer rows.
-
-    Fraction-free elimination: each row is reduced against the kept rows in
-    the order they were kept, and divided by the gcd of its entries after
-    every step, so it stays the primitive multiple of a vector of minors.
-    """
-    kept: list[int] = []
+def _rank(rows: Rows) -> int:
+    """Rank of a set of integer rows, by fraction-free elimination: each row
+    is reduced against the kept rows in the order they were kept, and
+    divided by the gcd of its entries after every step, so it stays the
+    primitive multiple of a vector of minors."""
     # pivot column -> (order kept, pivot column, reduced row)
     pivots: dict[int, tuple[int, int, dict[int, int]]] = {}
-    for i, x in rows.items():
+    for x in rows.values():
         while hit := [pivots[c] for c in x if c in pivots]:
             _, c, p = min(hit)
             s, t = p[c], x[c]
@@ -99,8 +96,7 @@ def _independent_rows(rows: Rows) -> list[int]:
         if x:
             c = next(iter(x))
             pivots[c] = (len(pivots), c, x)
-            kept.append(i)
-    return kept
+    return len(pivots)
 
 
 def _is_projection(a: Entries) -> bool:
@@ -115,16 +111,12 @@ def _is_projection(a: Entries) -> bool:
     # a stored 0 never survives p*p; p* = p entry by entry
     if any(not m or rows.get(c, {}).get(r) != m for r, row in rows.items() for c, m in row.items()):
         return False
-    # A symmetric p is idempotent exactly when it fixes its column space,
-    # which the independent columns of M (its rows, by symmetry) span.
-    for i in _independent_rows(rows):
-        image: dict[int, int] = {}
-        for k, x in rows[i].items():
-            for r, m in rows[k].items():
-                image[r] = image.get(r, 0) + m * x
-        if {r: v for r, v in image.items() if v} != {c: d * x for c, x in rows[i].items()}:
-            return False
-    return True
+    # A symmetric p has real eigenvalues; tr p = tr p^2 = rank p makes every
+    # nonzero one 1 (Cauchy-Schwarz is then an equality), so p is a
+    # projection.  tr p^2 is the sum of squared entries, by symmetry.
+    trace = sum(row.get(r, 0) for r, row in rows.items())
+    squares = sum(m * m for row in rows.values() for m in row.values())
+    return squares == trace * d and trace == _rank(rows) * d
 
 
 @dataclass(frozen=True)

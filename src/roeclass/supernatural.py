@@ -11,7 +11,7 @@ equivalence only sees whether the group is finite or infinite.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -183,7 +183,7 @@ class Tower:
 
     def ratio(self, i: int) -> int:
         """i-th unrolled ratio (0-based); 1 once a finite tower is exhausted."""
-        if i < 0:
+        if _checked_int(i, "ratio index") < 0:
             raise PreconditionViolation("ratio index must be >= 0")
         if i < len(self.prefix):
             return self.prefix[i]
@@ -204,14 +204,17 @@ class Tower:
         return len(self.prefix) + len(self.tail) * (d.bit_length() - 1)
 
     def order(self, n: int) -> int:
-        """Subgroup order k_n; saturates at prod(prefix) for finite towers."""
-        if n < 0:
+        """Subgroup order k_n in closed form: the prefix ratios among the
+        first n, one power of the tail product for the whole periods, and the
+        rest of a period.  Saturates at prod(prefix) for finite towers."""
+        if _checked_int(n, "level") < 0:
             raise PreconditionViolation("level must be >= 0")
-        return deque(islice(self.levels(), n + 1), maxlen=1)[0]
+        whole, rest = divmod(max(n - len(self.prefix), 0), len(self.tail)) if self.tail else (0, 0)
+        return prod(self.prefix[:n]) * prod(self.tail) ** whole * prod(self.tail[:rest])
 
     def orders(self, depth: int) -> tuple[int, ...]:
         """(k_0, ..., k_depth) computed in one pass."""
-        if depth < 0:
+        if _checked_int(depth, "depth") < 0:
             raise PreconditionViolation("depth must be >= 0")
         out = tuple(islice(self.levels(), depth + 1))
         return out + out[-1:] * (depth + 1 - len(out))
@@ -240,9 +243,11 @@ class SupernaturalNumber:
         for p, e in sorted(self.exponents.items()):
             if not (isinstance(p, int) and isprime(p)):
                 raise MalformedInput(f"exponent key {_clip(p)} is not prime")
+            if e != INFINITE:
+                _checked_int(e, f"exponent of {_clip(p)}")
             if e == self.default_exponent:
                 continue
-            if e != INFINITE and not (isinstance(e, int) and e >= 1):
+            if e != INFINITE and e < 1:
                 raise MalformedInput(
                     f"exponent of {_clip(p)} must be >= 1 or INFINITE, got {_clip(e)}")
             normalized[p] = e
@@ -273,7 +278,7 @@ def sn_divides(p: int, m: int, s: SupernaturalNumber) -> bool:
     """Whether p^m divides s.  Requires p prime and m >= 1."""
     if not (isinstance(p, int) and isprime(p)):
         raise PreconditionViolation(f"{_clip(p)} is not prime")
-    if not (isinstance(m, int) and m >= 1):
+    if _checked_int(m, "exponent m") < 1:
         raise PreconditionViolation("exponent m must be an integer >= 1")
     return m <= s.exponent_of(p)
 

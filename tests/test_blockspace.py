@@ -101,6 +101,7 @@ def divisor_chain_spaces(draw):
         orders = tuple(accumulate(draw(st.lists(r, max_size=12)), mul, initial=1))
         object.__setattr__(s, "depth", len(orders) - 1)
         object.__setattr__(s, "_orders", orders)
+        object.__setattr__(s, "size", orders[-1])
     return s
 
 

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from itertools import takewhile
@@ -443,6 +444,26 @@ class TestRoe:
         result = json.loads(out)
         assert result["entries"] == [[1, 2, "1"]]
         assert result["space"]["tower"] == json.loads(TOWER4)
+
+    def test_conjugate_huge_target_level(self, files):
+        # run in a child under a 1 GiB address space: a space that kept every
+        # order up to level 10^7 would need memory that grows without bound
+        m = {"source": json.loads(TOWER2), "target": json.loads(TOWER2), "depth": 1,
+             "levels": [[1, 10_000_000]], "map": ["0", "0", "1", "1"]}
+        op = {"space": {"tower": json.loads(TOWER2), "depth": 1}, "entries": [[0, 0, "1"]]}
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        budget = Budget(2.0)
+        proc = subprocess.run(
+            [sys.executable, "-m", "roeclass.cli", "roe", "conjugate",
+             files("m.json", json.dumps(m)), files("op.json", json.dumps(op))],
+            env=env, capture_output=True, text=True, timeout=30,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)))
+        budget.check()
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == ('{"entries":[[0,0,"1"]],"space":{"depth":10000000,'
+                               '"tower":{"prefix":[],"tail":["2"]}}}\n')
 
     def test_conjugate_support_escape_exit_3(self, files, capsys, tmp_path):
         mapfile = str(tmp_path / "map.json")

@@ -11,6 +11,7 @@ import contextlib
 import io
 import json
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
@@ -90,17 +91,32 @@ def metric_objs(draw):
 
 
 @st.composite
-def operator_objs(draw):
-    prefix, tail = draw(small_ratios), draw(small_ratios)
-    depth = draw(st.integers(0, 4))
-    size = Tower(tuple(prefix), tuple(tail)).order(depth)
-    scalars = st.one_of(st.sampled_from(["1", "0", "-1", "1/2", "-3/4"]),
-                        st.integers(-3, 3).map(str), too_long,
-                        st.text(alphabet="0123456789-/" + NON_ASCII_DIGITS, max_size=4))
-    point = st.integers(0, size - 1)
-    positions = draw(st.lists(st.one_of(point.map(lambda r: (r, r)), st.tuples(point, point)),
-                              max_size=4, unique=True))
-    entries = [[r, c, draw(scalars)] for r, c in positions]
+def operator_objs(draw, dense=False):
+    """Operators, half of them (three quarters when ``dense``) one dense
+    symmetric rank-1 projection v·vᵀ/|v|² at the start of a block, so that
+    `roe trace --projection` reaches the non-diagonal check."""
+    dense = draw(st.booleans()) or (dense and draw(st.booleans()))
+    # a dense block needs two points: an infinite tower and a depth of 1 or more
+    prefix = draw(small_ratios)
+    tail = draw(st.lists(st.integers(2, 4), min_size=1, max_size=2) if dense else small_ratios)
+    depth = draw(st.integers(int(dense), 4))
+    tower = Tower(tuple(prefix), tuple(tail))
+    size = tower.order(depth)
+    if dense:
+        v = draw(st.lists(st.integers(-2, 2), min_size=2, max_size=min(size, 4))
+                 .filter(lambda v: sum(map(bool, v)) >= 2))
+        k = next(k for k in tower.levels() if k >= len(v))  # the least level that holds it
+        at, norm = k * draw(st.integers(0, size // k - 1)), sum(x * x for x in v)
+        entries = [[at + i, at + j, str(Fraction(x * y, norm))]
+                   for i, x in enumerate(v) for j, y in enumerate(v) if x * y]
+    else:
+        scalars = st.one_of(st.sampled_from(["1", "0", "-1", "1/2", "-3/4"]),
+                            st.integers(-3, 3).map(str), too_long,
+                            st.text(alphabet="0123456789-/" + NON_ASCII_DIGITS, max_size=4))
+        point = st.integers(0, size - 1)
+        positions = draw(st.lists(st.one_of(point.map(lambda r: (r, r)), st.tuples(point, point)),
+                                  max_size=4, unique=True))
+        entries = [[r, c, draw(scalars)] for r, c in positions]
     return {"space": {"tower": tower_obj(prefix, tail), "depth": depth},
             "entries": entries}
 
@@ -161,9 +177,15 @@ def invocations(draw):
         files = {"s.json": draw(metric_objs())}
         argv = ["embed", "s.json"]
     elif kind in ("decompose", "trace"):
-        files = {"op.json": draw(operator_objs())}
-        argv = ["roe", kind, "--level", draw(level_args), "op.json"]
-        if kind == "trace" and draw(st.booleans()):
+        projection = kind == "trace" and draw(st.booleans())
+        files = {"op.json": draw(operator_objs(dense=projection))}
+        # half the levels lie in the operator's 0..depth; a --projection
+        # level is the depth, whose one block holds every entry
+        depth = files["op.json"]["space"]["depth"]
+        level = str(depth) if projection else draw(
+            st.one_of(level_args, st.integers(0, depth).map(str)))
+        argv = ["roe", kind, "--level", level, "op.json"]
+        if projection:
             argv.insert(2, "--projection")
     else:
         files = {"m.json": draw(map_objs()), "op.json": draw(operator_objs())}

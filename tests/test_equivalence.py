@@ -6,15 +6,21 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from roeclass import equivalence
 from roeclass import (
+    BlockSpace,
+    K0Class,
     MalformedInput,
     NotEquivalent,
     PreconditionViolation,
+    PropagationOperator,
     Tower,
     TowerBijection,
     bijectively_coarsely_equivalent,
     build_back_and_forth,
+    conjugate_by_bijection,
     interleave_towers,
+    transport_class,
     verify_bijective_coarse_equivalence,
 )
 from roeclass.serialize import bijection_to_obj, canonical_json
@@ -280,6 +286,21 @@ class TestVerify:
         budget.check()
         assert len(report.levels) == n + 1
         assert report.passed
+
+    def test_modulus_measured_only_when_read(self, monkeypatch):
+        calls = []
+        measure = equivalence._measure_modulus
+        monkeypatch.setattr(equivalence, "_measure_modulus",
+                            lambda b: calls.append(b) or measure(b))
+        t2, t4 = Tower((), (2,)), Tower((), (4,))
+        b = build_back_and_forth(t2, t4, 3)
+        op = PropagationOperator(BlockSpace(t2, 1), {(0, 1): 1})
+        conjugate_by_bijection(b, op)
+        transport_class(b, K0Class(t2, (1, 0, 2), (0,)))
+        assert calls == []
+        assert b.modulus == brute_modulus(b)
+        assert verify_bijective_coarse_equivalence(b).passed
+        assert calls == [b]  # measured once, then cached
 
     def test_non_injective_reported(self):
         t = Tower((), (2,))

@@ -3,6 +3,7 @@
 import pytest
 
 from roeclass import (
+    INFINITE,
     BlockSpace,
     DepthExhausted,
     FiniteK0,
@@ -19,7 +20,12 @@ from roeclass import (
     Tower,
     TowerBijection,
     UnsupportedEntries,
+    alpha_iterate,
+    h_membership,
+    interleave_towers,
     r_components,
+    sn_divides,
+    unit_divide,
 )
 
 
@@ -101,3 +107,43 @@ def test_finite_context_checked_after_entries():
 def test_bijection_fields_must_be_ints(depth, levels, mapping):
     with pytest.raises(MalformedInput):
         TowerBijection(T2, T2, depth, levels, mapping)
+
+
+LINE = FiniteMetricSpace(2, ((0, 1), (1, 0)))
+UNIT = K0Class(T2, (), (1,))
+
+
+@pytest.mark.parametrize("bad", [True, 1.5], ids=["bool", "float"])
+@pytest.mark.parametrize("call", [
+    lambda v: T2.order(v),
+    lambda v: T2.ratio(v),
+    lambda v: BlockSpace(T2, 2).order(v),
+    lambda v: h_membership(T2, UNIT, v),
+    lambda v: alpha_iterate(T2, v, UNIT),
+    lambda v: unit_divide(T2, 2, v),
+    lambda v: interleave_towers(T2, T2, v),
+    lambda v: sn_divides(2, v, SupernaturalNumber({}, INFINITE)),
+    lambda v: SupernaturalNumber({2: v}),
+    lambda v: r_components(LINE, v),
+], ids=["order", "ratio", "level", "h_membership", "alpha_iterate", "unit_divide",
+        "interleave_depth", "sn_divides", "exponent", "radius"])
+def test_integer_arguments_refuse_bools_and_floats(call, bad):
+    with pytest.raises(MalformedInput, match="must be an integer"):
+        call(bad)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: T2.order(-1), "level must be >= 0"),
+    (lambda: BlockSpace(T2, 2).order(-1), "level -1 outside 0..2"),
+    (lambda: h_membership(T2, UNIT, -1), "level must be an integer >= 0"),
+    (lambda: alpha_iterate(T2, -1, UNIT), "level must be an integer >= 0"),
+    (lambda: unit_divide(T2, 2, -1), "exponent must be an integer >= 0"),
+    (lambda: interleave_towers(T2, T2, -1), "depth must be an integer >= 0"),
+    (lambda: sn_divides(2, 0, SupernaturalNumber({}, INFINITE)),
+     "exponent m must be an integer >= 1"),
+    (lambda: r_components(LINE, -1), "R must be >= 0"),
+], ids=["order", "level", "h_membership", "alpha_iterate", "unit_divide", "interleave_depth",
+        "sn_divides", "radius"])
+def test_negative_integer_arguments_keep_precondition_message(call, message):
+    with pytest.raises(PreconditionViolation, match=message):
+        call()

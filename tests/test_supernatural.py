@@ -85,6 +85,18 @@ class TestTowerOrder:
         else:
             assert list(t.levels()) == running[: len(t.prefix) + 1]
 
+    @given(towers(), st.integers(min_value=0, max_value=40))
+    def test_closed_form_matches_level_stream(self, t, n):
+        # n reaches far past a finite tower's saturation level
+        *_, last = itertools.islice(t.levels(), n + 1)
+        assert t.order(n) == last
+
+    def test_huge_level_is_one_power(self):
+        budget = Budget(1.0)
+        assert Tower((3,), (2,)).order(10**7) == 3 << (10**7 - 1)
+        assert Tower((3,), ()).order(10**9) == 3
+        budget.check()
+
     @example(Tower((), (2,)), 2**10)
     @given(towers(), st.builds(lambda p, e, c: p**e * c, st.sampled_from([2, 3, 5, 7]),
                                st.integers(0, 12), st.integers(1, 50)))
