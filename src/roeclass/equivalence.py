@@ -188,11 +188,6 @@ def verify_bijective_coarse_equivalence(b: TowerBijection) -> VerificationReport
     covers bound-components with whole, disjoint images.  Without the bound
     an image straddles two bound-components; without injectivity images meet.
     """
-    n_d, m_d = b.final_levels
-    src_orders = b.source.orders(n_d)
-    # k1 | k2_bound is decided at min(bound, saturation_level(k1)): past that
-    # level gcd(k2_n, k1) no longer grows, and it only grows along the chain
-    tgt_orders = b.target.orders(min(m_d, b.target.saturation_level(src_orders[-1])))
     injective = len(set(b.mapping)) == len(b.mapping)
 
     # bound at level l is m_j for the least j with n_j >= l, and 0 at level 0
@@ -200,9 +195,12 @@ def verify_bijective_coarse_equivalence(b: TowerBijection) -> VerificationReport
     for n, m in b.levels:
         bounds += [m] * (n + 1 - len(bounds))
     checks = []
-    for level, (k, bound) in enumerate(zip(src_orders, bounds)):
+    for level, bound in enumerate(bounds):
+        k = b.source.order(level)
         rho = b.modulus[level]
         within = rho <= bound
-        divides = tgt_orders[min(bound, b.target.saturation_level(k))] % k == 0
+        # k1 | k2_bound is decided at min(bound, saturation_level(k1)): past that
+        # level gcd(k2_n, k1) no longer grows, and it only grows along the chain
+        divides = b.target.order(min(bound, b.target.saturation_level(k))) % k == 0
         checks.append(LevelCheck(level, rho, bound, within, within and injective, divides))
     return VerificationReport(injective, tuple(checks))

@@ -20,18 +20,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .equivalence import TowerBijection
 from .errors import DepthExhausted, MalformedInput, PreconditionViolation
 from .supernatural import (
     Tower,
     _checked_int,
+    _clip,
     _normal_form,
     bijectively_coarsely_equivalent,
     coarsely_equivalent,
-    sn_divides,
-    supernatural_of_tower,
+    isprime,
 )
 
 
@@ -195,15 +195,17 @@ def k0_equal(a: K0Class, b: K0Class) -> bool:
     return h_membership(d.context, d, _stable_level(d))
 
 
+def _spread(sums: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """(s_0, 0, ..., 0, s_1, 0, ...): each sum opens a block of k entries."""
+    seq = [0] * (k * len(sums))
+    seq[::k] = sums
+    return tuple(seq)
+
+
 def _block_collapse(a: K0Class, n: int) -> K0Class:
     """Replace every aligned k_n-block by (block sum, 0, ..., 0)."""
     k = a.context.order(n)
-    parts = []
-    for sums in _block_sums(a, n):
-        seq = [0] * (k * len(sums))
-        seq[::k] = sums
-        parts.append(tuple(seq))
-    return K0Class(a.context, *parts)
+    return K0Class(a.context, *(_spread(sums, k) for sums in _block_sums(a, n)))
 
 
 def _positive_level(a: K0Class) -> int | None:
@@ -251,7 +253,13 @@ def unit_divide(t: Tower, p: int, r: int) -> K0Class | None:
         raise PreconditionViolation("exponent must be an integer >= 0")
     if r == 0:
         return K0Class(t, (), (1,))
-    if not sn_divides(p, r, supernatural_of_tower(t)):
+    if not (isinstance(p, int) and isprime(p)):
+        raise PreconditionViolation(f"{_clip(p)} is not prime")
+    # v_p(sup k_n) is infinite when p divides the tail product, else it is
+    # v_p of the prefix product; p^r >= 2^(r * (bitlen(p) - 1)), so p^r is
+    # not formed once that bound passes the product: nothing is factored
+    head = prod(t.prefix)
+    if prod(t.tail) % p and (r * (p.bit_length() - 1) >= head.bit_length() or head % p**r):
         return None
     # p >= 2, so an exponent over the cap's bits is over the cap
     if r > UNIT_DIVIDE_BITS or p**r > 2**UNIT_DIVIDE_BITS:
@@ -259,8 +267,7 @@ def unit_divide(t: Tower, p: int, r: int) -> K0Class | None:
             f"[1]/{p}^{r} needs a period of {p}^{r} entries, over the 2^{UNIT_DIVIDE_BITS} limit")
     # any block of size k_n with p^r | k_n holds whole periods, so this is
     # the shortest representative; p^r copies sum blockwise to the unit
-    target = p**r
-    return K0Class(t, (), (1,) + (0,) * (target - 1))
+    return K0Class(t, (), _spread((1,), p**r))
 
 
 def alpha_iterate(t: Tower, n: int, v: K0Class) -> K0Class:

@@ -23,7 +23,7 @@ from .errors import (
     PreconditionViolation,
     UnsupportedEntries,
 )
-from .ktheory import K0Class
+from .ktheory import K0Class, _spread
 from .supernatural import _checked_int
 
 Entries = dict[tuple[int, int], Fraction]
@@ -127,11 +127,16 @@ class PropagationOperator:
     entries: Entries
 
     def __post_init__(self):
+        t, depth = self.space.tower, self.space.depth
+        # size >= 2^n for the n ratios (each >= 2) among the first depth: an
+        # index below 2^n is inside, and size, huge for a deep space, is read
+        # only for an index that reaches 2^n (r < size > c: both below it)
+        n = depth if t.tail else min(depth, len(t.prefix))
         clean: Entries = {}
         for (r, c), v in self.entries.items():
             _checked_int(r, "entry row")
             _checked_int(c, "entry column")
-            if not (0 <= r < self.space.size and 0 <= c < self.space.size):
+            if r < 0 or c < 0 or (r | c) >> n and not (r < self.space.size > c):
                 raise MalformedInput(f"entry ({r}, {c}) outside the truncation")
             v = _coerce_scalar(v)
             if v:
@@ -221,31 +226,31 @@ def block_decompose(t: PropagationOperator, n: int) -> BlockTuple:
     return BlockTuple(t.space, n, tuple(blocks))
 
 
-def recompose(bt: BlockTuple) -> PropagationOperator:
+def _regroup(bt: BlockTuple, m: int) -> BlockTuple:
+    """Group consecutive level-n blocks into level-m diagonal blocks (m >= n)."""
     k = bt.block_size
-    entries: Entries = {}
-    for i, blk in enumerate(bt.blocks):
-        for (r, c), v in blk.items():
-            entries[(i * k + r, i * k + c)] = v
-    return PropagationOperator(bt.space, entries)
+    r = bt.space.order(m) // k
+    grouped: list[Entries] = []
+    for i in range(0, len(bt.blocks), r):
+        blk: Entries = {}
+        for j, part in enumerate(bt.blocks[i : i + r]):
+            off = j * k
+            for (row, c), v in part.items():
+                blk[(off + row, off + c)] = v
+        grouped.append(blk)
+    return BlockTuple(bt.space, m, tuple(grouped))
+
+
+def recompose(bt: BlockTuple) -> PropagationOperator:
+    """Operator of a block tuple: at the top level one block is the whole truncation."""
+    return PropagationOperator(bt.space, _regroup(bt, bt.space.depth).blocks[0])
 
 
 def connecting_map(bt: BlockTuple) -> BlockTuple:
     """Group consecutive level-n blocks into level-(n+1) diagonal blocks."""
-    n = bt.level
-    if n + 1 > bt.space.depth:
-        raise PreconditionViolation(f"level {n + 1} exceeds the truncation depth")
-    k = bt.block_size
-    r_n = bt.space.order(n + 1) // k
-    grouped: list[Entries] = []
-    for i in range(len(bt.blocks) // r_n):
-        blk: Entries = {}
-        for j in range(r_n):
-            off = j * k
-            for (r, c), v in bt.blocks[i * r_n + j].items():
-                blk[(off + r, off + c)] = v
-        grouped.append(blk)
-    return BlockTuple(bt.space, n + 1, tuple(grouped))
+    if bt.level + 1 > bt.space.depth:
+        raise PreconditionViolation(f"level {bt.level + 1} exceeds the truncation depth")
+    return _regroup(bt, bt.level + 1)
 
 
 def trace_vector(bt: BlockTuple, require_projection: bool = False) -> tuple:
@@ -311,8 +316,4 @@ def k0_class_of_projection(bt: BlockTuple) -> K0Class:
     """Finitely supported K0 class of a level-n projection: each block
     contributes (rank, 0, ..., 0)."""
     ranks = trace_vector(bt, require_projection=True)
-    k = bt.block_size
-    prefix: list[int] = []
-    for rank in ranks:
-        prefix += [int(rank)] + [0] * (k - 1)
-    return K0Class(bt.space.tower, tuple(prefix), (0,))
+    return K0Class(bt.space.tower, _spread(ranks, bt.block_size), (0,))

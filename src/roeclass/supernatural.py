@@ -15,7 +15,7 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain, cycle, islice
+from itertools import accumulate, chain, cycle
 from math import gcd, inf, isqrt, prod
 from operator import mul
 
@@ -211,13 +211,6 @@ class Tower:
             raise PreconditionViolation("level must be >= 0")
         whole, rest = divmod(max(n - len(self.prefix), 0), len(self.tail)) if self.tail else (0, 0)
         return prod(self.prefix[:n]) * prod(self.tail) ** whole * prod(self.tail[:rest])
-
-    def orders(self, depth: int) -> tuple[int, ...]:
-        """(k_0, ..., k_depth) computed in one pass."""
-        if _checked_int(depth, "depth") < 0:
-            raise PreconditionViolation("depth must be >= 0")
-        out = tuple(islice(self.levels(), depth + 1))
-        return out + out[-1:] * (depth + 1 - len(out))
 
 
 def tower_order(t: Tower, n: int) -> int:

@@ -446,24 +446,27 @@ class TestRoe:
         assert result["space"]["tower"] == json.loads(TOWER4)
 
     def test_conjugate_huge_target_level(self, files):
-        # run in a child under a 1 GiB address space: a space that kept every
-        # order up to level 10^7 would need memory that grows without bound
-        m = {"source": json.loads(TOWER2), "target": json.loads(TOWER2), "depth": 1,
-             "levels": [[1, 10_000_000]], "map": ["0", "0", "1", "1"]}
-        op = {"space": {"tower": json.loads(TOWER2), "depth": 1}, "entries": [[0, 0, "1"]]}
+        # each case runs in a child under a 1 GiB address space: a space that
+        # kept every order up to the level, or an entry check that computed
+        # the full order (6^(10^9) has 2.6 * 10^9 bits), would not finish
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        budget = Budget(2.0)
-        proc = subprocess.run(
-            [sys.executable, "-m", "roeclass.cli", "roe", "conjugate",
-             files("m.json", json.dumps(m)), files("op.json", json.dumps(op))],
-            env=env, capture_output=True, text=True, timeout=30,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)))
-        budget.check()
-        assert (proc.returncode, proc.stderr) == (0, "")
-        assert proc.stdout == ('{"entries":[[0,0,"1"]],"space":{"depth":10000000,'
-                               '"tower":{"prefix":[],"tail":["2"]}}}\n')
+        op = {"space": {"tower": json.loads(TOWER2), "depth": 1}, "entries": [[0, 0, "1"]]}
+        for tail, level in [("2", 10_000_000), ("6", 1_000_000_000)]:
+            target = {"prefix": [], "tail": [tail]}
+            m = {"source": json.loads(TOWER2), "target": target, "depth": 1,
+                 "levels": [[1, level]], "map": ["0", "0", "1", "1"]}
+            budget = Budget(2.0)
+            proc = subprocess.run(
+                [sys.executable, "-m", "roeclass.cli", "roe", "conjugate",
+                 files("m.json", json.dumps(m)), files("op.json", json.dumps(op))],
+                env=env, capture_output=True, text=True, timeout=30,
+                preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)))
+            budget.check()
+            assert (proc.returncode, proc.stderr) == (0, ""), tail
+            assert proc.stdout == (f'{{"entries":[[0,0,"1"]],"space":{{"depth":{level},'
+                                   f'"tower":{{"prefix":[],"tail":["{tail}"]}}}}}}\n')
 
     def test_conjugate_support_escape_exit_3(self, files, capsys, tmp_path):
         mapfile = str(tmp_path / "map.json")
@@ -562,6 +565,21 @@ class TestImportGate:
         assert report["codes"] == [0]
         assert json.loads(report["outs"][0]) == {
             "bce": True, "ce": True, "k0_iso": True, "obstruction": None}
+        assert report["loaded"] == []
+
+
+    def test_divide_unit_factors_nothing(self, files, tmp_path):
+        # tail (2, p*q) with p, q primes near 2^49 and 2^50: whether 2^3
+        # divides is read from the tail product, and p*q is never factored
+        pq = 562949953421381 * 1125899906842679
+        t = files("t.json", json.dumps({"prefix": [], "tail": ["2", str(pq)]}))
+        budget = Budget(1.0)
+        report = fresh_main(tmp_path, ["k0", "divide-unit", "--prime", "2", "--exp", "3", t])
+        budget.check()
+        assert report["codes"] == [0]
+        assert report["outs"] == [
+            f'{{"context":{{"prefix":[],"tail":["2","{pq}"]}},'
+            '"period":[1,0,0,0,0,0,0,0],"prefix":[]}\n']
         assert report["loaded"] == []
 
 

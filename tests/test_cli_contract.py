@@ -91,14 +91,15 @@ def metric_objs(draw):
 
 
 @st.composite
-def operator_objs(draw, dense=False):
+def operator_objs(draw, dense=False, ratios=None):
     """Operators, half of them (three quarters when ``dense``) one dense
     symmetric rank-1 projection v·vᵀ/|v|² at the start of a block, so that
-    `roe trace --projection` reaches the non-diagonal check."""
-    dense = draw(st.booleans()) or (dense and draw(st.booleans()))
+    `roe trace --projection` reaches the non-diagonal check.  ``ratios``, a
+    (prefix, tail) pair of ratio lists, fixes the tower of a sparse one."""
+    dense = ratios is None and (draw(st.booleans()) or (dense and draw(st.booleans())))
     # a dense block needs two points: an infinite tower and a depth of 1 or more
-    prefix = draw(small_ratios)
-    tail = draw(st.lists(st.integers(2, 4), min_size=1, max_size=2) if dense else small_ratios)
+    prefix, tail = ratios or (draw(small_ratios), draw(
+        st.lists(st.integers(2, 4), min_size=1, max_size=2) if dense else small_ratios))
     depth = draw(st.integers(int(dense), 4))
     tower = Tower(tuple(prefix), tuple(tail))
     size = tower.order(depth)
@@ -124,14 +125,18 @@ def operator_objs(draw, dense=False):
 @st.composite
 def map_objs(draw):
     """Bijection files whose shape fits their towers, so that most reach the
-    verifier."""
+    verifier.  Half of them put the last target level anywhere up to 10^7;
+    images stay below k_min(m_D, 6), so no order above level 6 is computed
+    here."""
     src, tgt = (draw(small_ratios), draw(small_ratios)), (draw(small_ratios), draw(small_ratios))
     depth = draw(st.integers(0, 2))
     increasing = st.sets(st.integers(1, 4), min_size=depth, max_size=depth).map(sorted)
     levels = [list(nm) for nm in zip(draw(increasing), draw(increasing))]
+    if levels and draw(st.booleans()):
+        levels[-1][1] = draw(st.integers(levels[-1][1], 10**7))
     n_d, m_d = levels[-1] if levels else (0, 0)
     dom = Tower(*map(tuple, src)).order(n_d)
-    cod = Tower(*map(tuple, tgt)).order(m_d)
+    cod = Tower(*map(tuple, tgt)).order(min(m_d, 6))
     if dom <= 64:
         images = draw(st.lists(st.integers(0, cod - 1), min_size=dom, max_size=dom))
     else:
@@ -170,9 +175,17 @@ def invocations(draw):
         files = {"a.json": draw(k0_objs())}
         argv = ["k0", "pos", "a.json"]
     elif kind == "divide-unit":
-        files = {"t.json": draw(tower_objs)}
-        argv = ["k0", "divide-unit", "--prime", str(draw(st.integers(-1, 7))),
-                "--exp", str(draw(st.integers(-1, 64))), "t.json"]
+        # half over any tower; half over an infinite tail with exponents that
+        # give a short witness or reach the 2^20 cap, which refuses at once
+        if draw(st.booleans()):
+            tower, prime, exp = draw(tower_objs), st.integers(-1, 7), st.integers(-1, 64)
+        else:
+            tail = draw(st.lists(st.integers(2, 4), min_size=1, max_size=2))
+            tower = tower_obj(draw(small_ratios), tail)
+            prime, exp = st.sampled_from([2, 3]), st.integers(0, 4) | st.integers(21, 64)
+        files = {"t.json": tower}
+        argv = ["k0", "divide-unit", "--prime", str(draw(prime)),
+                "--exp", str(draw(exp)), "t.json"]
     elif kind == "embed":
         files = {"s.json": draw(metric_objs())}
         argv = ["embed", "s.json"]
@@ -188,7 +201,12 @@ def invocations(draw):
         if projection:
             argv.insert(2, "--projection")
     else:
-        files = {"m.json": draw(map_objs()), "op.json": draw(operator_objs())}
+        # half the operators live on the map's source tower, so that some
+        # conjugations succeed, onto deep target levels among them
+        m = draw(map_objs())
+        source = [[int(r) for r in m["source"][part]] for part in ("prefix", "tail")]
+        files = {"m.json": m, "op.json": draw(operator_objs(ratios=draw(st.sampled_from(
+            [None, source]))))}
         argv = ["roe", "conjugate", "m.json", "op.json"]
     if kind in ("build", "k0 pos", "embed", "decompose", "conjugate") and draw(st.booleans()):
         argv[-1:-1] = ["--output", draw(st.sampled_from(OUTPUTS))]

@@ -74,12 +74,11 @@ def test_constructors_raise_malformed_input(make):
 @pytest.mark.parametrize("call", [
     lambda: T2.ratio(-1),
     lambda: T2.order(-1),
-    lambda: T2.orders(-1),
     lambda: BlockSpace(T2, 2).order(3),
     lambda: BlockSpace(T2, 2).distance(0, 4),
     lambda: r_components(BlockSpace(T2, 1).to_metric_space(), -1),
     lambda: K0Class(T2, (), (1,)).value(-1),
-], ids=["ratio", "order", "orders", "level", "point", "radius", "index"])
+], ids=["ratio", "order", "level", "point", "radius", "index"])
 def test_out_of_range_arguments_raise_precondition_violation(call):
     with pytest.raises(PreconditionViolation):
         call()

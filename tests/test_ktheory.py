@@ -348,6 +348,27 @@ class TestUnitDivide:
             assert k0_positive(w)[0]
             assert k0_equal(k0_scale(p**r, w), k0_unit(t))
 
+    @settings(deadline=None)
+    @given(st.data())
+    def test_decision_matches_supernatural_number(self, data):
+        # primes far above every ratio, exponents past the prefix product's
+        # bit length, and prefixes holding the prime to a high power
+        p = data.draw(st.sampled_from([2, 3, 5, 7, 11, 1031, 2**61 - 1]))
+        t = data.draw(towers(allow_finite=False, max_prefix=6, max_ratio=12))
+        t = Tower(t.prefix + (p,) * data.draw(st.integers(0, 12)), t.tail)
+        r = data.draw(st.integers(min_value=1, max_value=40))
+        divides = sn_divides(p, r, supernatural_of_tower(t))
+        try:
+            absent = unit_divide(t, p, r) is None
+        except PreconditionViolation:  # the size cap, reached only when p^r divides
+            absent = False
+        assert absent == (not divides)
+
+    def test_prime_checked_before_divisibility(self):
+        # 4 divides the tail product; the message is the one sn_divides gave
+        with pytest.raises(PreconditionViolation, match="^4 is not prime$"):
+            unit_divide(Tower((), (4,)), 4, 1)
+
 
 class TestAlphaIterate:
     def test_pairwise_sums(self):

@@ -3,6 +3,7 @@
 import functools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,10 +14,13 @@ from roeclass import (
     BlockSpace,
     BlockTuple,
     DepthExhausted,
+    K0Class,
+    MalformedInput,
     NotBlockDiagonal,
     NotProjection,
     PreconditionViolation,
     PropagationOperator,
+    RoeclassError,
     Tower,
     UnsupportedEntries,
     alpha_iterate,
@@ -32,7 +36,7 @@ from roeclass import (
 )
 from roeclass.roeops import _is_projection, _mat_adjoint, _mat_mul
 
-from conftest import Budget
+from conftest import Budget, towers
 
 
 def dense(op):
@@ -561,3 +565,126 @@ class TestK0ClassOfProjection:
         before = k0_class_of_projection(p)
         after = k0_class_of_projection(connecting_map(p))
         assert k0_equal(before, after)
+
+
+# The loops that connecting_map, recompose and k0_class_of_projection ran
+# before they shared one regroup and one K0 layout, kept as oracles.
+def connecting_map_reference(bt):
+    n, k = bt.level, bt.block_size
+    r_n = bt.space.order(n + 1) // k
+    grouped = []
+    for i in range(len(bt.blocks) // r_n):
+        blk = {}
+        for j in range(r_n):
+            off = j * k
+            for (r, c), v in bt.blocks[i * r_n + j].items():
+                blk[(off + r, off + c)] = v
+        grouped.append(blk)
+    return BlockTuple(bt.space, n + 1, tuple(grouped))
+
+
+def recompose_reference(bt):
+    k = bt.block_size
+    entries = {}
+    for i, blk in enumerate(bt.blocks):
+        for (r, c), v in blk.items():
+            entries[(i * k + r, i * k + c)] = v
+    return PropagationOperator(bt.space, entries)
+
+
+def k0_class_reference(bt):
+    ranks = trace_vector(bt, require_projection=True)
+    k = bt.block_size
+    prefix = []
+    for rank in ranks:
+        prefix += [int(rank)] + [0] * (k - 1)
+    return K0Class(bt.space.tower, tuple(prefix), (0,))
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except RoeclassError as e:
+        return type(e), str(e)
+
+
+# finite towers cut past saturation repeat their last order, so a regroup
+# there has ratio 1; the others are infinite
+regroup_spaces = st.builds(
+    BlockSpace,
+    st.sampled_from([Tower((), (2,)), Tower((), (3,)), Tower((2,), (3,)), Tower((), (2, 3)),
+                     Tower((2, 3), ()), Tower((4,), ()), Tower((), ())]),
+    st.integers(min_value=0, max_value=4),
+).filter(lambda s: s.size <= 48)
+
+
+@st.composite
+def block_tuples(draw, space, level, projections=False):
+    """Level-``level`` blocks of random rational entries, or (``projections``)
+    each block a diagonal 0/1 projection or a dense rank-1 projection."""
+    k = space.order(level)
+    pts = st.integers(min_value=0, max_value=k - 1)
+    blocks = []
+    for _ in range(space.size // k):
+        if not projections:
+            blocks.append(draw(st.dictionaries(st.tuples(pts, pts), scalars, max_size=3)))
+        elif k > 1 and draw(st.booleans()):
+            v = draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k))
+            blocks.append(orthogonal_projection([v], k)[0])
+        else:
+            blocks.append({(x, x): Fraction(1) for x in draw(st.sets(pts, max_size=k))})
+    return BlockTuple(space, level, tuple(blocks))
+
+
+class TestRegroupOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_reference_loops(self, data):
+        space = data.draw(regroup_spaces)
+        n = data.draw(st.integers(min_value=0, max_value=space.depth))
+        bt = data.draw(block_tuples(space, n))
+        assert recompose(bt) == recompose_reference(bt)
+        if n < space.depth:
+            assert connecting_map(bt) == connecting_map_reference(bt)
+        p = data.draw(block_tuples(space, n, projections=True))
+        assert outcome(k0_class_of_projection, p) == outcome(k0_class_reference, p)
+
+
+class TestEntryBounds:
+    """An entry check that reads the space's size only for an index that
+    reaches 2^n, n the number of ratios the space multiplies."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_size_check(self, data):
+        t = data.draw(towers(max_prefix=3, max_tail=2, max_ratio=5))
+        depth = data.draw(st.integers(min_value=0, max_value=8))
+        size = t.order(depth)
+        # indices around the size and around the powers of two below it
+        idx = st.one_of(st.integers(-2, 2 * size + 2),
+                        st.integers(0, depth + 2).map(lambda b: 2**b - 1),
+                        st.integers(0, depth + 2).map(lambda b: 2**b))
+        entries = {key: Fraction(1) for key in data.draw(st.lists(st.tuples(idx, idx), max_size=4))}
+        bad = [key for key in entries if not (0 <= key[0] < size and 0 <= key[1] < size)]
+        if bad:
+            with pytest.raises(MalformedInput, match=re.escape(f"entry {bad[0]} outside")):
+                PropagationOperator(BlockSpace(t, depth), entries)
+        else:
+            assert PropagationOperator(BlockSpace(t, depth), entries).entries == entries
+
+    def test_deep_space_never_computes_its_size(self):
+        # 6^(10^7) has 2.6 * 10^7 bits, several seconds of multiplying; a
+        # finite tower saturates at 6
+        budget = Budget(1.0)
+        deep = BlockSpace(Tower((), (6,)), 10**7)
+        op = PropagationOperator(deep, {(0, 0): 1, (6**40, 5): Fraction(1, 2)})
+        assert op.entries == {(0, 0): 1, (6**40, 5): Fraction(1, 2)}
+        assert "size" not in vars(deep)
+        with pytest.raises(MalformedInput, match=r"entry \(-1, 0\) outside"):
+            PropagationOperator(deep, {(-1, 0): 1})
+        finite = BlockSpace(Tower((2, 3), ()), 10**9)
+        assert PropagationOperator(finite, {(5, 5): 1}).entries == {(5, 5): 1}
+        with pytest.raises(MalformedInput, match=r"entry \(6, 0\) outside"):
+            PropagationOperator(finite, {(6, 0): 1})
+        budget.check()
