@@ -21,6 +21,10 @@ from .errors import MalformedInput, PreconditionViolation
 from .supernatural import Tower, _checked_int, _clip
 
 
+# a split into level-n blocks refuses more than 2^BLOCK_BITS of them
+BLOCK_BITS = 20
+
+
 @dataclass(frozen=True)
 class Partition:
     """Disjoint blocks covering a space, ordered by least element, each
@@ -62,6 +66,20 @@ class BlockSpace:
         if not 0 <= _checked_int(n, "level") <= self.depth:
             raise PreconditionViolation(f"level {n} outside 0..{self.depth}")
         return self.tower.order(n)
+
+    @property
+    def _ratios(self) -> int:
+        """Ratios among the first depth levels; each is at least 2."""
+        return self.depth if self.tower.tail else min(self.depth, len(self.tower.prefix))
+
+    def _blocks(self, n: int) -> tuple[int, int]:
+        """(k_n, number of level-n blocks); more than 2^BLOCK_BITS blocks are
+        refused, without reading size when the ratios above n already pass it."""
+        k = self.order(n)
+        if self._ratios - n > BLOCK_BITS or self.size // k > 1 << BLOCK_BITS:
+            raise PreconditionViolation(
+                f"level {n} would split the space into over 2^{BLOCK_BITS} blocks")
+        return k, self.size // k
 
     def _check_point(self, x: int):
         if not (isinstance(x, int) and 0 <= x < self.size):
@@ -111,12 +129,9 @@ def distance(s: BlockSpace, x: int, y: int) -> int:
 
 def components(s: BlockSpace, n: int) -> Partition:
     """Level-n components: k_depth/k_n consecutive intervals of length k_n."""
-    k = s.order(n)
-    blocks = tuple(tuple(range(j * k, (j + 1) * k)) for j in range(s.size // k))
-    # diameter of a k_n-interval is the first level already of order k_n
-    # (saturating finite towers repeat orders, so it can be below n)
-    diam = next(m for m in range(n + 1) if s.order(m) == k)
-    return Partition(blocks, tuple(diam for _ in blocks))
+    k, count = s._blocks(n)
+    blocks = tuple(tuple(range(j * k, (j + 1) * k)) for j in range(count))
+    return Partition(blocks, (s.distance(0, k - 1),) * count)
 
 
 @dataclass(frozen=True)

@@ -144,7 +144,8 @@ def k0_sub(a: K0Class, b: K0Class) -> K0Class:
 
 def _block_sums(d: K0Class, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Aligned k_n-block sums of d, as (prefix, period): the blocks covering
-    the prefix, then one lcm(k_n, |period|) stretch, which repeats forever."""
+    the prefix, then one lcm(k_n, |period|) stretch, which repeats forever:
+    so this window holds every block sum."""
     k = d.context.order(n)
     nb = -(-len(d.prefix) // k)
     sums = [d.block_sum(j * k, k) for j in range(nb + lcm(k, len(d.period)) // k)]
@@ -152,17 +153,8 @@ def _block_sums(d: K0Class, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def h_membership(t: Tower, d: K0Class, n: int) -> bool:
-    """Whether every aligned k_n-block of d sums to zero.
-
-    The block sums are eventually periodic, so the window covering the prefix
-    and one full lcm(k_n, |period|) stretch is exact.
-    """
-    if d.context != t:
-        raise PreconditionViolation("sequence context does not match the tower")
-    if _checked_int(n, "level") < 0:
-        raise PreconditionViolation("level must be an integer >= 0")
-    prefix, period = _block_sums(d, n)
-    return not any(prefix + period)
+    """Whether d is in the kernel of the level-n connecting map alpha_iterate."""
+    return alpha_iterate(t, n, d).is_zero()
 
 
 def _blocks_nonneg(d: K0Class, n: int) -> bool:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 from .blockspace import BlockSpace
@@ -127,11 +128,10 @@ class PropagationOperator:
     entries: Entries
 
     def __post_init__(self):
-        t, depth = self.space.tower, self.space.depth
         # size >= 2^n for the n ratios (each >= 2) among the first depth: an
         # index below 2^n is inside, and size, huge for a deep space, is read
         # only for an index that reaches 2^n (r < size > c: both below it)
-        n = depth if t.tail else min(depth, len(t.prefix))
+        n = self.space._ratios
         clean: Entries = {}
         for (r, c), v in self.entries.items():
             _checked_int(r, "entry row")
@@ -213,9 +213,10 @@ class BlockTuple:
 
 
 def block_decompose(t: PropagationOperator, n: int) -> BlockTuple:
-    """Split into level-n diagonal blocks; propagation above n is an error."""
-    k = t.space.order(n)
-    blocks: list[Entries] = [{} for _ in range(t.space.size // k)]
+    """Split into level-n diagonal blocks; propagation above n is an error,
+    and so is a split into more than 2^BLOCK_BITS blocks."""
+    k, count = t.space._blocks(n)
+    blocks: list[Entries] = [{} for _ in range(count)]
     for (r, c), v in t.entries.items():
         if r // k != c // k:
             raise NotBlockDiagonal(
@@ -268,14 +269,6 @@ def trace_vector(bt: BlockTuple, require_projection: bool = False) -> tuple:
     return tuple(out)
 
 
-def _diagonal_support(blk: Entries) -> list[int]:
-    """Support of a diagonal 0/1 block; UnsupportedEntries otherwise."""
-    for (r, c), v in blk.items():
-        if r != c or v != 1:
-            raise UnsupportedEntries("only projections diagonal in the standard basis are supported")
-    return sorted(r for (r, c) in blk)
-
-
 def mvn_partial_isometry(p: BlockTuple, q: BlockTuple) -> BlockTuple | None:
     """Partial isometry v with v*v = p and vv* = q, for diagonal 0/1
     projections of equal trace vector; None when the traces differ."""
@@ -284,16 +277,15 @@ def mvn_partial_isometry(p: BlockTuple, q: BlockTuple) -> BlockTuple | None:
     for blk in tuple(p.blocks) + tuple(q.blocks):
         if not _is_projection(blk):
             raise NotProjection("block fails p*p = p = p*")
-    supports = []
+    # a diagonal projection holds only 1s, so its support is its keys
+    blocks = []
     for pb, qb in zip(p.blocks, q.blocks):
-        sp, sq = _diagonal_support(pb), _diagonal_support(qb)
-        if len(sp) != len(sq):
+        if any(r != c for r, c in chain(pb, qb)):
+            raise UnsupportedEntries("only projections diagonal in the standard basis are supported")
+        if len(pb) != len(qb):
             return None
-        supports.append((sp, sq))
-    blocks = tuple(
-        {(y, x): Fraction(1) for x, y in zip(sp, sq)} for sp, sq in supports
-    )
-    return BlockTuple(p.space, p.level, blocks)
+        blocks.append({(y, x): Fraction(1) for (x, _), (y, _) in zip(sorted(pb), sorted(qb))})
+    return BlockTuple(p.space, p.level, tuple(blocks))
 
 
 def conjugate_by_bijection(b: TowerBijection, t: PropagationOperator) -> PropagationOperator:

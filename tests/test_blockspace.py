@@ -1,6 +1,7 @@
 """Block metric spaces, R-components, and the integer embedding."""
 
 import random
+import re
 from itertools import accumulate
 from operator import mul
 
@@ -15,8 +16,10 @@ from roeclass import (
     FiniteMetricSpace,
     MalformedInput,
     PreconditionViolation,
+    PropagationOperator,
     Tower,
     asdim_zero_profile,
+    block_decompose,
     components,
     distance,
     embed_into_nonneg_integers,
@@ -184,6 +187,14 @@ class TestDistance:
         assert ball == s.order(r)
 
 
+def diameter_reference(s, n):
+    """The level-n block diameter as components computed it before it read
+    the distance: the first level already of order k_n (saturating finite
+    towers repeat orders, so it can be below n)."""
+    k = s.order(n)
+    return next(m for m in range(n + 1) if s.order(m) == k)
+
+
 class TestComponents:
     def test_singletons(self):
         s = BlockSpace(Tower((), (2,)), 3)
@@ -214,6 +225,21 @@ class TestComponents:
         part = components(s, 3)
         assert part.diameters == (1,)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(towers(max_prefix=3, max_tail=2, max_ratio=4),
+                     towers(max_prefix=3, max_tail=0, max_ratio=4)), st.data())
+    def test_diameters_match_scan_and_distances(self, t, data):
+        # finite towers (the second kind) are cut up to 3 levels past
+        # saturation, where orders repeat
+        depth = data.draw(st.integers(min_value=0, max_value=6))
+        while t.order(depth) > 64:
+            depth -= 1
+        s = BlockSpace(t, depth)
+        n = data.draw(st.integers(min_value=0, max_value=depth))
+        part = components(s, n)
+        widest = tuple(max(s.distance(x, y) for x in b for y in b) for b in part.blocks)
+        assert part.diameters == widest == (diameter_reference(s, n),) * len(part)
+
     @given(small_block_spaces, st.integers(min_value=0, max_value=3))
     def test_blocks_are_aligned_intervals(self, s, n):
         n = min(n, s.depth)
@@ -222,6 +248,36 @@ class TestComponents:
         assert [tuple(b) for b in part.blocks] == [
             tuple(range(j * k, (j + 1) * k)) for j in range(s.size // k)
         ]
+
+
+def zero_split(s, n):
+    return block_decompose(PropagationOperator.zero(s), n)
+
+
+class TestBlockLimit:
+    """A split into level-n blocks refuses more than 2^BLOCK_BITS of them,
+    before any block is allocated."""
+
+    @pytest.mark.parametrize("split", [components, zero_split], ids=["components", "decompose"])
+    @pytest.mark.parametrize("bits", [1, 3, 5])
+    def test_boundary(self, monkeypatch, split, bits):
+        monkeypatch.setattr(blockspace, "BLOCK_BITS", bits)
+        refused = re.escape(f"split the space into over 2^{bits} blocks")
+        two = Tower((), (2,))
+        assert len(split(BlockSpace(two, bits), 0).blocks) == 2**bits
+        assert len(split(BlockSpace(two, bits + 4), 4).blocks) == 2**bits
+        # bits + 1 ratios of 2 pass the limit: refused without the size
+        deep = BlockSpace(two, bits + 1)
+        with pytest.raises(PreconditionViolation, match=refused):
+            split(deep, 0)
+        assert "size" not in vars(deep)
+        # bits ratios of 3 give 3^bits blocks: refused by comparing the size
+        with pytest.raises(PreconditionViolation, match=refused):
+            split(BlockSpace(Tower((), (3,)), bits), 0)
+        # a finite tower cut past saturation multiplies only its prefix
+        assert len(split(BlockSpace(Tower((2,) * bits, ()), bits + 5), 0).blocks) == 2**bits
+        with pytest.raises(PreconditionViolation, match=refused):
+            split(BlockSpace(Tower((2,) * bits + (3,), ()), bits + 5), 0)
 
 
 class TestRComponents:

@@ -40,6 +40,17 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def run_child(*argv):
+    """The command line in a child process under a 1 GiB address space."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "roeclass.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=30,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)))
+
+
 class TestSn:
     def test_golden(self, files, capsys):
         code, out, _ = run(capsys, "sn", files("t.json", TOWER2))
@@ -449,24 +460,28 @@ class TestRoe:
         # each case runs in a child under a 1 GiB address space: a space that
         # kept every order up to the level, or an entry check that computed
         # the full order (6^(10^9) has 2.6 * 10^9 bits), would not finish
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         op = {"space": {"tower": json.loads(TOWER2), "depth": 1}, "entries": [[0, 0, "1"]]}
         for tail, level in [("2", 10_000_000), ("6", 1_000_000_000)]:
             target = {"prefix": [], "tail": [tail]}
             m = {"source": json.loads(TOWER2), "target": target, "depth": 1,
                  "levels": [[1, level]], "map": ["0", "0", "1", "1"]}
             budget = Budget(2.0)
-            proc = subprocess.run(
-                [sys.executable, "-m", "roeclass.cli", "roe", "conjugate",
-                 files("m.json", json.dumps(m)), files("op.json", json.dumps(op))],
-                env=env, capture_output=True, text=True, timeout=30,
-                preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)))
+            proc = run_child("roe", "conjugate", files("m.json", json.dumps(m)),
+                             files("op.json", json.dumps(op)))
             budget.check()
             assert (proc.returncode, proc.stderr) == (0, ""), tail
             assert proc.stdout == (f'{{"entries":[[0,0,"1"]],"space":{{"depth":{level},'
                                    f'"tower":{{"prefix":[],"tail":["{tail}"]}}}}}}\n')
+
+    def test_trace_over_block_limit_exit_4(self, files):
+        # 2^20000 level-0 blocks: refused from the ratio count, before the
+        # space's size is computed or any block allocated
+        op = {"space": {"tower": json.loads(TOWER2), "depth": 20_000}, "entries": [[0, 0, "1"]]}
+        budget = Budget(2.0)
+        proc = run_child("roe", "trace", "--level", "0", files("op.json", json.dumps(op)))
+        budget.check()
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            4, "", "error: level 0 would split the space into over 2^20 blocks\n")
 
     def test_conjugate_support_escape_exit_3(self, files, capsys, tmp_path):
         mapfile = str(tmp_path / "map.json")

@@ -95,12 +95,18 @@ def operator_objs(draw, dense=False, ratios=None):
     """Operators, half of them (three quarters when ``dense``) one dense
     symmetric rank-1 projection v·vᵀ/|v|² at the start of a block, so that
     `roe trace --projection` reaches the non-diagonal check.  ``ratios``, a
-    (prefix, tail) pair of ratio lists, fixes the tower of a sparse one."""
+    (prefix, tail) pair of ratio lists, fixes the tower of a sparse one.
+    A quarter of the other sparse ones live over tail (2) at a depth of
+    10^3..10^4, where a split at a low level passes the 2^20 block limit;
+    their entries stay among the first 2^20 points."""
     dense = ratios is None and (draw(st.booleans()) or (dense and draw(st.booleans())))
-    # a dense block needs two points: an infinite tower and a depth of 1 or more
-    prefix, tail = ratios or (draw(small_ratios), draw(
-        st.lists(st.integers(2, 4), min_size=1, max_size=2) if dense else small_ratios))
-    depth = draw(st.integers(int(dense), 4))
+    if not dense and ratios is None and draw(st.integers(0, 3)) == 0:
+        prefix, tail, depth = [], [2], draw(st.integers(10**3, 10**4))
+    else:
+        # a dense block needs two points: an infinite tower and a depth of 1 or more
+        prefix, tail = ratios or (draw(small_ratios), draw(
+            st.lists(st.integers(2, 4), min_size=1, max_size=2) if dense else small_ratios))
+        depth = draw(st.integers(int(dense), 4))
     tower = Tower(tuple(prefix), tuple(tail))
     size = tower.order(depth)
     if dense:
@@ -114,7 +120,7 @@ def operator_objs(draw, dense=False, ratios=None):
         scalars = st.one_of(st.sampled_from(["1", "0", "-1", "1/2", "-3/4"]),
                             st.integers(-3, 3).map(str), too_long,
                             st.text(alphabet="0123456789-/" + NON_ASCII_DIGITS, max_size=4))
-        point = st.integers(0, size - 1)
+        point = st.integers(0, min(size, 2**20) - 1)
         positions = draw(st.lists(st.one_of(point.map(lambda r: (r, r)), st.tuples(point, point)),
                                   max_size=4, unique=True))
         entries = [[r, c, draw(scalars)] for r, c in positions]
@@ -146,7 +152,7 @@ def map_objs(draw):
             "map": [str(v) for x, y in enumerate(images) for v in (x, y)]}
 
 
-level_args = st.integers(-3, 8).map(str)
+level_args = st.integers(-3, 8)
 # a file in the run's directory, or one under a directory that does not exist
 OUTPUTS = ("out.json", "missing/out.json")
 
@@ -193,10 +199,12 @@ def invocations(draw):
         projection = kind == "trace" and draw(st.booleans())
         files = {"op.json": draw(operator_objs(dense=projection))}
         # half the levels lie in the operator's 0..depth; a --projection
-        # level is the depth, whose one block holds every entry
+        # level is the depth, whose one block holds every entry; a deep
+        # operator splits at 0..8, over the block limit, or into 16 blocks at most
         depth = files["op.json"]["space"]["depth"]
-        level = str(depth) if projection else draw(
-            st.one_of(level_args, st.integers(0, depth).map(str)))
+        levels = (st.integers(0, 8) | st.integers(depth - 4, depth) if depth > 4 else
+                  level_args | st.integers(0, depth))
+        level = str(depth if projection else draw(levels))
         argv = ["roe", kind, "--level", level, "op.json"]
         if projection:
             argv.insert(2, "--projection")

@@ -35,7 +35,9 @@ from roeclass import (
     transport_class,
     unit_divide,
 )
-from roeclass.ktheory import _stable_level
+from roeclass.errors import RoeclassError
+from roeclass.ktheory import _block_sums, _stable_level
+from roeclass.supernatural import _checked_int
 
 from conftest import towers
 
@@ -198,6 +200,43 @@ class TestHMembership:
     def test_alpha_kernel_identity(self, d, n):
         image = alpha_iterate(d.context, n, d)
         assert h_membership(d.context, d, n) == image.is_zero()
+
+
+def h_membership_reference(t, d, n):
+    """h_membership as it was before it read the connecting map: its own
+    checks, then the block-sum window."""
+    if d.context != t:
+        raise PreconditionViolation("sequence context does not match the tower")
+    if _checked_int(n, "level") < 0:
+        raise PreconditionViolation("level must be an integer >= 0")
+    prefix, period = _block_sums(d, n)
+    return not any(prefix + period)
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except RoeclassError as e:
+        return type(e), str(e)
+
+
+# the six contexts of test_acceptance's c05
+C05_CONTEXTS = [Tower((), (2,)), Tower((), (3,)), Tower((2,), (2, 3)),
+                Tower((), (5, 2)), Tower((3,), (2,)), Tower((), (2, 2, 3))]
+
+
+class TestHMembershipOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(C05_CONTEXTS), st.data())
+    def test_matches_window_check(self, t, data):
+        # d over t, or over a context that may differ from it
+        context = data.draw(st.just(t) | st.sampled_from(C05_CONTEXTS))
+        prefix = data.draw(st.lists(entries, max_size=6))
+        period = data.draw(st.lists(entries, min_size=1, max_size=6) | st.just([0]))
+        n = data.draw(st.integers(0, 6) | st.sampled_from([-1, -7, True, 1.5, "2", None]))
+        d = K0Class(context, tuple(prefix), tuple(period))
+        assert outcome(h_membership, t, d, n) == outcome(h_membership_reference, t, d, n)
 
 
 def stable_level_oracle(d):

@@ -651,6 +651,76 @@ class TestRegroupOracle:
         assert outcome(k0_class_of_projection, p) == outcome(k0_class_reference, p)
 
 
+def diagonal_support_reference(blk):
+    """The support helper mvn_partial_isometry used before it read the keys
+    of a checked block: UnsupportedEntries off the diagonal or off 1."""
+    for (r, c), v in blk.items():
+        if r != c or v != 1:
+            raise UnsupportedEntries("only projections diagonal in the standard basis are supported")
+    return sorted(r for (r, c) in blk)
+
+
+def mvn_reference(p, q):
+    if p.space != q.space or p.level != q.level:
+        raise PreconditionViolation("projections must share a space and level")
+    for blk in tuple(p.blocks) + tuple(q.blocks):
+        if not _is_projection(blk):
+            raise NotProjection("block fails p*p = p = p*")
+    supports = []
+    for pb, qb in zip(p.blocks, q.blocks):
+        sp, sq = diagonal_support_reference(pb), diagonal_support_reference(qb)
+        if len(sp) != len(sq):
+            return None
+        supports.append((sp, sq))
+    blocks = tuple({(y, x): Fraction(1) for x, y in zip(sp, sq)} for sp, sq in supports)
+    return BlockTuple(p.space, p.level, blocks)
+
+
+@st.composite
+def mvn_blocks(draw, space, level, like=None):
+    """Level-``level`` blocks, each most often a diagonal 0/1 projection (of
+    the rank of the same block of ``like``, half the time), else a dense
+    rank-1 projection or random entries."""
+    k = space.order(level)
+    pts = st.integers(min_value=0, max_value=k - 1)
+    blocks = []
+    for i in range(space.size // k):
+        kind = draw(st.sampled_from(["diagonal"] * 4 + ["dense", "random"]))
+        if kind == "dense" and k > 1:
+            v = draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k))
+            blocks.append(orthogonal_projection([v], k)[0])
+        elif kind == "random":
+            blocks.append(draw(st.dictionaries(st.tuples(pts, pts), scalars, max_size=3)))
+        else:
+            rank = min(len(like.blocks[i]), k) if like and draw(st.booleans()) else None
+            support = draw(st.sets(pts, min_size=rank or 0, max_size=k if rank is None else rank))
+            blocks.append({(x, x): Fraction(1) for x in support})
+    return BlockTuple(space, level, tuple(blocks))
+
+
+class TestMvnOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_support_helper(self, data):
+        space = data.draw(regroup_spaces)
+        n = data.draw(st.integers(min_value=0, max_value=space.depth))
+        p = data.draw(mvn_blocks(space, n))
+        q = data.draw(mvn_blocks(space, n, like=p))
+        assert outcome(mvn_partial_isometry, p, q) == outcome(mvn_reference, p, q)
+
+    def test_first_rank_mismatch_before_an_off_diagonal_block(self):
+        s = BlockSpace(Tower((), (2,)), 2)
+        half = Fraction(1, 2)
+        dense = {(0, 0): half, (0, 1): half, (1, 0): half, (1, 1): half}
+        one, two = {(0, 0): Fraction(1)}, {(0, 0): Fraction(1), (1, 1): Fraction(1)}
+        p, q = BlockTuple(s, 1, (one, dense)), BlockTuple(s, 1, (two, one))
+        assert mvn_partial_isometry(p, q) is None is mvn_reference(p, q)
+        p, q = BlockTuple(s, 1, (dense, one)), BlockTuple(s, 1, (one, two))
+        for f in (mvn_partial_isometry, mvn_reference):
+            with pytest.raises(UnsupportedEntries):
+                f(p, q)
+
+
 class TestEntryBounds:
     """An entry check that reads the space's size only for an index that
     reaches 2^n, n the number of ratios the space multiplies."""
