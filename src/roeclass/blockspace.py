@@ -17,12 +17,8 @@ from functools import cached_property
 from itertools import chain, groupby, islice
 from operator import itemgetter
 
-from .errors import MalformedInput, PreconditionViolation
+from .errors import LIMIT_BITS, MalformedInput, PreconditionViolation
 from .supernatural import Tower, _checked_int, _clip
-
-
-# a split into level-n blocks refuses more than 2^BLOCK_BITS of them
-BLOCK_BITS = 20
 
 
 @dataclass(frozen=True)
@@ -64,7 +60,7 @@ class BlockSpace:
 
     def order(self, n: int) -> int:
         if not 0 <= _checked_int(n, "level") <= self.depth:
-            raise PreconditionViolation(f"level {n} outside 0..{self.depth}")
+            raise PreconditionViolation(f"level {_clip(n)} outside 0..{_clip(self.depth)}")
         return self.tower.order(n)
 
     @property
@@ -73,17 +69,17 @@ class BlockSpace:
         return self.depth if self.tower.tail else min(self.depth, len(self.tower.prefix))
 
     def _blocks(self, n: int) -> tuple[int, int]:
-        """(k_n, number of level-n blocks); more than 2^BLOCK_BITS blocks are
+        """(k_n, number of level-n blocks); more than 2^LIMIT_BITS blocks are
         refused, without reading size when the ratios above n already pass it."""
         k = self.order(n)
-        if self._ratios - n > BLOCK_BITS or self.size // k > 1 << BLOCK_BITS:
+        if self._ratios - n > LIMIT_BITS or self.size // k > 1 << LIMIT_BITS:
             raise PreconditionViolation(
-                f"level {n} would split the space into over 2^{BLOCK_BITS} blocks")
+                f"level {_clip(n)} would split the space into over 2^{LIMIT_BITS} blocks")
         return k, self.size // k
 
     def _check_point(self, x: int):
         if not (isinstance(x, int) and 0 <= x < self.size):
-            raise PreconditionViolation(f"point {_clip(x)} outside 0..{self.size - 1}")
+            raise PreconditionViolation(f"point {_clip(x)} outside 0..{_clip(self.size - 1)}")
 
     def distance(self, x: int, y: int) -> int:
         """Least level whose blocks contain both points.

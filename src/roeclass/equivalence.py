@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DepthExhausted, MalformedInput, NotEquivalent, PreconditionViolation
-from .supernatural import Tower, _checked_int, bijectively_coarsely_equivalent
+from .supernatural import Tower, _checked_int, _clip, bijectively_coarsely_equivalent
 
 
 def interleave_towers(t1: Tower, t2: Tower, depth: int) -> tuple[tuple[int, int], ...]:
@@ -91,7 +91,7 @@ class TowerBijection:
         # side's order is taken no higher, and a huge level costs nothing
         dom = self.source.order(min(n_d, len(self.mapping).bit_length()))
         if dom != len(self.mapping):
-            points = f"at least {dom}" if dom > len(self.mapping) else dom
+            points = f"at least {_clip(dom)}" if dom > len(self.mapping) else dom
             raise MalformedInput(f"map must cover the full source truncation ({points} points)")
         # whole-map passes in C: a witness has tens of thousands of images
         if set(map(type, self.mapping)) - {int}:
@@ -99,7 +99,8 @@ class TowerBijection:
                 _checked_int(y, "image")
         lo, hi = min(self.mapping), max(self.mapping)
         if lo < 0 or hi >= self.target.order(min(m_d, hi.bit_length())):
-            raise MalformedInput(f"image {lo if lo < 0 else hi} outside the target truncation")
+            raise MalformedInput(
+                f"image {_clip(lo if lo < 0 else hi)} outside the target truncation")
 
     @property
     def final_levels(self) -> tuple[int, int]:

@@ -1,10 +1,14 @@
-"""Exception types shared across the library.
+"""Exception types and the size limit shared across the library.
 
 Every error the library raises on purpose is a RoeclassError, and each class
 carries the CLI exit code it maps to: MalformedInput -> 2, DepthExhausted -> 3,
 PreconditionViolation and its subclasses -> 4.  MalformedInput and
 PreconditionViolation are also ValueErrors.
 """
+
+# The one size limit: a split into level-n blocks, a K0 layout and a
+# unit-division period are refused past 2^LIMIT_BITS blocks or entries.
+LIMIT_BITS = 20
 
 
 class RoeclassError(Exception):

@@ -23,7 +23,7 @@ from itertools import accumulate
 from math import gcd, lcm, prod
 
 from .equivalence import TowerBijection
-from .errors import DepthExhausted, MalformedInput, PreconditionViolation
+from .errors import LIMIT_BITS, DepthExhausted, MalformedInput, PreconditionViolation
 from .supernatural import (
     Tower,
     _checked_int,
@@ -188,16 +188,15 @@ def k0_equal(a: K0Class, b: K0Class) -> bool:
 
 
 def _spread(sums: tuple[int, ...], k: int) -> tuple[int, ...]:
-    """(s_0, 0, ..., 0, s_1, 0, ...): each sum opens a block of k entries."""
-    seq = [0] * (k * len(sums))
+    """(s_0, 0, ..., 0, s_1, 0, ...): each sum opens a block of k entries.
+    A layout over 2^LIMIT_BITS entries is refused before it is allocated."""
+    size = k * len(sums)
+    if size > 1 << LIMIT_BITS:
+        raise PreconditionViolation(
+            f"a K0 layout of {_clip(size)} entries is over the 2^{LIMIT_BITS} limit")
+    seq = [0] * size
     seq[::k] = sums
     return tuple(seq)
-
-
-def _block_collapse(a: K0Class, n: int) -> K0Class:
-    """Replace every aligned k_n-block by (block sum, 0, ..., 0)."""
-    k = a.context.order(n)
-    return K0Class(a.context, *(_spread(sums, k) for sums in _block_sums(a, n)))
 
 
 def _positive_level(a: K0Class) -> int | None:
@@ -223,21 +222,20 @@ def _positive_level(a: K0Class) -> int | None:
 
 def k0_positive(a: K0Class) -> tuple[bool, K0Class | None]:
     """Membership in the positive cone, with a pointwise-nonnegative witness:
-    the block collapse of a at the level ``_positive_level`` finds."""
+    the block sums alpha_iterate gives at the level ``_positive_level``
+    finds, each opening its block of k_n entries."""
     n = _positive_level(a)
     if n is None:
         return False, None
-    return True, _block_collapse(a, n)
-
-
-# unit_divide refuses a witness whose period would exceed 2^UNIT_DIVIDE_BITS entries
-UNIT_DIVIDE_BITS = 20
+    t, k = a.context, a.context.order(n)
+    sums = alpha_iterate(t, n, a)
+    return True, K0Class(t, _spread(sums.prefix, k), _spread(sums.period, k))
 
 
 def unit_divide(t: Tower, p: int, r: int) -> K0Class | None:
     """Witness w with p^r * w = [1] in K0, when p^r divides the supernatural
     number; None otherwise (the main obstruction to equivalence).  The
-    witness has a period of p^r entries; over 2^UNIT_DIVIDE_BITS it is
+    witness has a period of p^r entries; over 2^LIMIT_BITS it is
     refused before anything is allocated."""
     if not t.is_infinite:
         raise PreconditionViolation("unit division needs an infinite tower")
@@ -254,9 +252,10 @@ def unit_divide(t: Tower, p: int, r: int) -> K0Class | None:
     if prod(t.tail) % p and (r * (p.bit_length() - 1) >= head.bit_length() or head % p**r):
         return None
     # p >= 2, so an exponent over the cap's bits is over the cap
-    if r > UNIT_DIVIDE_BITS or p**r > 2**UNIT_DIVIDE_BITS:
+    if r > LIMIT_BITS or p**r > 2**LIMIT_BITS:
+        p, r = _clip(p), _clip(r)
         raise PreconditionViolation(
-            f"[1]/{p}^{r} needs a period of {p}^{r} entries, over the 2^{UNIT_DIVIDE_BITS} limit")
+            f"[1]/{p}^{r} needs a period of {p}^{r} entries, over the 2^{LIMIT_BITS} limit")
     # any block of size k_n with p^r | k_n holds whole periods, so this is
     # the shortest representative; p^r copies sum blockwise to the unit
     return K0Class(t, (), _spread((1,), p**r))

@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedEntries,
 )
 from .ktheory import K0Class, _spread
-from .supernatural import _checked_int
+from .supernatural import _checked_int, _clip
 
 Entries = dict[tuple[int, int], Fraction]
 
@@ -46,22 +46,14 @@ def _mat_mul(a: Entries, b: Entries) -> Entries:
     for (r, k), u in a.items():
         for c, v in by_row.get(k, ()):
             key = (r, c)
-            w = out.get(key, Fraction(0)) + u * v
-            if w:
-                out[key] = w
-            else:
-                out.pop(key, None)
+            out[key] = out[key] + u * v if key in out else u * v
     return out
 
 
 def _mat_add(a: Entries, b: Entries) -> Entries:
     out = dict(a)
     for key, v in b.items():
-        w = out.get(key, Fraction(0)) + v
-        if w:
-            out[key] = w
-        else:
-            out.pop(key, None)
+        out[key] = out[key] + v if key in out else v
     return out
 
 
@@ -137,7 +129,7 @@ class PropagationOperator:
             _checked_int(r, "entry row")
             _checked_int(c, "entry column")
             if r < 0 or c < 0 or (r | c) >> n and not (r < self.space.size > c):
-                raise MalformedInput(f"entry ({r}, {c}) outside the truncation")
+                raise MalformedInput(f"entry ({_clip(r)}, {_clip(c)}) outside the truncation")
             v = _coerce_scalar(v)
             if v:
                 clean[(r, c)] = v
@@ -153,7 +145,7 @@ class PropagationOperator:
 
     @classmethod
     def matrix_unit(cls, space: BlockSpace, x: int, y: int, value=1) -> "PropagationOperator":
-        return cls(space, {(x, y): _coerce_scalar(value)})
+        return cls(space, {(x, y): value})
 
     def propagation(self) -> int:
         return propagation(self)
@@ -214,20 +206,19 @@ class BlockTuple:
 
 def block_decompose(t: PropagationOperator, n: int) -> BlockTuple:
     """Split into level-n diagonal blocks; propagation above n is an error,
-    and so is a split into more than 2^BLOCK_BITS blocks."""
+    and so is a split into more than 2^LIMIT_BITS blocks."""
     k, count = t.space._blocks(n)
     blocks: list[Entries] = [{} for _ in range(count)]
     for (r, c), v in t.entries.items():
         if r // k != c // k:
-            raise NotBlockDiagonal(
-                f"entry ({r}, {c}) at distance {t.space.distance(r, c)} crosses level-{n} blocks"
-            )
+            raise NotBlockDiagonal(f"entry ({_clip(r)}, {_clip(c)}) at distance "
+                                   f"{t.space.distance(r, c)} crosses level-{_clip(n)} blocks")
         i = r // k
         blocks[i][(r - i * k, c - i * k)] = v
     return BlockTuple(t.space, n, tuple(blocks))
 
 
-def _regroup(bt: BlockTuple, m: int) -> BlockTuple:
+def _regroup(bt: BlockTuple, m: int) -> tuple[Entries, ...]:
     """Group consecutive level-n blocks into level-m diagonal blocks (m >= n)."""
     k = bt.block_size
     r = bt.space.order(m) // k
@@ -239,19 +230,19 @@ def _regroup(bt: BlockTuple, m: int) -> BlockTuple:
             for (row, c), v in part.items():
                 blk[(off + row, off + c)] = v
         grouped.append(blk)
-    return BlockTuple(bt.space, m, tuple(grouped))
+    return tuple(grouped)
 
 
 def recompose(bt: BlockTuple) -> PropagationOperator:
     """Operator of a block tuple: at the top level one block is the whole truncation."""
-    return PropagationOperator(bt.space, _regroup(bt, bt.space.depth).blocks[0])
+    return PropagationOperator(bt.space, _regroup(bt, bt.space.depth)[0])
 
 
 def connecting_map(bt: BlockTuple) -> BlockTuple:
     """Group consecutive level-n blocks into level-(n+1) diagonal blocks."""
     if bt.level + 1 > bt.space.depth:
-        raise PreconditionViolation(f"level {bt.level + 1} exceeds the truncation depth")
-    return _regroup(bt, bt.level + 1)
+        raise PreconditionViolation(f"level {_clip(bt.level + 1)} exceeds the truncation depth")
+    return BlockTuple(bt.space, bt.level + 1, _regroup(bt, bt.level + 1))
 
 
 def trace_vector(bt: BlockTuple, require_projection: bool = False) -> tuple:

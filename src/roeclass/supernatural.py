@@ -35,9 +35,20 @@ _MR_BASES = _SMALL_PRIMES[:13]
 _MR_LIMIT = 3317044064679887385961981
 
 
+# at most 603 decimal digits: under every int/str digit limit Python allows (>= 640)
+_CLIP_BITS = 2000
+
+
 def _clip(value) -> str:
-    """repr of value, cut to 40 characters for an error message."""
-    text = repr(value)
+    """repr of value, cut to 40 characters for an error message.  An int
+    over _CLIP_BITS bits is never converted, since it may pass the int/str
+    digit limit: its bit length stands in for its digits."""
+    if isinstance(value, int) and value.bit_length() > _CLIP_BITS:
+        return f"<{'-' if value < 0 else ''}int of {value.bit_length()} bits>"
+    try:
+        text = repr(value)
+    except ValueError:  # an int over the digit limit inside value, say a Fraction's
+        return f"<{type(value).__name__} over the int/str digit limit>"
     return text if len(text) <= 40 else text[:40] + "..."
 
 

@@ -255,13 +255,13 @@ def zero_split(s, n):
 
 
 class TestBlockLimit:
-    """A split into level-n blocks refuses more than 2^BLOCK_BITS of them,
+    """A split into level-n blocks refuses more than 2^LIMIT_BITS of them,
     before any block is allocated."""
 
     @pytest.mark.parametrize("split", [components, zero_split], ids=["components", "decompose"])
     @pytest.mark.parametrize("bits", [1, 3, 5])
     def test_boundary(self, monkeypatch, split, bits):
-        monkeypatch.setattr(blockspace, "BLOCK_BITS", bits)
+        monkeypatch.setattr(blockspace, "LIMIT_BITS", bits)
         refused = re.escape(f"split the space into over 2^{bits} blocks")
         two = Tower((), (2,))
         assert len(split(BlockSpace(two, bits), 0).blocks) == 2**bits

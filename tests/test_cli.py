@@ -166,6 +166,13 @@ class TestBce:
                            files("a.json", TOWER2), files("b.json", TOWER3))
         assert code == 4
 
+    def test_build_negative_depth_exit_4(self, files, capsys):
+        # a negative depth argument is a precondition; a negative space depth
+        # (TestRoe) is malformed data
+        code, out, err = run(capsys, "bce", "build", "--depth", "-1",
+                             files("a.json", TOWER2), files("b.json", TOWER2))
+        assert (code, out, err) == (4, "", "error: depth must be an integer >= 0\n")
+
     def test_build_finite_tower_exit_4(self, files, capsys):
         code, _, _ = run(capsys, "bce", "build", "--depth", "1",
                          files("a.json", FINITE6), files("b.json", FINITE6))
@@ -190,6 +197,21 @@ class TestBce:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: cannot write {output}: ")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["bce verify", "roe conjugate"])
+    def test_order_over_digit_limit_in_message_exit_2(self, files, capsys, command):
+        # k_2 = (10^3000 - 1)^2 has 6000 digits: the message gives its bit length
+        nines = "9" * 3000
+        bad = {"source": {"prefix": [nines, nines], "tail": []}, "target": json.loads(TOWER2),
+               "depth": 1, "levels": [[2, 1]], "map": ["0", "0", "1", "1"]}
+        argv = [*command.split(), files("m.json", json.dumps(bad))]
+        if command == "roe conjugate":
+            op = {"space": {"tower": json.loads(TOWER2), "depth": 1}, "entries": []}
+            argv.append(files("op.json", json.dumps(op)))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == ("error: map must cover the full source truncation "
+                       "(at least <int of 19932 bits> points)\n")
 
     def test_verify_huge_source_level_small_map_exit_2(self, files, capsys):
         budget = Budget(1.0)
@@ -292,6 +314,20 @@ class TestK0:
                              files("c.json", cls))
         assert (code, out) == (4, "")
         assert err.startswith("error:") and "4300-digit limit" in err
+        assert not witness.exists()
+
+    @pytest.mark.parametrize("prefix, entries", [(-10**6, 2**22), (-10**9, 2**32)])
+    def test_pos_witness_over_layout_limit_exit_4(self, files, tmp_path, prefix, entries):
+        # positive from level 22 (32) on: the witness would lay out 2^22
+        # (2^33) entries; refused before allocation, under a 1 GiB address space
+        cls = {"context": json.loads(TOWER2), "prefix": [prefix], "period": [1]}
+        witness = tmp_path / "w.json"
+        budget = Budget(2.0)
+        proc = run_child("k0", "pos", "--output", str(witness),
+                         files("c.json", json.dumps(cls)))
+        budget.check()
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            4, "", f"error: a K0 layout of {entries} entries is over the 2^20 limit\n")
         assert not witness.exists()
 
     def test_pos_false(self, files, capsys):
@@ -436,6 +472,12 @@ class TestRoe:
         assert (code, out) == (4, "")
         assert err.startswith("error:") and "4300-digit limit" in err
         assert len(err.splitlines()) == 1
+
+    def test_trace_negative_space_depth_exit_2(self, files, capsys):
+        op = {"space": {"tower": json.loads(TOWER2), "depth": -1}, "entries": []}
+        code, out, err = run(capsys, "roe", "trace", "--level", "0",
+                             files("op.json", json.dumps(op)))
+        assert (code, out, err) == (2, "", "error: depth must be an integer >= 0\n")
 
     def test_trace_non_projection_exit_4(self, files, capsys):
         op = {"space": self.to_space(), "entries": [[0, 0, "1/2"]]}

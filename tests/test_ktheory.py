@@ -1,5 +1,6 @@
 """K0 classes, the H-quotient decision procedures, and unit divisibility."""
 
+import re
 from math import gcd, lcm
 
 import pytest
@@ -36,7 +37,7 @@ from roeclass import (
     unit_divide,
 )
 from roeclass.errors import RoeclassError
-from roeclass.ktheory import _block_sums, _stable_level
+from roeclass.ktheory import _block_sums, _positive_level, _spread, _stable_level
 from roeclass.supernatural import _checked_int
 
 from conftest import towers
@@ -349,6 +350,45 @@ class TestK0Positive:
     def test_proper_cone(self, a):
         if k0_positive(a)[0] and k0_positive(k0_neg(a))[0]:
             assert k0_equal(a, k0_zero(a.context))
+
+
+def block_collapse_reference(a, n):
+    """The witness k0_positive built before it read alpha_iterate (the old
+    ``_block_collapse``): every aligned k_n-block of a replaced by
+    (block sum, 0, ..., 0), laid out from the raw block-sum window."""
+    k = a.context.order(n)
+
+    def collapse(sums):
+        return tuple(v for total in sums for v in (total,) + (0,) * (k - 1))
+
+    prefix, period = _block_sums(a, n)
+    return K0Class(a.context, collapse(prefix), collapse(period))
+
+
+class TestK0PositiveOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(classes())
+    def test_witness_matches_block_collapse(self, a):
+        n = _positive_level(a)
+        expected = (False, None) if n is None else (True, block_collapse_reference(a, n))
+        assert k0_positive(a) == expected
+
+
+class TestLayoutLimit:
+    def test_boundary(self):
+        assert len(_spread((1, 2), 2**19)) == 2**20
+        with pytest.raises(PreconditionViolation, match=re.escape(
+                f"a K0 layout of {2**20 + 2} entries is over the 2^20 limit")):
+            _spread((1, 2), 2**19 + 1)
+
+    def test_witness_over_limit_refused(self):
+        # positive from level 22 on, where the witness lays out 2^22 entries;
+        # the verdict alone never lays it out
+        a = K0Class(Tower((), (2,)), (-10**6,), (1,))
+        assert _positive_level(a) == 22
+        with pytest.raises(PreconditionViolation, match=re.escape(
+                f"a K0 layout of {2**22} entries is over the 2^20 limit")):
+            k0_positive(a)
 
 
 class TestUnitDivide:

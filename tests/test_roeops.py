@@ -34,7 +34,7 @@ from roeclass import (
     recompose,
     trace_vector,
 )
-from roeclass.roeops import _is_projection, _mat_adjoint, _mat_mul
+from roeclass.roeops import _is_projection, _mat_adjoint
 
 from conftest import Budget, towers
 
@@ -91,9 +91,22 @@ def diagonal_projections(draw, space, level):
     return BlockTuple(space, level, tuple(blocks))
 
 
+def pruned_mul(a, b):
+    """Sparse product of entry dicts that keeps only its nonzero entries, so
+    that it compares with a stored block entry by entry."""
+    by_row = {}
+    for (r, c), v in b.items():
+        by_row.setdefault(r, []).append((c, v))
+    out = {}
+    for (r, k), u in a.items():
+        for c, v in by_row.get(k, ()):
+            out[(r, c)] = out.get((r, c), 0) + u * v
+    return {key: v for key, v in out.items() if v}
+
+
 def is_projection_oracle(a):
     """The projection rule by squaring: p*p = p = p*, entry by entry."""
-    return _mat_mul(a, a) == a and _mat_adjoint(a) == a
+    return pruned_mul(a, a) == a and _mat_adjoint(a) == a
 
 
 def orthogonal_projection(vectors, k):
@@ -220,6 +233,29 @@ class TestArithmetic:
         s = BlockSpace(Tower((), (2,)), 2)
         a = PropagationOperator.matrix_unit(s, 0, 3, Fraction(2, 7))
         assert a.add(PropagationOperator.zero(s)) == a
+
+    def test_add_negation_is_zero(self):
+        s = BlockSpace(Tower((), (2,)), 2)
+        a = PropagationOperator(s, {(0, 3): Fraction(2, 7), (1, 1): 1, (2, 0): Fraction(-1, 2)})
+        minus = PropagationOperator(s, {key: -v for key, v in a.entries.items()})
+        assert a.add(minus) == PropagationOperator.zero(s)
+
+    def test_compose_drops_cancelled_entries(self):
+        # row (1, 1) against column (1, -1): the only product entry cancels
+        s = BlockSpace(Tower((), (2,)), 1)
+        row = PropagationOperator(s, {(0, 0): 1, (0, 1): 1})
+        column = PropagationOperator(s, {(0, 0): 1, (1, 0): -1})
+        assert row.compose(column) == PropagationOperator.zero(s)
+
+    def test_fraction_subclass_entries_stored_as_fractions(self):
+        class Half(Fraction):
+            pass
+
+        s = BlockSpace(Tower((), (2,)), 1)
+        for op in (PropagationOperator(s, {(0, 1): Half(1, 2)}),
+                   PropagationOperator.matrix_unit(s, 0, 1, Half(1, 2))):
+            assert op.entries == {(0, 1): Fraction(1, 2)}
+            assert type(op.entries[(0, 1)]) is Fraction
 
     def test_adjoint_of_matrix_unit(self):
         s = BlockSpace(Tower((), (2,)), 2)
@@ -410,7 +446,7 @@ class TestProjectionCheck:
 
     def test_non_symmetric_idempotent_refused(self):
         blk = {(0, 0): Fraction(1), (0, 1): Fraction(1)}
-        assert _mat_mul(blk, blk) == blk
+        assert pruned_mul(blk, blk) == blk
         assert not is_projection_oracle(blk) and not _is_projection(blk)
 
     def test_216_point_rank_one_block(self):
@@ -556,6 +592,14 @@ class TestK0ClassOfProjection:
         bt = block_decompose(PropagationOperator(s, entries), 1)
         cls = k0_class_of_projection(bt)
         assert cls.prefix == (2, 0, 1) and cls.period == (0,)
+
+    def test_layout_over_limit_refused(self):
+        # one level-40 block of 2^40 points: its K0 layout is refused before
+        # it is allocated, however small the rank
+        bt = block_decompose(PropagationOperator.zero(BlockSpace(Tower((), (2,)), 40)), 40)
+        refused = re.escape(f"a K0 layout of {2**40} entries is over the 2^20 limit")
+        with pytest.raises(PreconditionViolation, match=refused):
+            k0_class_of_projection(bt)
 
     @given(st.data())
     def test_invariant_under_connecting_map(self, data):
