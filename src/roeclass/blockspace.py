@@ -12,6 +12,7 @@ that components are preserved at every scale.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, groupby, islice
@@ -24,14 +25,16 @@ from .supernatural import Tower, _checked_int, _clip
 @dataclass(frozen=True)
 class Partition:
     """Disjoint blocks covering a space, ordered by least element, each
-    annotated with its diameter and cardinality."""
+    annotated with its diameter and cardinality.  The blocks of a
+    BlockSpace are ranges, so a block costs nothing per point."""
 
-    blocks: tuple[tuple[int, ...], ...]
+    blocks: tuple[Sequence[int], ...]
     diameters: tuple[int, ...]
 
     @property
     def cardinalities(self) -> tuple[int, ...]:
-        return tuple(len(b) for b in self.blocks)
+        # len() of a range over 2^63 points overflows
+        return tuple(b.stop - b.start if type(b) is range else len(b) for b in self.blocks)
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -106,6 +109,10 @@ class BlockSpace:
         return lo
 
     def metric_matrix(self) -> list[list[int]]:
+        """size^2 distances; more than 2^LIMIT_BITS are refused before
+        allocating, without reading size when the ratios already pass it."""
+        if self._ratios > LIMIT_BITS // 2 or self.size ** 2 > 1 << LIMIT_BITS:
+            raise PreconditionViolation(f"a metric matrix would have over 2^{LIMIT_BITS} entries")
         import numpy as np  # only here and in FiniteMetricSpace, to keep it off light commands
 
         pts = np.arange(self.size)
@@ -119,14 +126,10 @@ class BlockSpace:
         return FiniteMetricSpace(self.size, tuple(map(tuple, self.metric_matrix())))
 
 
-def distance(s: BlockSpace, x: int, y: int) -> int:
-    return s.distance(x, y)
-
-
 def components(s: BlockSpace, n: int) -> Partition:
     """Level-n components: k_depth/k_n consecutive intervals of length k_n."""
     k, count = s._blocks(n)
-    blocks = tuple(tuple(range(j * k, (j + 1) * k)) for j in range(count))
+    blocks = tuple(range(j * k, (j + 1) * k) for j in range(count))
     return Partition(blocks, (s.distance(0, k - 1),) * count)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DepthExhausted, MalformedInput, NotEquivalent, PreconditionViolation
+from .errors import LIMIT_BITS, DepthExhausted, MalformedInput, NotEquivalent, PreconditionViolation
 from .supernatural import Tower, _checked_int, _clip, bijectively_coarsely_equivalent
 
 
@@ -117,7 +117,12 @@ class TowerBijection:
 
 
 def _measure_modulus(b: TowerBijection) -> tuple[int, ...]:
+    """One entry per source level 0..n_D; the verifier reads it before its
+    report grows, so over 2^LIMIT_BITS levels are refused here for both."""
     n_d = b.final_levels[0]
+    if n_d >= 1 << LIMIT_BITS:
+        raise PreconditionViolation(
+            f"source level {_clip(n_d)} would make a report of over 2^{LIMIT_BITS} rows")
     # a block's image lies in one aligned target block exactly when its least
     # and greatest images do; each level merges runs of ratio(l-1) spans
     los = his = b.mapping
@@ -190,6 +195,7 @@ def verify_bijective_coarse_equivalence(b: TowerBijection) -> VerificationReport
     an image straddles two bound-components; without injectivity images meet.
     """
     injective = len(set(b.mapping)) == len(b.mapping)
+    modulus = b.modulus  # refuses an over-long report before anything grows
 
     # bound at level l is m_j for the least j with n_j >= l, and 0 at level 0
     bounds = [0]
@@ -198,7 +204,7 @@ def verify_bijective_coarse_equivalence(b: TowerBijection) -> VerificationReport
     checks = []
     for level, bound in enumerate(bounds):
         k = b.source.order(level)
-        rho = b.modulus[level]
+        rho = modulus[level]
         within = rho <= bound
         # k1 | k2_bound is decided at min(bound, saturation_level(k1)): past that
         # level gcd(k2_n, k1) no longer grows, and it only grows along the chain

@@ -30,7 +30,6 @@ from .supernatural import (
     _clip,
     _normal_form,
     bijectively_coarsely_equivalent,
-    coarsely_equivalent,
     isprime,
 )
 
@@ -281,11 +280,6 @@ def k0_iso_exists(t1: Tower, t2: Tower) -> bool:
     an INFINITE one.
     """
     return bijectively_coarsely_equivalent(t1, t2)
-
-
-def k0_groups_abstractly_iso(t1: Tower, t2: Tower) -> bool:
-    """Group isomorphism ignoring order and unit: only finiteness matters."""
-    return coarsely_equivalent(t1, t2)
 
 
 def transport_class(b: TowerBijection, a: K0Class) -> K0Class:

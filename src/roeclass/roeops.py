@@ -141,23 +141,12 @@ class PropagationOperator:
 
     @classmethod
     def identity(cls, space: BlockSpace) -> "PropagationOperator":
-        return cls(space, {(x, x): Fraction(1) for x in range(space.size)})
+        # the 2^LIMIT_BITS block cap at level 0, whose blocks are the points
+        return cls(space, {(x, x): Fraction(1) for x in range(space._blocks(0)[1])})
 
     @classmethod
     def matrix_unit(cls, space: BlockSpace, x: int, y: int, value=1) -> "PropagationOperator":
         return cls(space, {(x, y): value})
-
-    def propagation(self) -> int:
-        return propagation(self)
-
-    def compose(self, other: "PropagationOperator") -> "PropagationOperator":
-        return compose(self, other)
-
-    def add(self, other: "PropagationOperator") -> "PropagationOperator":
-        return add(self, other)
-
-    def adjoint(self) -> "PropagationOperator":
-        return adjoint(self)
 
 
 def _same_space(a: PropagationOperator, b: PropagationOperator) -> BlockSpace:

@@ -224,10 +224,6 @@ class Tower:
         return prod(self.prefix[:n]) * prod(self.tail) ** whole * prod(self.tail[:rest])
 
 
-def tower_order(t: Tower, n: int) -> int:
-    return t.order(n)
-
-
 @dataclass(frozen=True, eq=True)
 class SupernaturalNumber:
     """Formal product prod_p p^{e_p} with e_p in {0, 1, 2, ...} or INFINITE.
@@ -285,10 +281,6 @@ def sn_divides(p: int, m: int, s: SupernaturalNumber) -> bool:
     if _checked_int(m, "exponent m") < 1:
         raise PreconditionViolation("exponent m must be an integer >= 1")
     return m <= s.exponent_of(p)
-
-
-def sn_equal(s: SupernaturalNumber, u: SupernaturalNumber) -> bool:
-    return s == u
 
 
 def bijectively_coarsely_equivalent(t1: Tower, t2: Tower) -> bool:

@@ -1,6 +1,12 @@
-"""Shared hypothesis strategies for tower-based tests, and a wall-clock budget."""
+"""Shared hypothesis strategies for tower-based tests, a wall-clock budget,
+and a child interpreter under a memory cap."""
 
+import os
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 from hypothesis import strategies as st
 
@@ -31,3 +37,16 @@ class Budget:
         elapsed = time.monotonic() - self.start
         assert elapsed < self.limit, f"took {elapsed:.2f}s, budget {self.limit}s"
         return elapsed
+
+
+def run_limited(*args):
+    """``python *args`` in a child process under a 1 GiB address space, with
+    the source tree on its path: a call that allocates per point fails there
+    with MemoryError instead of taking the machine's memory."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, *args],
+        env=env, capture_output=True, text=True, timeout=30,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)))

@@ -21,13 +21,12 @@ from roeclass import (
     asdim_zero_profile,
     block_decompose,
     components,
-    distance,
     embed_into_nonneg_integers,
     r_components,
 )
 from roeclass.supernatural import _clip
 
-from conftest import Budget, towers
+from conftest import Budget, run_limited, towers
 
 
 def bfs_components(m, R):
@@ -131,7 +130,7 @@ class TestDistance:
         with pytest.raises(ValueError):
             s.distance(0, 4)
         with pytest.raises(ValueError):
-            distance(s, -1, 0)
+            s.distance(-1, 0)
         for x, y, bad in [(4, -1, "4"), (-1, 4, "-1"), (1.0, "1", "1.0"), (3, None, "None")]:
             with pytest.raises(PreconditionViolation, match=f"^point {bad} outside 0..3$"):
                 s.distance(x, y)
@@ -278,6 +277,51 @@ class TestBlockLimit:
         assert len(split(BlockSpace(Tower((2,) * bits, ()), bits + 5), 0).blocks) == 2**bits
         with pytest.raises(PreconditionViolation, match=refused):
             split(BlockSpace(Tower((2,) * bits + (3,), ()), bits + 5), 0)
+
+
+class TestPointCountLimits:
+    """Calls that would build one item per point: the identity shares the
+    2^LIMIT_BITS block cap at level 0, a metric matrix refuses more than
+    2^LIMIT_BITS entries, and component blocks are ranges."""
+
+    @pytest.mark.parametrize("bits", [2, 4])
+    def test_boundary(self, monkeypatch, bits):
+        monkeypatch.setattr(blockspace, "LIMIT_BITS", bits)
+        two = Tower((), (2,))
+        assert len(PropagationOperator.identity(BlockSpace(two, bits)).entries) == 2**bits
+        deep = BlockSpace(two, bits + 1)
+        with pytest.raises(PreconditionViolation, match=re.escape(f"over 2^{bits} blocks")):
+            PropagationOperator.identity(deep)
+        assert "size" not in vars(deep)
+        entries = re.escape(f"a metric matrix would have over 2^{bits} entries")
+        assert len(BlockSpace(two, bits // 2).metric_matrix()) == 2 ** (bits // 2)
+        # bits // 2 + 1 ratios of 2 pass the limit: refused without the size
+        deep = BlockSpace(two, bits // 2 + 1)
+        with pytest.raises(PreconditionViolation, match=entries):
+            deep.metric_matrix()
+        assert "size" not in vars(deep)
+        # bits // 2 ratios of 3 give 9^(bits // 2) entries: refused by the size
+        with pytest.raises(PreconditionViolation, match=entries):
+            BlockSpace(Tower((), (3,)), bits // 2).metric_matrix()
+
+    def test_deep_space_in_a_memory_capped_child(self):
+        proc = run_limited("-c", """if True:
+            from roeclass import BlockSpace, PreconditionViolation, PropagationOperator, Tower, components
+            s = BlockSpace(Tower((), (2,)), 40)
+            part = components(s, 40)
+            assert part.blocks == (range(2**40),) and part.cardinalities == (2**40,)
+            assert part.diameters == (40,)
+            assert len(components(s, 20).blocks) == 2**20
+            assert components(BlockSpace(Tower((), (2,)), 70), 70).cardinalities == (2**70,)
+            for refused in (lambda: PropagationOperator.identity(s),
+                            lambda: BlockSpace(Tower((), (2,)), 20).metric_matrix()):
+                try:
+                    refused()
+                except PreconditionViolation:
+                    continue
+                raise AssertionError("not refused")
+            """)
+        assert (proc.returncode, proc.stderr) == (0, "")
 
 
 class TestRComponents:

@@ -4,7 +4,6 @@ import io
 import json
 import os
 import re
-import resource
 import subprocess
 import sys
 from itertools import takewhile
@@ -16,7 +15,7 @@ import pytest
 import roeclass
 from roeclass.cli import COMMANDS, main
 
-from conftest import Budget
+from conftest import Budget, run_limited
 
 TOWER2 = '{"prefix": [], "tail": ["2"]}'
 TOWER3 = '{"prefix": [], "tail": ["3"]}'
@@ -42,13 +41,7 @@ def run(capsys, *argv):
 
 def run_child(*argv):
     """The command line in a child process under a 1 GiB address space."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run(
-        [sys.executable, "-m", "roeclass.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=30,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)))
+    return run_limited("-m", "roeclass.cli", *argv)
 
 
 class TestSn:
@@ -247,6 +240,20 @@ class TestBce:
         assert (code, out) == (2, "")
         assert err == "error: map must cover the full source truncation (2 points)\n"
         budget.check()
+
+    @pytest.mark.parametrize("level", [2**20, 10_000_000])
+    def test_verify_over_row_limit_exit_4(self, files, level):
+        # one report row per source level 0..n_D: a two-point finite source
+        # at level 2^20 or more is refused before a row or modulus entry is
+        # built, in a child under a 1 GiB address space
+        two = {"prefix": ["2"], "tail": []}
+        m = {"source": two, "target": two, "depth": 1,
+             "levels": [[level, 1]], "map": ["0", "0", "1", "1"]}
+        budget = Budget(2.0)
+        proc = run_child("bce", "verify", files("m.json", json.dumps(m)))
+        budget.check()
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            4, "", f"error: source level {level} would make a report of over 2^20 rows\n")
 
     def test_build_deterministic(self, files, capsys):
         a, b = files("a.json", TOWER2), files("b.json", TOWER4)
@@ -547,6 +554,13 @@ class TestDocs:
             words = line.split()[1:]
             listed.append(" ".join(takewhile(re.compile("[a-z][a-z0-9-]*").fullmatch, words)))
         assert listed == list(COMMANDS)
+
+    def test_readme_python_blocks_run(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+        assert blocks
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), {})
 
     def test_package_exports_every_public_name(self):
         public = [name for name, value in vars(roeclass).items()

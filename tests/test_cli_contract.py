@@ -76,11 +76,14 @@ def tower_pairs(draw):
 
 @st.composite
 def k0_objs(draw):
-    """Classes over a tower that is infinite unless spoiled."""
+    """Classes over a tower that is infinite unless spoiled.  An entry of
+    ±10^12 is decided only where k_n has outgrown it, so `k0 pos --output`
+    reaches the 2^20 layout limit."""
     tail = draw(st.lists(st.integers(2, 4), min_size=1, max_size=2))
+    entries = st.integers(-3, 3) | st.sampled_from([-10**12, 10**12])
     return {"context": tower_obj(draw(small_ratios), tail),
-            "prefix": draw(st.lists(st.integers(-3, 3), max_size=3)),
-            "period": draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3))}
+            "prefix": draw(st.lists(entries, max_size=3)),
+            "period": draw(st.lists(entries, min_size=1, max_size=3))}
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """Interleaving, the explicit back-and-forth map, and its verification."""
 
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -235,6 +236,19 @@ class TestBuild:
 
 
 class TestVerify:
+    def test_row_limit_refuses_modulus_and_report(self, monkeypatch):
+        # the verifier reads the modulus first, so one check guards both
+        monkeypatch.setattr(equivalence, "LIMIT_BITS", 3)
+        two = Tower((2,), ())
+        ok = TowerBijection(two, two, 1, ((7, 1),), (0, 1))
+        assert len(verify_bijective_coarse_equivalence(ok).levels) == 8
+        over = TowerBijection(two, two, 1, ((8, 1),), (0, 1))
+        refused = re.escape("source level 8 would make a report of over 2^3 rows")
+        with pytest.raises(PreconditionViolation, match=refused):
+            over.modulus
+        with pytest.raises(PreconditionViolation, match=refused):
+            verify_bijective_coarse_equivalence(over)
+
     def test_identity_modulus(self):
         t = Tower((), (2,))
         b = build_back_and_forth(t, t, 3)

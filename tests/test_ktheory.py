@@ -18,11 +18,9 @@ from roeclass import (
     alpha_iterate,
     bijectively_coarsely_equivalent,
     build_back_and_forth,
-    coarsely_equivalent,
     h_membership,
     k0_add,
     k0_equal,
-    k0_groups_abstractly_iso,
     k0_iso_exists,
     k0_neg,
     k0_positive,
@@ -31,7 +29,6 @@ from roeclass import (
     k0_unit,
     k0_zero,
     sn_divides,
-    sn_equal,
     supernatural_of_tower,
     transport_class,
     unit_divide,
@@ -472,24 +469,18 @@ class TestClassificationPredicates:
     def test_different_primes(self):
         assert not k0_iso_exists(Tower((), (2,)), Tower((), (3,)))
 
-    def test_abstract_iso_ignores_primes(self):
-        assert k0_groups_abstractly_iso(Tower((), (2,)), Tower((), (3,)))
-
     def test_finite_vs_infinite(self):
         assert not k0_iso_exists(Tower((6,), ()), Tower((), (2,)))
-        assert not k0_groups_abstractly_iso(Tower((6,), ()), Tower((), (2,)))
 
     def test_two_finite(self):
-        assert k0_groups_abstractly_iso(Tower((6,), ()), Tower((8,), ()))
         assert not k0_iso_exists(Tower((6,), ()), Tower((8,), ()))
         assert k0_iso_exists(Tower((6,), ()), Tower((2, 3), ()))
 
     @given(towers(), towers())
     def test_main_coherence(self, t1, t2):
         bce = bijectively_coarsely_equivalent(t1, t2)
-        assert k0_iso_exists(t1, t2) == bce == sn_equal(
-            supernatural_of_tower(t1), supernatural_of_tower(t2))
-        assert k0_groups_abstractly_iso(t1, t2) == coarsely_equivalent(t1, t2)
+        assert k0_iso_exists(t1, t2) == bce == (
+            supernatural_of_tower(t1) == supernatural_of_tower(t2))
 
 
 class TestTransport:

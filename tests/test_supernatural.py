@@ -22,9 +22,7 @@ from roeclass import (
     coarsely_equivalent,
     obstruction_witness,
     sn_divides,
-    sn_equal,
     supernatural_of_tower,
-    tower_order,
 )
 
 from conftest import Budget, ratios, towers
@@ -37,7 +35,7 @@ def exponent_oracle(t, p, depth=12):
     """
     vals = []
     for n in range(depth + 1):
-        k = tower_order(t, n)
+        k = t.order(n)
         v = 0
         while k % p == 0:
             k //= p
@@ -51,23 +49,23 @@ def exponent_oracle(t, p, depth=12):
 class TestTowerOrder:
     def test_powers_of_two(self):
         t = Tower((), (2,))
-        assert [tower_order(t, n) for n in range(4)] == [1, 2, 4, 8]
+        assert [t.order(n) for n in range(4)] == [1, 2, 4, 8]
 
     def test_empty_product(self):
-        assert tower_order(Tower((2, 3), (5,)), 0) == 1
-        assert tower_order(Tower((), ()), 0) == 1
+        assert Tower((2, 3), (5,)).order(0) == 1
+        assert Tower((), ()).order(0) == 1
 
     def test_prefix_then_tail(self):
-        assert tower_order(Tower((2, 3), (5,)), 4) == 150
+        assert Tower((2, 3), (5,)).order(4) == 150
 
     def test_finite_tower_saturates(self):
         t = Tower((6,), ())
-        assert tower_order(t, 1) == 6
-        assert tower_order(t, 5) == 6
+        assert t.order(1) == 6
+        assert t.order(5) == 6
 
     @given(towers(), st.integers(min_value=0, max_value=8))
     def test_monotone_and_divisible(self, t, n):
-        a, b = tower_order(t, n), tower_order(t, n + 1)
+        a, b = t.order(n), t.order(n + 1)
         assert b % a == 0
         assert b >= a
 
@@ -239,7 +237,7 @@ class TestSupernaturalOfTower:
     @given(towers(), st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]),
            st.integers(min_value=0, max_value=12))
     def test_exponent_dominates_every_order(self, t, p, n):
-        k = tower_order(t, n)
+        k = t.order(n)
         v = 0
         while k % p == 0:
             k //= p
@@ -250,7 +248,7 @@ class TestSupernaturalOfTower:
     @given(towers())
     def test_tail_permutation_invariant(self, t):
         rotated = Tower(t.prefix, t.tail[1:] + t.tail[:1])
-        assert sn_equal(supernatural_of_tower(t), supernatural_of_tower(rotated))
+        assert supernatural_of_tower(t) == supernatural_of_tower(rotated)
 
 
 class TestSnDivides:
@@ -274,28 +272,27 @@ class TestSnDivides:
 
 class TestSnEqual:
     def test_identical(self):
-        assert sn_equal(SupernaturalNumber({2: INFINITE}), SupernaturalNumber({2: INFINITE}))
+        assert SupernaturalNumber({2: INFINITE}) == SupernaturalNumber({2: INFINITE})
 
     def test_different_primes(self):
-        assert not sn_equal(SupernaturalNumber({2: INFINITE}), SupernaturalNumber({3: INFINITE}))
+        assert SupernaturalNumber({2: INFINITE}) != SupernaturalNumber({3: INFINITE})
 
     def test_default_disagreement(self):
         # all primes infinite on the left, only 2 infinite on the right
         left = SupernaturalNumber({}, INFINITE)
         right = SupernaturalNumber({2: INFINITE}, 0)
-        assert not sn_equal(left, right)
+        assert left != right
 
     def test_default_absorbs_explicit_entries(self):
-        assert sn_equal(SupernaturalNumber({}, INFINITE),
-                        SupernaturalNumber({2: INFINITE}, INFINITE))
+        assert SupernaturalNumber({}, INFINITE) == SupernaturalNumber({2: INFINITE}, INFINITE)
 
     @given(towers(), towers(), towers())
     def test_equivalence_relation(self, a, b, c):
         sa, sb, sc = map(supernatural_of_tower, (a, b, c))
-        assert sn_equal(sa, sa)
-        assert sn_equal(sa, sb) == sn_equal(sb, sa)
-        if sn_equal(sa, sb) and sn_equal(sb, sc):
-            assert sn_equal(sa, sc)
+        assert sa == sa
+        assert (sa == sb) == (sb == sa)
+        if sa == sb and sb == sc:
+            assert sa == sc
 
 
 class TestEquivalencePredicates:
