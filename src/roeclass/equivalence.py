@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
+from operator import floordiv
 
 from .errors import LIMIT_BITS, DepthExhausted, MalformedInput, NotEquivalent, PreconditionViolation
 from .supernatural import Tower, _checked_int, _clip, bijectively_coarsely_equivalent
@@ -123,23 +125,27 @@ def _measure_modulus(b: TowerBijection) -> tuple[int, ...]:
     if n_d >= 1 << LIMIT_BITS:
         raise PreconditionViolation(
             f"source level {_clip(n_d)} would make a report of over 2^{LIMIT_BITS} rows")
-    # a block's image lies in one aligned target block exactly when its least
-    # and greatest images do; each level merges runs of ratio(l-1) spans
-    los = his = b.mapping
-    out = []
-    walk = enumerate(b.target.levels())
-    s, k = next(walk)
-    for level in range(n_d + 1):
-        if level:
-            r = b.source.ratio(level - 1)
-            los = [min(los[i : i + r]) for i in range(0, len(los), r)]
-            his = [max(his[i : i + r]) for i in range(0, len(his), r)]
+    # reps[i] is y // k_s for every image y of source block i: a block's image
+    # lies in one target s-block exactly when its images agree there.  Each
+    # level compares the r blocks it merges, a C pass per slice, and divides
+    # by the next target ratio until they agree (y // k_s // c = y // k_(s+1))
+    reps = b.mapping
+    s = 0
+    out = [0]  # level-0 blocks are single points
+    for level in range(1, n_d + 1):
+        if len(reps) == 1:
+            break  # one block holds every image: a finite source past its prefix
+        r = b.source.ratio(level - 1)
+        head = reps[::r]
         # coarser source blocks contain finer ones, so the modulus never
-        # decreases; the last order, one block holding every image, fits
-        while any(lo // k != hi // k for lo, hi in zip(los, his)):
-            s, k = next(walk)
+        # decreases; at the target's last order every image divides to 0
+        while any(reps[j::r] != head for j in range(1, r)):
+            reps = list(map(floordiv, reps, repeat(b.target.ratio(s))))
+            head = reps[::r]
+            s += 1
+        reps = head
         out.append(s)
-    return tuple(out)
+    return tuple(out + [s] * (n_d + 1 - len(out)))
 
 
 def build_back_and_forth(t1: Tower, t2: Tower, depth: int) -> TowerBijection:

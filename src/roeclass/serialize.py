@@ -13,6 +13,8 @@ import re
 import sys
 from fractions import Fraction
 from functools import partial
+from itertools import islice
+from operator import eq
 
 from .blockspace import BlockSpace, FiniteMetricSpace
 from .equivalence import TowerBijection, VerificationReport
@@ -160,15 +162,23 @@ def bijection_from_obj(obj) -> TowerBijection:
     _expect(isinstance(obj["levels"], list), "levels must be a list")
     flat = obj["map"]
     _expect(isinstance(flat, list) and len(flat) % 2 == 0, "map must be a flat pair list")
-    assignments = {}
-    for i in range(0, len(flat), 2):
-        x = _parse_uint(flat[i], "source point")
-        y = _parse_uint(flat[i + 1], "image point")
-        _expect(x not in assignments, f"source point {x} assigned twice")
-        assignments[x] = y
-    _expect(set(assignments) == set(range(len(assignments))),
-            "map sources must cover 0..N-1 exactly")
-    mapping = tuple(assignments[x] for x in range(len(assignments)))
+    # screen the map as bce build writes it at C speed, sources "0".."N-1" in
+    # order and ASCII-digit images; walk any other list to name its first bad pair
+    images = flat[1::2]
+    sources = islice(flat, 0, None, 2)
+    if (set(map(type, images)) == {str} and "".join(images).isascii()
+            and all(map(str.isdigit, images)) and all(map(eq, sources, map(str, range(len(images)))))):
+        mapping = _convert(tuple, map(int, images), "image point")
+    else:
+        assignments = {}
+        for i in range(0, len(flat), 2):
+            x = _parse_uint(flat[i], "source point")
+            y = _parse_uint(flat[i + 1], "image point")
+            _expect(x not in assignments, f"source point {x} assigned twice")
+            assignments[x] = y
+        _expect(set(assignments) == set(range(len(assignments))),
+                "map sources must cover 0..N-1 exactly")
+        mapping = tuple(assignments[x] for x in range(len(assignments)))
     return TowerBijection(source, target, obj["depth"], obj["levels"], mapping)
 
 

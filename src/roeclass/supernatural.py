@@ -15,7 +15,7 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain, cycle
+from itertools import accumulate, chain, compress, cycle
 from math import gcd, inf, isqrt, prod
 from operator import mul
 
@@ -27,7 +27,18 @@ INFINITE = inf
 # Trial division runs over the primes below _SMALL; a number below _SMALL**2
 # with no such factor is prime.
 _SMALL = 1000
-_SMALL_PRIMES = tuple(n for n in range(2, _SMALL) if all(n % q for q in range(2, isqrt(n) + 1)))
+
+
+def _sieve(n: int) -> tuple[int, ...]:
+    """The primes below n, by a sieve of Eratosthenes over a bytearray."""
+    is_prime = bytearray([0, 0]) + bytearray([1]) * (n - 2)
+    for p in range(2, isqrt(n - 1) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = bytes(len(range(p * p, n, p)))
+    return tuple(compress(range(n), is_prime))
+
+
+_SMALL_PRIMES = _sieve(_SMALL)
 _SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
 # Miller-Rabin with the first 13 prime bases (2..41) is exact below this
 # bound, its least strong pseudoprime (Sorenson & Webster, Math. Comp. 2017).

@@ -150,9 +150,36 @@ def map_objs(draw):
         images = draw(st.lists(st.integers(0, cod - 1), min_size=dom, max_size=dom))
     else:
         images = [x % cod for x in range(dom)]
+    flat = [str(v) for x, y in enumerate(images) for v in (x, y)]
+    # a third are not as bce build writes them, so that the pair walk reads them
+    edit = draw(st.sampled_from([None] * 14 + list(FLAT_EDITS)))
+    if edit:
+        _edit_flat(flat, edit, 2 * draw(st.integers(0, dom - 1)))
     return {"source": tower_obj(*src), "target": tower_obj(*tgt),
-            "depth": depth, "levels": levels,
-            "map": [str(v) for x, y in enumerate(images) for v in (x, y)]}
+            "depth": depth, "levels": levels, "map": flat}
+
+
+# edits of a canonical flat list: two leave it valid, the rest malformed
+FLAT_EDITS = ("leading zeros", "out of order", "non-ASCII digit", "duplicate source",
+              "bare int", "odd length", "image over the digit limit")
+
+
+def _edit_flat(flat, edit, i):
+    """Apply one of FLAT_EDITS to flat at the pair whose source is flat[i]."""
+    if edit == "leading zeros":
+        flat[i] = "00" + flat[i]
+    elif edit == "out of order":
+        flat[:2], flat[i : i + 2] = flat[i : i + 2], flat[:2]
+    elif edit == "non-ASCII digit":
+        flat[i + 1] = NON_ASCII_DIGITS[i // 2 % len(NON_ASCII_DIGITS)]
+    elif edit == "duplicate source":
+        flat[i] = "1" if i == 0 else "0"
+    elif edit == "bare int":
+        flat[i] = i // 2
+    elif edit == "odd length":
+        del flat[i]
+    else:
+        flat[i + 1] = "1" * 4301
 
 
 level_args = st.integers(-3, 8)

@@ -2,6 +2,7 @@
 
 import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -24,7 +25,14 @@ from roeclass import (
     transport_class,
     verify_bijective_coarse_equivalence,
 )
-from roeclass.serialize import bijection_to_obj, canonical_json
+from roeclass.errors import LIMIT_BITS
+from roeclass.serialize import (
+    bijection_from_obj,
+    bijection_to_obj,
+    canonical_json,
+    load_json,
+    report_to_obj,
+)
 
 from conftest import Budget, towers
 
@@ -77,6 +85,29 @@ def brute_modulus(b):
             while len({y // tgt.order(need) for y in images}) > 1:
                 need += 1
         out.append(need)
+    return tuple(out)
+
+
+def measure_modulus_reference(b):
+    """Oracle: _measure_modulus as it was before it compared per-block
+    quotients: least and greatest image per span, one Python step per span
+    and per span test, every level walked."""
+    n_d = b.final_levels[0]
+    if n_d >= 1 << LIMIT_BITS:
+        raise PreconditionViolation(
+            f"source level {n_d} would make a report of over 2^{LIMIT_BITS} rows")
+    los = his = b.mapping
+    out = []
+    walk = enumerate(b.target.levels())
+    s, k = next(walk)
+    for level in range(n_d + 1):
+        if level:
+            r = b.source.ratio(level - 1)
+            los = [min(los[i : i + r]) for i in range(0, len(los), r)]
+            his = [max(his[i : i + r]) for i in range(0, len(his), r)]
+        while any(lo // k != hi // k for lo, hi in zip(los, his)):
+            s, k = next(walk)
+        out.append(s)
     return tuple(out)
 
 
@@ -148,6 +179,30 @@ def deep_inclusions(draw):
     dom = source.order(ns[-1])
     assume(dom <= target.order(ms[-1]) and ms[-1] > target.saturation_level(dom))
     return TowerBijection(source, target, depth, tuple(zip(ns, ms)), tuple(range(dom)))
+
+
+@st.composite
+def modulus_maps(draw):
+    """Candidate witnesses for the modulus oracle: finite sources whose last
+    level lies past their prefix, so that ratios reach 1; finite and infinite
+    targets with levels past saturation; inclusions, shifted inclusions whose
+    images straddle target blocks, and arbitrary maps with repeated images."""
+    source = draw(towers(max_prefix=3, max_tail=2, max_ratio=4))
+    target = draw(towers(max_prefix=3, max_tail=2, max_ratio=4))
+    depth = draw(st.integers(min_value=0, max_value=3))
+    top = 6 if source.tail else 40
+    ns = sorted(draw(st.sets(st.integers(1, top), min_size=depth, max_size=depth)))
+    ms = sorted(draw(st.sets(st.integers(1, 30), min_size=depth, max_size=depth)))
+    n_d, m_d = (ns[-1], ms[-1]) if depth else (0, 0)
+    dom, cod = source.order(n_d), min(target.order(m_d), 4096)
+    assume(dom <= 512)
+    kind = draw(st.sampled_from(["inclusion", "shifted", "repeats"]))
+    if kind == "repeats" or dom > cod:
+        images = draw(st.lists(st.integers(0, cod - 1), min_size=dom, max_size=dom))
+    else:
+        shift = draw(st.integers(0, cod - dom)) if kind == "shifted" else 0
+        images = range(shift, shift + dom)
+    return TowerBijection(source, target, depth, tuple(zip(ns, ms)), tuple(images))
 
 
 class TestInterleave:
@@ -248,6 +303,34 @@ class TestVerify:
             over.modulus
         with pytest.raises(PreconditionViolation, match=refused):
             verify_bijective_coarse_equivalence(over)
+
+    @settings(max_examples=300, deadline=None)
+    @given(modulus_maps())
+    def test_modulus_and_report_match_reference(self, b):
+        with mock.patch.object(equivalence, "_measure_modulus", measure_modulus_reference):
+            old = TowerBijection(b.source, b.target, b.depth, b.levels, b.mapping)
+            want = report_to_obj(verify_bijective_coarse_equivalence(old))
+        assert b.modulus == old.modulus
+        assert report_to_obj(verify_bijective_coarse_equivalence(b)) == want
+
+    def test_finite_source_fills_levels_past_its_prefix(self):
+        # 2^20 - 1 levels over a two-point map: every level past the prefix
+        # repeats the last entry, so the measure does not walk them
+        two = Tower((2,), ())
+        b = TowerBijection(two, two, 1, (((1 << LIMIT_BITS) - 1, 1),), (1, 0))
+        budget = Budget(1.0)
+        assert b.modulus == (0,) + (1,) * ((1 << LIMIT_BITS) - 1)
+        budget.check()
+
+    def test_depth_ten_map_reads_and_verifies_at_c_speed(self):
+        # 524,288 points: one interpreted step per point in the parse or the
+        # measure takes longer than the budget
+        b = build_back_and_forth(Tower((), (2,)), Tower((), (4,)), 10)
+        text = canonical_json(bijection_to_obj(b))
+        budget = Budget(1.2)
+        report = verify_bijective_coarse_equivalence(bijection_from_obj(load_json(text)))
+        budget.check()
+        assert report.passed and len(report.levels) == 20
 
     def test_identity_modulus(self):
         t = Tower((), (2,))

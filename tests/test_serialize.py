@@ -3,18 +3,21 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from roeclass import (
     BlockSpace,
     K0Class,
     MalformedInput,
+    RoeclassError,
     SupernaturalNumber,
     Tower,
+    TowerBijection,
     build_back_and_forth,
     supernatural_of_tower,
 )
+from roeclass import serialize
 from roeclass.serialize import (
     bijection_from_obj,
     bijection_to_obj,
@@ -154,7 +157,86 @@ class TestK0:
                          "prefix": [True], "period": [1]})
 
 
+def bijection_from_obj_reference(obj):
+    """Oracle: bijection_from_obj as it was before the canonical-map screen,
+    one walk over the pairs that names the first bad one."""
+    obj = serialize._as_object(obj, "bijection", {"source", "target", "depth", "levels", "map"})
+    source = tower_from_obj(obj["source"])
+    target = tower_from_obj(obj["target"])
+    serialize._expect(isinstance(obj["levels"], list), "levels must be a list")
+    flat = obj["map"]
+    serialize._expect(isinstance(flat, list) and len(flat) % 2 == 0,
+                      "map must be a flat pair list")
+    assignments = {}
+    for i in range(0, len(flat), 2):
+        x = serialize._parse_uint(flat[i], "source point")
+        y = serialize._parse_uint(flat[i + 1], "image point")
+        serialize._expect(x not in assignments, f"source point {x} assigned twice")
+        assignments[x] = y
+    serialize._expect(set(assignments) == set(range(len(assignments))),
+                      "map sources must cover 0..N-1 exactly")
+    mapping = tuple(assignments[x] for x in range(len(assignments)))
+    return TowerBijection(source, target, obj["depth"], obj["levels"], mapping)
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except RoeclassError as e:
+        return type(e), str(e)
+
+
+class Digits(str):
+    """A str subclass, which the canonical screen leaves to the pair walk."""
+
+
+# entries that spoil a flat list, each malformed or merely non-canonical
+FLAT_SPOILERS = ["9", "007", "00", "", "-1", " 1", "+1", "1_0", "²", "٣", "３", "1" * 4301,
+                 "0" * 4300 + "1", 7, True, None, 1.5, [], Digits("1")]
+
+
+@st.composite
+def flat_maps(draw):
+    """Bijection files over two (2,)-towers at depth 2: a canonical flat list
+    with random images (repeats and straddles among them), spoiled by up to
+    three edits: an entry replaced, two pairs swapped, a pair repeated, an
+    entry dropped or the list emptied."""
+    t = Tower((), (2,))
+    obj = bijection_to_obj(build_back_and_forth(t, t, 2))
+    flat = obj["map"]
+    for x in range(len(flat) // 2):  # images anywhere in the target, repeats too
+        flat[2 * x + 1] = str(draw(st.integers(0, 3)))
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["replace"] * 4 + ["swap"] * 2 + ["repeat", "drop", "empty"]))
+        i = draw(st.integers(0, max(len(flat) - 1, 0)))
+        if edit == "replace" and flat:
+            flat[i] = draw(st.sampled_from(FLAT_SPOILERS))
+        elif edit == "swap" and len(flat) >= 4:
+            j = draw(st.integers(0, len(flat) // 2 - 1))
+            p = i // 2
+            flat[2 * p : 2 * p + 2], flat[2 * j : 2 * j + 2] = (
+                flat[2 * j : 2 * j + 2], flat[2 * p : 2 * p + 2])
+        elif edit == "repeat":
+            k = i - i % 2
+            flat[k:k] = flat[k : k + 2]
+        elif edit == "drop" and flat:
+            del flat[i]
+        elif edit == "empty":
+            flat.clear()
+    return obj
+
+
 class TestBijection:
+    @settings(max_examples=400)
+    @given(flat_maps())
+    @example({**bijection_to_obj(build_back_and_forth(Tower((), (2,)), Tower((), (4,)), 1)),
+              "map": ["0", "0", "1", "1" * 4301]})  # over the limit, canonical sources
+    @example({**bijection_to_obj(build_back_and_forth(Tower((), (2,)), Tower((), (4,)), 1)),
+              "map": ["0", "1" * 4301, "01", "1"]})
+    def test_agrees_with_pair_walk(self, obj):
+        assert outcome(bijection_from_obj, obj) == outcome(bijection_from_obj_reference, obj)
+
     def test_flat_pair_format(self):
         b = build_back_and_forth(Tower((), (2,)), Tower((), (4,)), 1)
         obj = bijection_to_obj(b)

@@ -396,6 +396,10 @@ PRIME_SQUARES = [4, 961, 997**2, 1009**2, 1000003**2, 1000000000039**2, 99999999
 class TestPrimalityAndFactoring:
     """The in-repo isprime and factorint against sympy as the oracle."""
 
+    def test_small_prime_table_is_sieved_exactly(self):
+        assert supernatural._SMALL_PRIMES == tuple(sympy.primerange(2, 1000))
+        assert supernatural._sieve(3) == (2,) and supernatural._sieve(2) == ()
+
     @settings(max_examples=1000, derandomize=True)
     @given(st.integers(min_value=-10, max_value=10**30))
     def test_isprime_matches_sympy(self, n):
