@@ -16,18 +16,12 @@ import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+# the actions read layer functions off the lazy package root when they run,
+# so a command imports only the layers it calls
+import roeclass as rc
+
 from . import serialize as ser
-from .blockspace import embed_into_nonneg_integers
-from .equivalence import build_back_and_forth, verify_bijective_coarse_equivalence
 from .errors import MalformedInput, RoeclassError
-from .ktheory import _positive_level, k0_equal, k0_iso_exists, k0_positive, unit_divide
-from .roeops import block_decompose, conjugate_by_bijection, trace_vector
-from .supernatural import (
-    bijectively_coarsely_equivalent,
-    coarsely_equivalent,
-    obstruction_witness,
-    supernatural_of_tower,
-)
 
 
 def _read_source(path: str, stdin_used: list) -> str:
@@ -80,54 +74,56 @@ def _k0_pos(args, a):
     # first, so a failed write leaves stdout empty.  Without --output the
     # witness, which can be huge, is never built.
     if not args.witness:
-        return _positive_level(a) is not None
-    positive, witness = k0_positive(a)
+        return rc.ktheory._positive_level(a) is not None
+    positive, witness = rc.k0_positive(a)
     if positive:
         _emit(ser.k0_to_obj(witness), args.witness)
     return positive
 
 
+def _classify(args, t1, t2):
+    bce = rc.bijectively_coarsely_equivalent(t1, t2)
+    # k0_iso_exists is this same verdict: asking ktheory would load it for nothing
+    return {"bce": bce, "ce": rc.coarsely_equivalent(t1, t2), "k0_iso": bce,
+            "obstruction": rc.obstruction_witness(t1, t2)}  # a pair or None
+
+
 # "group name" keys are the subcommands of GROUPS
 COMMANDS = {
     "sn": Command("supernatural number of a tower", (), (("tower", "tower"),),
-                  lambda args, t: ser.sn_to_obj(supernatural_of_tower(t))),
-    "classify": Command("compare two towers", (), TOWERS, lambda args, t1, t2: {
-        "bce": bijectively_coarsely_equivalent(t1, t2),
-        "ce": coarsely_equivalent(t1, t2),
-        "k0_iso": k0_iso_exists(t1, t2),
-        "obstruction": obstruction_witness(t1, t2),  # a pair or None
-    }),
+                  lambda args, t: ser.sn_to_obj(rc.supernatural_of_tower(t))),
+    "classify": Command("compare two towers", (), TOWERS, _classify),
     "bce build": Command(
         "build a back-and-forth bijection", (_opt("--depth", type=int, required=True), OUTPUT),
-        TOWERS, lambda args, *ts: ser.bijection_to_obj(build_back_and_forth(*ts, args.depth))),
+        TOWERS, lambda args, *ts: ser.bijection_to_obj(rc.build_back_and_forth(*ts, args.depth))),
     "bce verify": Command(
         "check a bijection file", (), (("mapfile", "bijection"),),
-        lambda args, b: ser.report_to_obj(verify_bijective_coarse_equivalence(b)),
+        lambda args, b: ser.report_to_obj(rc.verify_bijective_coarse_equivalence(b)),
         lambda out: 0 if out["passed"] else 1),
     "k0 eq": Command("decide equality of two classes", (), (("class1", "k0"), ("class2", "k0")),
-                     lambda args, a, b: k0_equal(a, b)),
+                     lambda args, a, b: rc.k0_equal(a, b)),
     "k0 pos": Command("decide positivity of a class", (WITNESS,), (("class", "k0"),), _k0_pos),
     "k0 divide-unit": Command(
         "divide the unit class by a prime power",
         (_opt("--prime", type=int, required=True), _opt("--exp", type=int, required=True)),
         (("tower", "tower"),),
-        lambda args, t: None if (w := unit_divide(t, args.prime, args.exp)) is None
+        lambda args, t: None if (w := rc.unit_divide(t, args.prime, args.exp)) is None
         else ser.k0_to_obj(w)),
     "embed": Command(
         "embed a finite metric space into the integers", (OUTPUT,), (("space", "metric_space"),),
-        lambda args, m: [ser.scalar_to_str(v) for v in embed_into_nonneg_integers(m)]),
+        lambda args, m: [ser.scalar_to_str(v) for v in rc.embed_into_nonneg_integers(m)]),
     "roe decompose": Command(
         "split an operator into blocks", (LEVEL, OUTPUT), OPERATOR,
-        lambda args, op: ser.blocktuple_to_obj(block_decompose(op, args.level))),
+        lambda args, op: ser.blocktuple_to_obj(rc.block_decompose(op, args.level))),
     "roe trace": Command(
         "blockwise trace vector",
         (LEVEL, _opt("--projection", action="store_true",
                      help="insist every block is a projection")),
-        OPERATOR, lambda args, op: [ser.scalar_to_str(v) for v in trace_vector(
-            block_decompose(op, args.level), require_projection=args.projection)]),
+        OPERATOR, lambda args, op: [ser.scalar_to_str(v) for v in rc.trace_vector(
+            rc.block_decompose(op, args.level), require_projection=args.projection)]),
     "roe conjugate": Command(
         "conjugate an operator by a bijection", (OUTPUT,), (("mapfile", "bijection"), *OPERATOR),
-        lambda args, b, op: ser.operator_to_obj(conjugate_by_bijection(b, op))),
+        lambda args, b, op: ser.operator_to_obj(rc.conjugate_by_bijection(b, op))),
 }
 
 

@@ -22,15 +22,14 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from math import gcd, lcm, prod
 
-from .equivalence import TowerBijection
 from .errors import LIMIT_BITS, DepthExhausted, MalformedInput, PreconditionViolation
 from .supernatural import (
     Tower,
     _checked_int,
+    _checked_prime,
     _clip,
     _normal_form,
     bijectively_coarsely_equivalent,
-    isprime,
 )
 
 
@@ -242,8 +241,7 @@ def unit_divide(t: Tower, p: int, r: int) -> K0Class | None:
         raise PreconditionViolation("exponent must be an integer >= 0")
     if r == 0:
         return K0Class(t, (), (1,))
-    if not (isinstance(p, int) and isprime(p)):
-        raise PreconditionViolation(f"{_clip(p)} is not prime")
+    _checked_prime(p, PreconditionViolation)
     # v_p(sup k_n) is infinite when p divides the tail product, else it is
     # v_p of the prefix product; p^r >= 2^(r * (bitlen(p) - 1)), so p^r is
     # not formed once that bound passes the product: nothing is factored

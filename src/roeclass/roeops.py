@@ -15,7 +15,6 @@ from itertools import chain
 from math import gcd, lcm
 
 from .blockspace import BlockSpace
-from .equivalence import TowerBijection
 from .errors import (
     DepthExhausted,
     MalformedInput,
@@ -24,7 +23,6 @@ from .errors import (
     PreconditionViolation,
     UnsupportedEntries,
 )
-from .ktheory import K0Class, _spread
 from .supernatural import _checked_int, _clip
 
 Entries = dict[tuple[int, int], Fraction]
@@ -287,5 +285,7 @@ def conjugate_by_bijection(b: TowerBijection, t: PropagationOperator) -> Propaga
 def k0_class_of_projection(bt: BlockTuple) -> K0Class:
     """Finitely supported K0 class of a level-n projection: each block
     contributes (rank, 0, ..., 0)."""
+    from .ktheory import K0Class, _spread  # here only, so no roe command loads ktheory
+
     ranks = trace_vector(bt, require_projection=True)
     return K0Class(bt.space.tower, _spread(ranks, bt.block_size), (0,))

@@ -4,6 +4,10 @@ All orders and points are decimal strings so arbitrarily large integers
 survive the trip; small structural integers (depths, levels, matrix indices,
 sequence entries) stay bare.  Output is deterministic: sorted keys, compact
 separators, no floats anywhere.
+
+Every command reads a tower, so ``supernatural`` is imported at the top; a
+parser that builds a class of another layer imports that layer itself, so a
+command loads only the layers its inputs and its action need.
 """
 
 from __future__ import annotations
@@ -11,16 +15,11 @@ from __future__ import annotations
 import json
 import re
 import sys
-from fractions import Fraction
 from functools import partial
 from itertools import islice
 from operator import eq
 
-from .blockspace import BlockSpace, FiniteMetricSpace
-from .equivalence import TowerBijection, VerificationReport
 from .errors import MalformedInput, PreconditionViolation
-from .ktheory import K0Class
-from .roeops import BlockTuple, PropagationOperator
 from .supernatural import INFINITE, SupernaturalNumber, Tower, _checked_int
 
 
@@ -115,6 +114,8 @@ def metric_space_to_obj(m: FiniteMetricSpace) -> dict:
 
 
 def metric_space_from_obj(obj) -> FiniteMetricSpace:
+    from .blockspace import FiniteMetricSpace
+
     obj = _as_object(obj, "metric space", {"size", "distances"})
     rows = obj["distances"]
     _expect(isinstance(rows, list) and all(isinstance(row, list) for row in rows),
@@ -133,6 +134,8 @@ def k0_to_obj(a: K0Class) -> dict:
 
 
 def k0_from_obj(obj) -> K0Class:
+    from .ktheory import K0Class
+
     obj = _as_object(obj, "K0 class", {"context", "prefix", "period"})
     context = tower_from_obj(obj["context"])
     _expect(isinstance(obj["prefix"], list) and isinstance(obj["period"], list),
@@ -156,6 +159,8 @@ def bijection_to_obj(b: TowerBijection) -> dict:
 
 
 def bijection_from_obj(obj) -> TowerBijection:
+    from .equivalence import TowerBijection
+
     obj = _as_object(obj, "bijection", {"source", "target", "depth", "levels", "map"})
     source = tower_from_obj(obj["source"])
     target = tower_from_obj(obj["target"])
@@ -206,13 +211,20 @@ def scalar_to_str(v: Fraction | int) -> str:
     return _convert(str, v, "output number", PreconditionViolation)
 
 
-_SCALAR_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
+_SCALAR_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
 
 
-def _scalar_from_str(s, what: str) -> Fraction:
-    _expect(isinstance(s, str) and _SCALAR_RE.fullmatch(s) is not None,
-            f"{what} must be a string like '-3' or '3/4'")
-    return _convert(Fraction, s, what)
+def _int_groups(match: re.Match) -> tuple[int, ...]:
+    num, den = match.groups()
+    return (int(num),) if den is None else (int(num), int(den))
+
+
+def _scalar_from_str(s, what: str) -> tuple[int, ...]:
+    """The numerator of s, a string like '-3' or '3/4', and its denominator
+    if it has one, each parsed once: ``Fraction(*result)`` is ``Fraction(s)``."""
+    match = isinstance(s, str) and _SCALAR_RE.fullmatch(s)
+    _expect(match, f"{what} must be a string like '-3' or '3/4'")
+    return _convert(_int_groups, match, what)
 
 
 def space_to_obj(s: BlockSpace) -> dict:
@@ -220,6 +232,8 @@ def space_to_obj(s: BlockSpace) -> dict:
 
 
 def space_from_obj(obj) -> BlockSpace:
+    from .blockspace import BlockSpace
+
     obj = _as_object(obj, "space", {"tower", "depth"})
     return BlockSpace(tower_from_obj(obj["tower"]), obj["depth"])
 
@@ -230,6 +244,10 @@ def operator_to_obj(t: PropagationOperator) -> dict:
 
 
 def operator_from_obj(obj) -> PropagationOperator:
+    from fractions import Fraction  # only operators hold scalars
+
+    from .roeops import PropagationOperator
+
     obj = _as_object(obj, "operator", {"space", "entries"})
     space = space_from_obj(obj["space"])
     _expect(isinstance(obj["entries"], list), "entries must be a list")
@@ -239,7 +257,7 @@ def operator_from_obj(obj) -> PropagationOperator:
         r = _checked_int(item[0], "row")
         c = _checked_int(item[1], "col")
         _expect((r, c) not in entries, f"entry ({r}, {c}) given twice")
-        entries[(r, c)] = _scalar_from_str(item[2], f"entry ({r}, {c})")
+        entries[(r, c)] = Fraction(*_scalar_from_str(item[2], f"entry ({r}, {c})"))
     return PropagationOperator(space, entries)
 
 

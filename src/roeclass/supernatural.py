@@ -110,6 +110,24 @@ def isprime(n: int) -> bool:
     return n < _SMALL**2 or _residue_is_prime(n)
 
 
+# A prime argument or exponent key has at most PRIME_BITS bits.  sympy's test
+# of a prime grows with the cube of its bits (on a 2-CPU box 0.1 s at 2048
+# bits, 0.8 s at 4096), so a cold command that tests one stays near 1 s with
+# sympy's import.
+PRIME_BITS = 2048
+
+
+def _checked_prime(p, error: type, what: str = "") -> int:
+    """p, when it is a prime; otherwise ``error``.  A p with a factor below
+    _SMALL is not prime at any size; any other p over PRIME_BITS bits is
+    refused before its primality test."""
+    if isinstance(p, int) and p.bit_length() > PRIME_BITS and all(p % q for q in _SMALL_PRIMES):
+        raise error(f"{what}{_clip(p)} is over the {PRIME_BITS}-bit limit for a prime")
+    if not (isinstance(p, int) and isprime(p)):
+        raise error(f"{what}{_clip(p)} is not prime")
+    return p
+
+
 def factorint(n: int) -> dict[int, int]:
     """Prime factorization {p: e} of n >= 1, by trial division below _SMALL.
 
@@ -241,7 +259,7 @@ class SupernaturalNumber:
 
     ``exponents`` stores only primes whose exponent differs from
     ``default_exponent`` (which is 0 or INFINITE), so equal values compare
-    equal structurally.
+    equal structurally.  A key over PRIME_BITS bits is refused.
     """
 
     exponents: dict[int, int | float]
@@ -252,8 +270,7 @@ class SupernaturalNumber:
             raise MalformedInput("default exponent must be 0 or INFINITE")
         normalized = {}
         for p, e in sorted(self.exponents.items()):
-            if not (isinstance(p, int) and isprime(p)):
-                raise MalformedInput(f"exponent key {_clip(p)} is not prime")
+            _checked_prime(p, MalformedInput, "exponent key ")
             if e != INFINITE:
                 _checked_int(e, f"exponent of {_clip(p)}")
             if e == self.default_exponent:
@@ -286,9 +303,9 @@ def supernatural_of_tower(t: Tower) -> SupernaturalNumber:
 
 
 def sn_divides(p: int, m: int, s: SupernaturalNumber) -> bool:
-    """Whether p^m divides s.  Requires p prime and m >= 1."""
-    if not (isinstance(p, int) and isprime(p)):
-        raise PreconditionViolation(f"{_clip(p)} is not prime")
+    """Whether p^m divides s.  Requires p prime (of at most PRIME_BITS bits)
+    and m >= 1."""
+    _checked_prime(p, PreconditionViolation)
     if _checked_int(m, "exponent m") < 1:
         raise PreconditionViolation("exponent m must be an integer >= 1")
     return m <= s.exponent_of(p)

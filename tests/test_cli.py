@@ -13,7 +13,7 @@ from types import ModuleType
 import pytest
 
 import roeclass
-from roeclass.cli import COMMANDS, main
+from roeclass.cli import COMMANDS, GROUPS, main
 
 from conftest import Budget, run_limited
 
@@ -374,6 +374,16 @@ class TestK0:
                            "--exp", "30", files("t.json", TOWER2))
         assert (code, out) == (0, "null\n")
 
+    def test_divide_unit_prime_over_bit_cap_exit_4(self, files, capsys):
+        # a 4300-digit odd number with no factor below 1000, which
+        # sympy.isprime would test for seconds: the cap refuses it untested
+        budget = Budget(0.5)
+        code, out, err = run(capsys, "k0", "divide-unit", "--prime", str(10**4299 + 9),
+                             "--exp", "1", files("t.json", TOWER2))
+        budget.check()
+        assert (code, out) == (4, "")
+        assert err == "error: <int of 14281 bits> is over the 2048-bit limit for a prime\n"
+
     def test_divide_unit_finite_exit_4(self, files, capsys):
         code, _, _ = run(capsys, "k0", "divide-unit", "--prime", "2",
                          "--exp", "1", files("t.json", FINITE6))
@@ -563,9 +573,20 @@ class TestDocs:
             exec(compile(block, "README.md", "exec"), {})
 
     def test_package_exports_every_public_name(self):
+        # the root resolves a name on first use, so resolve them all first
+        for name in roeclass.__all__:
+            getattr(roeclass, name)
         public = [name for name, value in vars(roeclass).items()
                   if not name.startswith("_") and not isinstance(value, ModuleType)]
         assert sorted(roeclass.__all__) == sorted(public)
+        assert set(roeclass.__all__) <= set(dir(roeclass))
+
+    def test_package_import_loads_no_layer(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, roeclass; "
+             "print(sorted(m for m in sys.modules if m.startswith('roeclass.')))"],
+            env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=60)
+        assert proc.stdout == "[]\n", proc.stderr
 
 
 # Runs main() on each argv in a fresh interpreter and reports the exit codes,
@@ -579,14 +600,18 @@ for argv in json.loads(sys.argv[1]):
         report["codes"].append(main(argv))
     report["outs"].append(out.getvalue())
 report["loaded"] = sorted(m for m in ("sympy", "numpy") if m in sys.modules)
+report["modules"] = sorted(m for m in sys.modules
+                           if m.startswith("roeclass.") or m in ("sympy", "numpy", "fractions"))
 print(json.dumps(report))
 """
 
 
+SRC = os.pathsep.join(filter(None, [str(Path(__file__).resolve().parent.parent / "src"),
+                                    os.environ.get("PYTHONPATH")]))
+
+
 def fresh_main(tmp_path, *argvs):
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-c", FRESH_MAIN, json.dumps(argvs)],
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -595,7 +620,8 @@ def fresh_main(tmp_path, *argvs):
 
 class TestImportGate:
     """Light commands import neither sympy nor numpy; only a metric space
-    (``embed``) imports numpy."""
+    (``embed``) imports numpy, and only an operator (``roe``) fractions.
+    Each command loads only the roeclass layers it runs."""
 
     def test_light_commands_load_neither(self, files, tmp_path):
         t2, t4 = files("t2.json", TOWER2), files("t4.json", TOWER4)
@@ -638,6 +664,44 @@ class TestImportGate:
             "bce": True, "ce": True, "k0_iso": True, "obstruction": None}
         assert report["loaded"] == []
 
+    # every command loads these; sn and classify load nothing more
+    BASE = ["roeclass.cli", "roeclass.errors", "roeclass.serialize", "roeclass.supernatural"]
+    # one argv per command (file names stand for the inputs made below), and
+    # the modules it loads beyond BASE
+    LOADS = [
+        (["sn", "t2"], []),
+        (["classify", "t2", "t4"], []),
+        (["bce", "build", "--depth", "2", "t2", "t4"], ["roeclass.equivalence"]),
+        (["bce", "verify", "map"], ["roeclass.equivalence"]),
+        (["k0", "eq", "c", "c"], ["roeclass.ktheory"]),
+        (["k0", "pos", "--output", "w.json", "c"], ["roeclass.ktheory"]),
+        (["k0", "divide-unit", "--prime", "2", "--exp", "2", "t2"], ["roeclass.ktheory"]),
+        (["embed", "m"], ["numpy", "roeclass.blockspace"]),
+        (["roe", "decompose", "--level", "1", "op"],
+         ["fractions", "roeclass.blockspace", "roeclass.roeops"]),
+        (["roe", "trace", "--level", "1", "op"],
+         ["fractions", "roeclass.blockspace", "roeclass.roeops"]),
+        (["roe", "conjugate", "map", "op"],
+         ["fractions", "roeclass.blockspace", "roeclass.equivalence", "roeclass.roeops"]),
+    ]
+
+    @pytest.mark.parametrize("argv, extra", LOADS, ids=[
+        " ".join(argv[:2] if argv[0] in GROUPS else argv[:1]) for argv, _ in LOADS])
+    def test_each_command_loads_only_its_layers(self, files, tmp_path, argv, extra):
+        inputs = {
+            "t2": files("t2.json", TOWER2), "t4": files("t4.json", TOWER4),
+            "c": files("c.json", json.dumps(
+                {"context": json.loads(TOWER2), "prefix": [], "period": [2, 0]})),
+            "m": files("m.json", '{"size": 2, "distances": [[0, 3], [3, 0]]}'),
+            "op": files("op.json", json.dumps({"space": {"tower": json.loads(TOWER2), "depth": 2},
+                                               "entries": [[0, 0, "1"], [2, 3, "1/2"]]})),
+            "map": str(tmp_path / "map.json"),
+        }
+        assert main(["bce", "build", "--depth", "2", "--output", inputs["map"],
+                     inputs["t2"], inputs["t4"]]) == 0
+        report = fresh_main(tmp_path, [inputs.get(a, a) for a in argv])
+        assert report["codes"] == [0]
+        assert report["modules"] == sorted(self.BASE + extra)
 
     def test_divide_unit_factors_nothing(self, files, tmp_path):
         # tail (2, p*q) with p, q primes near 2^49 and 2^50: whether 2^3

@@ -182,6 +182,12 @@ def _edit_flat(flat, edit, i):
         flat[i + 1] = "1" * 4301
 
 
+# --prime values at the 2048-bit cap of a prime and over it, up to the
+# 4300-digit limit.  Past the cap, the Fermat number 2^2048 + 1, the
+# Mersenne prime 2^3217 - 1 and the 4300-digit 10^4299 + 9, none with a
+# factor below 1000, are refused before any primality test
+big_primes = st.sampled_from([10**4299 + 9, 2**2048 + 1, 2**3217 - 1,
+                              2**2048 - 1, 10**4299, -(2**5000 + 1)])
 level_args = st.integers(-3, 8)
 # a file in the run's directory, or one under a directory that does not exist
 OUTPUTS = ("out.json", "missing/out.json")
@@ -212,13 +218,15 @@ def invocations(draw):
         argv = ["k0", "pos", "a.json"]
     elif kind == "divide-unit":
         # half over any tower; half over an infinite tail with exponents that
-        # give a short witness or reach the 2^20 cap, which refuses at once
+        # give a short witness or reach the 2^20 cap, which refuses at once,
+        # and primes that are small or reach the 2048-bit cap
         if draw(st.booleans()):
             tower, prime, exp = draw(tower_objs), st.integers(-1, 7), st.integers(-1, 64)
         else:
             tail = draw(st.lists(st.integers(2, 4), min_size=1, max_size=2))
             tower = tower_obj(draw(small_ratios), tail)
-            prime, exp = st.sampled_from([2, 3]), st.integers(0, 4) | st.integers(21, 64)
+            prime = big_primes if draw(st.integers(0, 3)) == 0 else st.sampled_from([2, 3])
+            exp = st.integers(0, 4) | st.integers(21, 64)
         files = {"t.json": tower}
         argv = ["k0", "divide-unit", "--prime", str(draw(prime)),
                 "--exp", str(draw(exp)), "t.json"]

@@ -4,7 +4,7 @@ import re
 from math import gcd, lcm
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy import factorint
 
@@ -416,12 +416,15 @@ class TestUnitDivide:
     @settings(deadline=None)
     @given(towers(allow_finite=False, max_ratio=6), st.sampled_from([2, 3, 5, 7]),
            st.integers(min_value=1, max_value=3))
+    @example(Tower((2, 2, 6, 6), (2, 6, 5)), 5, 3)
     def test_witness_or_absence(self, t, p, r):
         divides = sn_divides(p, r, supernatural_of_tower(t))
         w = unit_divide(t, p, r)
         assert (w is not None) == divides
         if w is not None:
-            assert k0_positive(w)[0]
+            # the verdict of k0_positive, without the witness it would lay
+            # out: that can pass the 2^20 layout cap (5^3 | tail (2, 6, 5))
+            assert _positive_level(w) is not None
             assert k0_equal(k0_scale(p**r, w), k0_unit(t))
 
     @settings(deadline=None)

@@ -1,5 +1,6 @@
 """JSON round-trips and canonical formatting."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -276,7 +277,48 @@ class TestBijection:
             bijection_from_obj(obj)
 
 
+_SCALAR_RE_REFERENCE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
+
+
+def scalar_from_str_reference(s, what):
+    """Oracle: the scalar parse before it captured numerator and denominator,
+    a regex check and then Fraction(s), which parses the string again."""
+    serialize._expect(isinstance(s, str) and _SCALAR_RE_REFERENCE.fullmatch(s) is not None,
+                      f"{what} must be a string like '-3' or '3/4'")
+    return serialize._convert(Fraction, s, what)
+
+
+def typed(f, *args):
+    """outcome of f, with the exact type of a value it returned."""
+    out = outcome(f, *args)
+    return out if isinstance(out, tuple) else (type(out), out)
+
+
+# decimal digits, with leading zeros, and numbers over the 4300-digit limit
+scalar_digits = st.text("0123456789", min_size=1, max_size=5) | st.sampled_from(
+    ["0" * 4300 + "1", "1" * 4301, "9" * 4300])
+scalar_texts = st.one_of(
+    st.builds(lambda sign, num, den: sign + num + ("" if den is None else "/" + den),
+              st.sampled_from(["", "-", "+", " "]), scalar_digits, st.none() | scalar_digits),
+    st.text("0123456789-/ +._²٣", max_size=6),
+    st.sampled_from([3, 1.5, None, True, [], Digits("7"), Digits("-1/2")]),
+)
+
+
 class TestOperator:
+    @settings(max_examples=400)
+    @given(scalar_texts)
+    @example("-0")
+    @example("007/3")
+    @example("-6/004")
+    @example("1" * 4301)
+    @example("2/" + "1" * 4301)
+    def test_scalar_parse_agrees_with_fraction(self, s):
+        def parse(s, what):
+            return Fraction(*serialize._scalar_from_str(s, what))
+
+        assert typed(parse, s, "entry (0, 1)") == typed(scalar_from_str_reference, s, "entry (0, 1)")
+
     def test_format_and_round_trip(self):
         s = BlockSpace(Tower((), (2,)), 2)
         op = PropagationOperator(s, {(1, 2): Fraction(-3, 4), (0, 0): Fraction(5)})

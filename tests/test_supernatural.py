@@ -15,6 +15,7 @@ from roeclass.ktheory import K0Class
 from roeclass.supernatural import _normal_form, _primitive_period
 from roeclass import (
     INFINITE,
+    MalformedInput,
     PreconditionViolation,
     SupernaturalNumber,
     Tower,
@@ -23,6 +24,7 @@ from roeclass import (
     obstruction_witness,
     sn_divides,
     supernatural_of_tower,
+    unit_divide,
 )
 
 from conftest import Budget, ratios, towers
@@ -268,6 +270,41 @@ class TestSnDivides:
     def test_rejects_zero_exponent(self):
         with pytest.raises(PreconditionViolation):
             sn_divides(2, 0, SupernaturalNumber({2: INFINITE}))
+
+
+# the largest prime of PRIME_BITS bits, and two numbers with no factor below
+# 1000, just over the cap and at the 4300-digit limit: the Fermat number
+# 2^2048 + 1 and an odd number whose primality test takes seconds
+TOP_PRIME = 2**2048 - 1557
+OVER_CAP = [2**2048 + 1, 10**4299 + 9]
+
+
+class TestPrimeCap:
+    def test_cap_is_2048_bits(self):
+        assert supernatural.PRIME_BITS == 2048 == TOP_PRIME.bit_length()
+
+    def test_top_prime_accepted(self):
+        assert sympy.isprime(TOP_PRIME)
+        assert sn_divides(TOP_PRIME, 1, SupernaturalNumber({TOP_PRIME: 1}))
+        assert unit_divide(Tower((), (2,)), TOP_PRIME, 1) is None
+
+    @pytest.mark.parametrize("p", OVER_CAP, ids=["fermat", "4300_digits"])
+    @pytest.mark.parametrize("call, error, what", [
+        (lambda p: SupernaturalNumber({p: 1}), MalformedInput, "exponent key "),
+        (lambda p: sn_divides(p, 1, SupernaturalNumber({}, INFINITE)), PreconditionViolation, ""),
+        (lambda p: unit_divide(Tower((), (2,)), p, 1), PreconditionViolation, ""),
+    ], ids=["key", "sn_divides", "unit_divide"])
+    def test_over_cap_refused_before_primality_test(self, call, error, what, p):
+        budget = Budget(0.2)
+        with pytest.raises(error) as caught:
+            call(p)
+        budget.check()
+        assert str(caught.value) == (
+            f"{what}<int of {p.bit_length()} bits> is over the 2048-bit limit for a prime")
+
+    def test_over_cap_with_small_factor_is_not_prime(self):
+        with pytest.raises(PreconditionViolation, match=r"^<int of 2049 bits> is not prime$"):
+            sn_divides(2**2048 + 3, 1, SupernaturalNumber({}, INFINITE))
 
 
 class TestSnEqual:
