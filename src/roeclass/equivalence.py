@@ -22,7 +22,7 @@ from itertools import repeat
 from operator import floordiv
 
 from .errors import LIMIT_BITS, DepthExhausted, MalformedInput, NotEquivalent, PreconditionViolation
-from .supernatural import Tower, _checked_int, _clip, bijectively_coarsely_equivalent
+from .supernatural import Tower, _checked_int, _checked_ints, _clip, bijectively_coarsely_equivalent
 
 
 def interleave_towers(t1: Tower, t2: Tower, depth: int) -> tuple[tuple[int, int], ...]:
@@ -96,9 +96,7 @@ class TowerBijection:
             points = f"at least {_clip(dom)}" if dom > len(self.mapping) else dom
             raise MalformedInput(f"map must cover the full source truncation ({points} points)")
         # whole-map passes in C: a witness has tens of thousands of images
-        if set(map(type, self.mapping)) - {int}:
-            for y in self.mapping:
-                _checked_int(y, "image")
+        _checked_ints(self.mapping, "image")
         lo, hi = min(self.mapping), max(self.mapping)
         if lo < 0 or hi >= self.target.order(min(m_d, hi.bit_length())):
             raise MalformedInput(
@@ -207,13 +205,20 @@ def verify_bijective_coarse_equivalence(b: TowerBijection) -> VerificationReport
     bounds = [0]
     for n, m in b.levels:
         bounds += [m] * (n + 1 - len(bounds))
+    # k_l from one walk of the source's levels, which a finite source ends
+    # at the order every later level keeps
+    orders = b.source.levels()
+    k = 1
+    divides = {}
     checks = []
     for level, bound in enumerate(bounds):
-        k = b.source.order(level)
+        k = next(orders, k)
+        # k1 | k2_bound is decided at min(bound, saturation_level(k1)): past that
+        # level gcd(k2_n, k1) no longer grows, and it only grows along the chain.
+        # Past a finite source's prefix the pair (k, bound) repeats row after row
+        if (k, bound) not in divides:
+            divides[k, bound] = b.target.order(min(bound, b.target.saturation_level(k))) % k == 0
         rho = modulus[level]
         within = rho <= bound
-        # k1 | k2_bound is decided at min(bound, saturation_level(k1)): past that
-        # level gcd(k2_n, k1) no longer grows, and it only grows along the chain
-        divides = b.target.order(min(bound, b.target.saturation_level(k))) % k == 0
-        checks.append(LevelCheck(level, rho, bound, within, within and injective, divides))
+        checks.append(LevelCheck(level, rho, bound, within, within and injective, divides[k, bound]))
     return VerificationReport(injective, tuple(checks))

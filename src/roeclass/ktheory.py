@@ -18,14 +18,17 @@ to zero, so they are all nonnegative only if they all vanish.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import accumulate
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate, chain, cycle, islice, repeat
 from math import gcd, lcm, prod
+from operator import add, mul, neg
 
 from .errors import LIMIT_BITS, DepthExhausted, MalformedInput, PreconditionViolation
 from .supernatural import (
     Tower,
     _checked_int,
+    _checked_ints,
     _checked_prime,
     _clip,
     _normal_form,
@@ -44,12 +47,10 @@ class K0Class:
     context: Tower
     prefix: tuple[int, ...]
     period: tuple[int, ...]
-    _prefix_sums: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _period_sums: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        prefix = tuple(_checked_int(v, "sequence entry") for v in self.prefix)
-        period = tuple(_checked_int(v, "sequence entry") for v in self.period)
+        prefix = _checked_ints(self.prefix, "sequence entry")
+        period = _checked_ints(self.period, "sequence entry")
         # malformed entries are reported before a finite context (exit 2 before 4)
         if not self.context.is_infinite:
             raise PreconditionViolation("K0 sequence classes need an infinite tower")
@@ -58,8 +59,15 @@ class K0Class:
         prefix, period = _normal_form(prefix, period)
         object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "period", period)
-        object.__setattr__(self, "_prefix_sums", tuple(accumulate(prefix, initial=0)))
-        object.__setattr__(self, "_period_sums", tuple(accumulate(period, initial=0)))
+
+    # on first read: a witness that is only laid out never pays for its sums
+    @cached_property
+    def _prefix_sums(self) -> tuple[int, ...]:
+        return tuple(accumulate(self.prefix, initial=0))
+
+    @cached_property
+    def _period_sums(self) -> tuple[int, ...]:
+        return tuple(accumulate(self.period, initial=0))
 
     @property
     def period_sum(self) -> int:
@@ -119,21 +127,27 @@ def _same_context(a: K0Class, b: K0Class) -> Tower:
 
 
 def k0_add(a: K0Class, b: K0Class) -> K0Class:
+    """Entrywise sum, built in whole-sequence passes.  Its period has
+    lcm(|period a|, |period b|) entries; over 2^LIMIT_BITS it is refused
+    before anything is allocated."""
     t = _same_context(a, b)
     s = max(len(a.prefix), len(b.prefix))
     q = lcm(len(a.period), len(b.period))
-    prefix = tuple(a.value(i) + b.value(i) for i in range(s))
-    period = tuple(a.value(s + j) + b.value(s + j) for j in range(q))
-    return K0Class(t, prefix, period)
+    if q > 1 << LIMIT_BITS:
+        raise PreconditionViolation(
+            f"a K0 sum with a period of {q} entries is over the 2^{LIMIT_BITS} limit")
+    sums = map(add, chain(a.prefix, cycle(a.period)), chain(b.prefix, cycle(b.period)))
+    return K0Class(t, tuple(islice(sums, s)), tuple(islice(sums, q)))
 
 
 def k0_neg(a: K0Class) -> K0Class:
-    return K0Class(a.context, tuple(-v for v in a.prefix), tuple(-v for v in a.period))
+    return K0Class(a.context, tuple(map(neg, a.prefix)), tuple(map(neg, a.period)))
 
 
 def k0_scale(c: int, a: K0Class) -> K0Class:
     c = _checked_int(c, "sequence entry")
-    return K0Class(a.context, tuple(c * v for v in a.prefix), tuple(c * v for v in a.period))
+    return K0Class(a.context, tuple(map(mul, repeat(c), a.prefix)),
+                   tuple(map(mul, repeat(c), a.period)))
 
 
 def k0_sub(a: K0Class, b: K0Class) -> K0Class:

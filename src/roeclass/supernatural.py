@@ -70,12 +70,24 @@ def _checked_int(value, what: str) -> int:
     return value
 
 
+def _checked_ints(values, what: str) -> tuple:
+    """tuple(values), every entry an integer: one C pass over their types,
+    and a walk only to name the first entry that is not one."""
+    values = tuple(values)
+    if set(map(type, values)) - {int}:
+        for v in values:
+            _checked_int(v, what)
+    return values
+
+
 def _checked_ratio(value) -> int:
     if _checked_int(value, "ratio") < 1:
         raise MalformedInput(f"ratio must be >= 1, got {_clip(value)}")
     return value
 
 
+# factorint tests a residue, and a SupernaturalNumber keyed by it tests it again
+@lru_cache(maxsize=64)
 def _residue_is_prime(n: int) -> bool:
     """Primality of n >= _SMALL**2 with no prime factor below _SMALL.
 
@@ -167,19 +179,25 @@ def _strip(n: int, m: int) -> int:
 
 def _primitive_period(items: tuple) -> tuple:
     """Shortest pattern whose repetition reproduces ``items`` (nonempty).
-    One prefix-function pass gives the longest proper border b of ``items``;
-    the pattern has length n - b when that divides n, else it is ``items``."""
-    n = len(items)
-    border = [0] * n
-    b = 0
-    for i in range(1, n):
-        while b and items[i] != items[b]:
-            b = border[b - 1]
-        if items[i] == items[b]:
-            b += 1
-        border[i] = b
-    d = n - b
-    return items[:d] if n % d == 0 else items
+    The d | n for which ``items`` is n/d copies of ``items[:d]`` are the
+    multiples of the shortest pattern's length that divide n, so from d = n
+    each prime p of n is divided out of d while the shift of ``items`` by
+    d/p, one slice compare in C, leaves it unchanged: at most log2(n)
+    compares that succeed and one per prime that fails, after trial
+    division of n up to its square root."""
+    d = m = len(items)
+    p = 2
+    while m > 1:
+        if p * p > m:
+            p = m  # what is left of m is prime
+        if m % p:
+            p += 1
+            continue
+        while m % p == 0:
+            m //= p
+        while d % p == 0 and items[d // p :] == items[: -(d // p)]:
+            d //= p
+    return items[:d]
 
 
 def _normal_form(prefix: tuple, period: tuple) -> tuple[tuple, tuple]:

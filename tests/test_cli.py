@@ -398,6 +398,16 @@ class TestK0:
         assert (code, out) == (4, "")
         assert "infinite tower" in err
 
+    def test_eq_period_over_limit_exit_4(self, files, capsys):
+        # 6 KB files: periods of 2003 and 2011 entries, whose difference
+        # would repeat after 4,028,033
+        a = {"context": json.loads(TOWER2), "prefix": [], "period": [1] + [0] * 2002}
+        b = {"context": json.loads(TOWER2), "prefix": [], "period": [1] + [0] * 2010}
+        code, out, err = run(capsys, "k0", "eq", files("a.json", json.dumps(a)),
+                             files("b.json", json.dumps(b)))
+        assert (code, out) == (4, "")
+        assert err == "error: a K0 sum with a period of 4028033 entries is over the 2^20 limit\n"
+
     def test_class_context_mismatch_is_precondition(self, files, capsys):
         a = {"context": json.loads(TOWER2), "prefix": [], "period": [1]}
         b = {"context": json.loads(TOWER3), "prefix": [], "period": [1]}

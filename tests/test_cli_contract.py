@@ -78,12 +78,23 @@ def tower_pairs(draw):
 def k0_objs(draw):
     """Classes over a tower that is infinite unless spoiled.  An entry of
     ±10^12 is decided only where k_n has outgrown it, so `k0 pos --output`
-    reaches the 2^20 layout limit."""
+    reaches the 2^20 layout limit.  A quarter of the periods spread their
+    entries over up to 300 places, so that two of them repeat together
+    after up to 300 * 299 entries, under the 2^20 limit of a sum; an eighth
+    of the classes hold one entry that is a bool, a float, a string or null."""
     tail = draw(st.lists(st.integers(2, 4), min_size=1, max_size=2))
     entries = st.integers(-3, 3) | st.sampled_from([-10**12, 10**12])
-    return {"context": tower_obj(draw(small_ratios), tail),
-            "prefix": draw(st.lists(entries, max_size=3)),
-            "period": draw(st.lists(entries, min_size=1, max_size=3))}
+    prefix = draw(st.lists(entries, max_size=3))
+    period = draw(st.lists(entries, min_size=1, max_size=3))
+    if draw(st.integers(0, 3)) == 0:
+        spread = [0] * draw(st.integers(1, 300))
+        for v in period:
+            spread[draw(st.integers(0, len(spread) - 1))] = v
+        period = spread
+    if draw(st.integers(0, 7)) == 0:
+        seq = draw(st.sampled_from([prefix, period]))
+        seq.insert(draw(st.integers(0, len(seq))), draw(st.sampled_from([True, 1.5, "2", None])))
+    return {"context": tower_obj(draw(small_ratios), tail), "prefix": prefix, "period": period}
 
 
 @st.composite

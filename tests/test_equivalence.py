@@ -5,7 +5,7 @@ import re
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from roeclass import equivalence
@@ -357,7 +357,9 @@ class TestVerify:
         assert report.levels[1].modulus > report.levels[1].bound
 
     @settings(max_examples=300, deadline=None)
-    @given(candidate_maps())
+    @given(candidate_maps() | modulus_maps())
+    # a finite source past its prefix: order 2 does not divide 3 at any level
+    @example(TowerBijection(Tower((2,), ()), Tower((3,), ()), 1, ((3, 1),), (0, 1)))
     def test_report_matches_brute_force(self, b):
         report = verify_bijective_coarse_equivalence(b)
         assert b.modulus == brute_modulus(b)

@@ -33,11 +33,11 @@ from roeclass import (
     transport_class,
     unit_divide,
 )
-from roeclass.errors import RoeclassError
+from roeclass.errors import MalformedInput, RoeclassError
 from roeclass.ktheory import _block_sums, _positive_level, _spread, _stable_level
-from roeclass.supernatural import _checked_int
+from roeclass.supernatural import _checked_int, _normal_form
 
-from conftest import towers
+from conftest import Budget, towers
 
 
 def blocks_zero_oracle(d, n):
@@ -132,6 +132,65 @@ class TestK0ClassBasics:
         assert a.partial_sum(i) == sum(a.value(j) for j in range(i))
 
 
+def k0_screen_reference(context, prefix, period):
+    """The checks the K0Class constructor made entry by entry before its
+    one-pass screen, in their order: the prefix, the period, the context,
+    an empty period."""
+    prefix = tuple(_checked_int(v, "sequence entry") for v in prefix)
+    period = tuple(_checked_int(v, "sequence entry") for v in period)
+    if not context.is_infinite:
+        raise PreconditionViolation("K0 sequence classes need an infinite tower")
+    if not period:
+        raise MalformedInput("period must be nonempty")
+    return _normal_form(prefix, period)
+
+
+def k0_fields(*args):
+    c = K0Class(*args)
+    return c.prefix, c.period
+
+
+def outcome(build, *args):
+    """(exception class, message) of build(*args), or what it returned."""
+    try:
+        return build(*args)
+    except RoeclassError as e:
+        return type(e), str(e)
+
+
+bad_entries = st.sampled_from([True, False, 1.0, 2.5, float("nan"), "3", "", "x" * 50])
+
+
+class TestConstructorScreen:
+    @settings(max_examples=300)
+    @given(st.sampled_from([Tower((), (2,)), Tower((2,), (3, 2)), Tower((6,), ())]),
+           st.lists(entries | st.sampled_from([-10**30, 10**30]), max_size=60),
+           st.lists(entries, max_size=60), st.data())
+    def test_same_error_as_entrywise_screen(self, t, prefix, period, data):
+        # a bool, float or str at a random place of the prefix, the period,
+        # both or neither, over an infinite or a finite tower
+        for seq in (prefix, period):
+            if data.draw(st.booleans()):
+                seq.insert(data.draw(st.integers(0, len(seq))), data.draw(bad_entries))
+        expected = outcome(k0_screen_reference, t, prefix, period)
+        got = outcome(k0_fields, t, prefix, period)
+        assert got == expected
+
+    @given(classes(), st.integers(min_value=0, max_value=40))
+    def test_sums_computed_on_first_read(self, a, i):
+        c = K0Class(a.context, a.prefix, a.period)
+        assert "_prefix_sums" not in vars(c) and "_period_sums" not in vars(c)
+        assert c.partial_sum(i) == sum(c.value(j) for j in range(i))
+        assert c.period_sum == sum(c.period)
+        assert c.block_sum(i, 7) == sum(c.value(j) for j in range(i, i + 7))
+
+    def test_laid_out_witness_is_never_summed(self):
+        a = K0Class(Tower((2,), (2, 3)), (3, -3), (0,) * 29 + (1,))
+        positive, w = k0_positive(a)
+        assert positive and (len(w.prefix), len(w.period)) == (1, 77_760)
+        assert "_prefix_sums" not in vars(w) and "_period_sums" not in vars(w)
+
+
 class TestArithmetic:
     def test_unit_plus_unit(self):
         t = Tower((), (2,))
@@ -158,6 +217,30 @@ class TestArithmetic:
     def test_add_pointwise(self, pair, i):
         a, b = pair
         assert k0_add(a, b).value(i) == a.value(i) + b.value(i)
+
+    @given(classes(), st.integers(min_value=-4, max_value=4), st.integers(0, 60))
+    def test_neg_and_scale_pointwise(self, a, c, i):
+        assert k0_neg(a).value(i) == -a.value(i)
+        assert k0_scale(c, a).value(i) == c * a.value(i)
+
+    def test_sum_period_over_limit_refused_at_once(self):
+        # periods of 2003 and 2011 entries: their sum repeats after 4,028,033
+        t = Tower((), (2,))
+        a, b = K0Class(t, (), (1,) + (0,) * 2002), K0Class(t, (), (1,) + (0,) * 2010)
+        budget = Budget(0.5)
+        for op in (k0_add, k0_sub, k0_equal):
+            with pytest.raises(PreconditionViolation, match=re.escape(
+                    "a K0 sum with a period of 4028033 entries is over the 2^20 limit")):
+                op(a, b)
+        budget.check()
+
+    def test_sum_period_under_limit_answers(self):
+        # 1009 * 1013 = 1,022,117 entries, under 2^20 = 1,048,576
+        t = Tower((), (2,))
+        a, b = K0Class(t, (), (1,) + (0,) * 1008), K0Class(t, (), (0,) * 1012 + (1,))
+        c = k0_add(a, b)
+        assert (c.prefix, len(c.period)) == ((), 1009 * 1013)
+        assert [i for i in range(3039) if c.value(i)] == [0, 1009, 1012, 2018, 2025, 3027, 3038]
 
     @given(class_pairs(), st.integers(min_value=-4, max_value=4))
     def test_scale_distributes(self, pair, c):

@@ -168,7 +168,66 @@ def primitive_period_oracle(items):
     return items
 
 
+def primitive_period_kmp_reference(items):
+    """The prefix-function walk the library used before slice compares: one
+    pass gives the longest proper border b of ``items``, and the pattern has
+    length n - b when that divides n, else it is ``items``."""
+    n = len(items)
+    border = [0] * n
+    b = 0
+    for i in range(1, n):
+        while b and items[i] != items[b]:
+            b = border[b - 1]
+        if items[i] == items[b]:
+            b += 1
+        border[i] = b
+    d = n - b
+    return items[:d] if n % d == 0 else items
+
+
+@st.composite
+def smooth_repeats(draw):
+    """(q, k): a pattern length q and a count k whose product has many prime
+    factors, at most 2^4 * 3^2 * 5 * 7 = 5,040 entries in all."""
+    q = k = 1
+    for p, most in ((2, 4), (3, 2), (5, 1), (7, 1)):
+        e = draw(st.integers(0, most))
+        f = draw(st.integers(0, e))
+        q, k = q * p**f, k * p ** (e - f)
+    return q, k
+
+
 class TestPrimitivePeriod:
+    @settings(max_examples=500)
+    @given(st.lists(st.integers(0, 2), min_size=1, max_size=12),
+           st.integers(min_value=1, max_value=40), st.lists(st.integers(0, 2), max_size=3),
+           st.integers(min_value=0))
+    def test_matches_kmp_reference(self, base, k, noise, at):
+        # repeated patterns; the same with a few entries appended; and with
+        # one entry changed, which a pattern repeated once or more hides
+        items = tuple(base) * k
+        changed = list(items)
+        changed[at % len(items)] += 1
+        for case in (items, items + tuple(noise), tuple(changed)):
+            assert _primitive_period(case) == primitive_period_kmp_reference(case)
+
+    @settings(max_examples=100)
+    @given(smooth_repeats(), st.integers(1, 12), st.integers(0, 2), st.integers(min_value=0))
+    def test_smooth_lengths_match_kmp_reference(self, qk, r, spoil, at):
+        # a pattern of q entries, itself periodic when r | q, repeated k
+        # times: every prime of q * k is divided out of the length in turn;
+        # spoil = 1 changes one entry and spoil = 2 one whole copy
+        q, k = qk
+        pattern = tuple(i % r for i in range(q))
+        items = list(pattern * k)
+        if spoil == 1:
+            items[at % len(items)] = -1
+        elif spoil == 2 and k > 1:
+            j = at % k * q
+            items[j : j + q] = reversed(pattern)
+        items = tuple(items)
+        assert _primitive_period(items) == primitive_period_kmp_reference(items)
+
     @settings(max_examples=500)
     @given(st.lists(st.integers(0, 2), min_size=1, max_size=6),
            st.integers(min_value=1, max_value=4), st.lists(st.integers(0, 2), max_size=3))
@@ -454,6 +513,22 @@ class TestPrimalityAndFactoring:
         n = math.prod(primes, start=cofactor)
         assert supernatural.factorint(n) == sympy.factorint(n)
 
+    def test_large_prime_factor_is_tested_once(self, monkeypatch):
+        # factorint proves the residue prime, and the SupernaturalNumber
+        # keyed by it reads that proof back instead of testing it again
+        p = sympy.nextprime(3**300)
+        calls = []
+        monkeypatch.setattr(sympy, "isprime", lambda n: calls.append(n) or True)
+        supernatural._residue_is_prime.cache_clear()
+        assert supernatural_of_tower(Tower((), (5 * p,))) == SupernaturalNumber(
+            {5: INFINITE, p: INFINITE})
+        assert calls == [p]
+
+    def test_composite_over_prime_bits_still_factors(self):
+        # a residue over PRIME_BITS is tested, not refused: 1009^700 answers
+        assert supernatural.factorint(1009**700) == {1009: 700}
+        assert supernatural_of_tower(Tower((1009**700,), ())) == SupernaturalNumber({1009: 700})
+
     @pytest.mark.parametrize("n", CARMICHAEL + STRONG_PSEUDOPRIMES + PRIME_SQUARES)
     def test_named_composites(self, n):
         assert not supernatural.isprime(n)
@@ -479,9 +554,10 @@ class TestPrimalityAndFactoring:
             return True
 
         monkeypatch.setattr(sympy, "isprime", spy)
+        supernatural._residue_is_prime.cache_clear()
         assert supernatural.isprime(big)
         assert supernatural.factorint(6 * big) == {2: 1, 3: 1, big: 1}
-        assert asked == [big, big]
+        assert asked == [big]  # the second test reads the first one's answer
 
     def test_factorint_rejects_zero(self):
         with pytest.raises(PreconditionViolation):
