@@ -147,16 +147,18 @@ def _measure_modulus(b: TowerBijection) -> tuple[int, ...]:
 
 
 def build_back_and_forth(t1: Tower, t2: Tower, depth: int) -> TowerBijection:
-    """Deterministic back-and-forth witness truncated at interleave depth."""
-    levels = interleave_towers(t1, t2, depth)
-    n_d = levels[-1][0] if levels else 0
-    return TowerBijection(
-        source=t1,
-        target=t2,
-        depth=depth,
-        levels=levels,
-        mapping=tuple(range(t1.order(n_d))),
-    )
+    """Deterministic back-and-forth witness truncated at interleave depth.
+    A map of over 2^LIMIT_BITS points is refused before it is allocated."""
+    # k1_{n_j} is a proper multiple of k2_{m_{j-1}}, itself a multiple of
+    # k1_{n_{j-1}}: so k1_{n_D} >= 2^D, and LIMIT_BITS + 1 steps settle a deeper map
+    levels = interleave_towers(t1, t2, min(_checked_int(depth, "depth"), LIMIT_BITS + 1))
+    points = t1.order(levels[-1][0] if levels else 0)
+    if points > 1 << LIMIT_BITS:
+        more = " or more" if depth > len(levels) else ""
+        raise PreconditionViolation(
+            f"a map of {_clip(points)}{more} points is over the 2^{LIMIT_BITS} limit")
+    return TowerBijection(source=t1, target=t2, depth=depth, levels=levels,
+                          mapping=tuple(range(points)))
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ PreconditionViolation and its subclasses -> 4.  MalformedInput and
 PreconditionViolation are also ValueErrors.
 """
 
-# The one size limit: a split into level-n blocks, a K0 layout and a
-# unit-division period are refused past 2^LIMIT_BITS blocks or entries.
+# The one size limit: a split into level-n blocks, a K0 layout, a K0 sum or
+# unit-division period, a verify report and a built map are refused past
+# 2^LIMIT_BITS blocks, entries, rows or points.
 LIMIT_BITS = 20
 
 

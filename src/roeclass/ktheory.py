@@ -19,10 +19,9 @@ to zero, so they are all nonnegative only if they all vanish.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate, chain, cycle, islice, repeat
 from math import gcd, lcm, prod
-from operator import add, mul, neg
+from operator import add, floordiv, mod, mul, neg, sub
 
 from .errors import LIMIT_BITS, DepthExhausted, MalformedInput, PreconditionViolation
 from .supernatural import (
@@ -60,36 +59,12 @@ class K0Class:
         object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "period", period)
 
-    # on first read: a witness that is only laid out never pays for its sums
-    @cached_property
-    def _prefix_sums(self) -> tuple[int, ...]:
-        return tuple(accumulate(self.prefix, initial=0))
-
-    @cached_property
-    def _period_sums(self) -> tuple[int, ...]:
-        return tuple(accumulate(self.period, initial=0))
-
-    @property
-    def period_sum(self) -> int:
-        return self._period_sums[-1]
-
     def value(self, i: int) -> int:
-        if i < 0:
+        if _checked_int(i, "index") < 0:
             raise PreconditionViolation("index must be >= 0")
         if i < len(self.prefix):
             return self.prefix[i]
         return self.period[(i - len(self.prefix)) % len(self.period)]
-
-    def partial_sum(self, i: int) -> int:
-        """Sum of the first i entries."""
-        s, q = len(self.prefix), len(self.period)
-        if i <= s:
-            return self._prefix_sums[i]
-        whole, rest = divmod(i - s, q)
-        return self._prefix_sums[s] + whole * self.period_sum + self._period_sums[rest]
-
-    def block_sum(self, start: int, length: int) -> int:
-        return self.partial_sum(start + length) - self.partial_sum(start)
 
     def is_zero(self) -> bool:
         return self.prefix == () and self.period == (0,)
@@ -157,21 +132,27 @@ def k0_sub(a: K0Class, b: K0Class) -> K0Class:
 def _block_sums(d: K0Class, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Aligned k_n-block sums of d, as (prefix, period): the blocks covering
     the prefix, then one lcm(k_n, |period|) stretch, which repeats forever:
-    so this window holds every block sum."""
+    so this window holds every block sum.  The only code that sums entries:
+    from the running sums head of the prefix and cyc of the period (sigma in
+    all), the partial sum at boundary i is head[i] inside the prefix, else
+    head[s] + (i - s)//q * sigma + cyc[(i - s) % q], with no step per block."""
     k = d.context.order(n)
-    nb = -(-len(d.prefix) // k)
-    sums = [d.block_sum(j * k, k) for j in range(nb + lcm(k, len(d.period)) // k)]
-    return tuple(sums[:nb]), tuple(sums[nb:])
+    s, q = len(d.prefix), len(d.period)
+    nb = -(-s // k)
+    head = list(accumulate(d.prefix, initial=0))
+    cyc = list(accumulate(d.period, initial=0))
+    # i - s for the boundaries from the first one at or past the prefix
+    past = range(nb * k - s, nb * k - s + lcm(k, q) + 1, k)
+    wraps = map(mul, map(floordiv, past, repeat(q)), repeat(cyc[-1]))
+    rests = map(cyc.__getitem__, map(mod, past, repeat(q)))
+    bounds = head[:s:k] + list(map(add, repeat(head[-1]), map(add, wraps, rests)))
+    sums = tuple(map(sub, bounds[1:], bounds))
+    return sums[:nb], sums[nb:]
 
 
 def h_membership(t: Tower, d: K0Class, n: int) -> bool:
     """Whether d is in the kernel of the level-n connecting map alpha_iterate."""
     return alpha_iterate(t, n, d).is_zero()
-
-
-def _blocks_nonneg(d: K0Class, n: int) -> bool:
-    prefix, period = _block_sums(d, n)
-    return min(prefix + period) >= 0
 
 
 def _stable_level(d: K0Class) -> int:
@@ -194,7 +175,7 @@ def k0_equal(a: K0Class, b: K0Class) -> bool:
     equivalent to the existential search over all levels.
     """
     d = k0_sub(a, b)
-    if d.period_sum != 0:
+    if sum(d.period) != 0:
         return False
     return h_membership(d.context, d, _stable_level(d))
 
@@ -211,37 +192,41 @@ def _spread(sums: tuple[int, ...], k: int) -> tuple[int, ...]:
     return tuple(seq)
 
 
-def _positive_level(a: K0Class) -> int | None:
-    """A level whose aligned block sums of a are all nonnegative, or None
-    when a is not in the positive cone.
+def _positive_level(a: K0Class) -> tuple[int, K0Class] | None:
+    """A level whose aligned block sums of a are all nonnegative, with its
+    alpha_iterate class of them, or None when a is not in the positive cone.
 
     Positive period sum dominates boundary effects once
     floor(k_n/q)*sigma > (|prefix| + 2|period|)*max|entry|; negative period
     sum makes deep blocks negative at every level; zero period sum reduces to
     the stable-level window exactly like k0_equal.
     """
-    sigma = a.period_sum
+    t, sigma = a.context, sum(a.period)
     if sigma < 0:
         return None
     if sigma == 0:
-        n = _stable_level(a)
-        return n if _blocks_nonneg(a, n) else None
-    s, q = len(a.prefix), len(a.period)
-    bound = (s + 2 * q) * max(abs(v) for v in a.prefix + a.period)
-    return next(n for n, k in enumerate(a.context.levels())
-                if (k // q) * sigma > bound and _blocks_nonneg(a, n))
+        levels = [_stable_level(a)]
+    else:
+        s, q = len(a.prefix), len(a.period)
+        bound = (s + 2 * q) * max(map(abs, a.prefix + a.period))
+        levels = (n for n, k in enumerate(t.levels()) if (k // q) * sigma > bound)
+    for n in levels:
+        sums = alpha_iterate(t, n, a)
+        if min(sums.prefix + sums.period) >= 0:
+            return n, sums
+    return None
 
 
 def k0_positive(a: K0Class) -> tuple[bool, K0Class | None]:
     """Membership in the positive cone, with a pointwise-nonnegative witness:
-    the block sums alpha_iterate gives at the level ``_positive_level``
-    finds, each opening its block of k_n entries."""
-    n = _positive_level(a)
-    if n is None:
+    the block sums ``_positive_level`` checked, each opening its block of
+    k_n entries."""
+    found = _positive_level(a)
+    if found is None:
         return False, None
-    t, k = a.context, a.context.order(n)
-    sums = alpha_iterate(t, n, a)
-    return True, K0Class(t, _spread(sums.prefix, k), _spread(sums.period, k))
+    n, sums = found
+    k = a.context.order(n)
+    return True, K0Class(a.context, _spread(sums.prefix, k), _spread(sums.period, k))
 
 
 def unit_divide(t: Tower, p: int, r: int) -> K0Class | None:

@@ -1,11 +1,13 @@
 """Shared hypothesis strategies for tower-based tests, a wall-clock budget,
-and a child interpreter under a memory cap."""
+a child interpreter under a memory cap, and the K0 block-sum reference."""
 
 import os
 import resource
 import subprocess
 import sys
 import time
+from itertools import accumulate
+from math import lcm
 from pathlib import Path
 
 from hypothesis import strategies as st
@@ -50,3 +52,26 @@ def run_limited(*args):
         [sys.executable, *args],
         env=env, capture_output=True, text=True, timeout=30,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)))
+
+
+def partial_sum_reference(d, i):
+    """Sum of the first i entries of the K0 class d, read off the running
+    sums of its prefix and its period (the old ``K0Class.partial_sum``)."""
+    s, q = len(d.prefix), len(d.period)
+    head, cyc = list(accumulate(d.prefix, initial=0)), list(accumulate(d.period, initial=0))
+    if i <= s:
+        return head[i]
+    whole, rest = divmod(i - s, q)
+    return head[s] + whole * cyc[-1] + cyc[rest]
+
+
+def block_sums_reference(d, n):
+    """The aligned k_n-block sums of d as ``ktheory._block_sums`` found them
+    before its one pass: two partial sums per block (the old
+    ``K0Class.block_sum``) over the prefix's blocks and one
+    lcm(k_n, |period|) stretch, split into (prefix, period)."""
+    k = d.context.order(n)
+    nb = -(-len(d.prefix) // k)
+    sums = [partial_sum_reference(d, (j + 1) * k) - partial_sum_reference(d, j * k)
+            for j in range(nb + lcm(k, len(d.period)) // k)]
+    return tuple(sums[:nb]), tuple(sums[nb:])

@@ -255,6 +255,26 @@ class TestBce:
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             4, "", f"error: source level {level} would make a report of over 2^20 rows\n")
 
+    def test_build_depth_ten_answers(self, files, tmp_path):
+        # tail 2 against tail 4: 2^19 points at depth 10
+        mapfile = tmp_path / "map.json"
+        proc = run_child("bce", "build", "--depth", "10", "--output", str(mapfile),
+                         files("a.json", TOWER2), files("b.json", TOWER4))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+        assert len(json.loads(mapfile.read_text())["map"]) == 2 * 2**19
+
+    @pytest.mark.parametrize("depth, points", [
+        ("11", "2097152"), ("1000000", "2199023255552 or more")])
+    def test_build_over_point_limit_exit_4(self, files, depth, points):
+        # refused before the map is allocated, in a child under a 1 GiB
+        # address space: depth 11 used to die there with a MemoryError
+        budget = Budget(2.0)
+        proc = run_child("bce", "build", "--depth", depth,
+                         files("a.json", TOWER2), files("b.json", TOWER4))
+        budget.check()
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            4, "", f"error: a map of {points} points is over the 2^20 limit\n")
+
     def test_build_deterministic(self, files, capsys):
         a, b = files("a.json", TOWER2), files("b.json", TOWER4)
         code1, out1, _ = run(capsys, "bce", "build", "--depth", "2", a, b)

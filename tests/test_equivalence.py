@@ -34,7 +34,7 @@ from roeclass.serialize import (
     report_to_obj,
 )
 
-from conftest import Budget, towers
+from conftest import Budget, run_limited, towers
 
 
 @st.composite
@@ -261,6 +261,43 @@ class TestBuild:
     def test_depth_zero_fixes_origin(self):
         b = build_back_and_forth(Tower((), (2,)), Tower((), (4,)), 0)
         assert b.mapping == (0,)
+
+    def test_points_over_limit_refused(self):
+        # tail 2 against itself has 2^D points at depth D
+        t = Tower((), (2,))
+        assert build_back_and_forth(t, t, LIMIT_BITS).domain_size == 1 << LIMIT_BITS
+        with pytest.raises(PreconditionViolation, match=re.escape(
+                f"a map of {2**21} points is over the 2^20 limit")):
+            build_back_and_forth(t, t, LIMIT_BITS + 1)
+
+    def test_depth_over_limit_bits_refused_before_interleaving_it(self):
+        # every ratio is at least 2, so LIMIT_BITS + 1 steps already pass the
+        # cap; in a child, so that a regression times out instead of hanging
+        budget = Budget(2.0)
+        proc = run_limited("-c", """if True:
+            from roeclass import PreconditionViolation, Tower, build_back_and_forth
+            try:
+                build_back_and_forth(Tower((), (2,)), Tower((), (2,)), 10**18)
+            except PreconditionViolation as e:
+                print(e)""")
+        budget.check()
+        assert proc.stdout == f"a map of {2**21} or more points is over the 2^20 limit\n"
+
+    @pytest.mark.parametrize("t1, t2, depth, error, message", [
+        (Tower((), (2,)), Tower((), (3,)), 10**6, NotEquivalent,
+         "towers have different supernatural numbers"),
+        (Tower((6,), ()), Tower((6,), ()), 10**6, PreconditionViolation,
+         "interleaving requires two infinite towers"),
+        (Tower((), (2,)), Tower((), (2,)), -1, PreconditionViolation,
+         "depth must be an integer >= 0"),
+        (Tower((), (2,)), Tower((), (2,)), True, MalformedInput,
+         "depth must be an integer, got bool True"),
+    ], ids=["not_equivalent", "finite", "negative", "bool"])
+    def test_inputs_refused_before_the_cap_keep_their_messages(self, t1, t2, depth, error,
+                                                                message):
+        with pytest.raises(error) as caught:
+            build_back_and_forth(t1, t2, depth)
+        assert type(caught.value) is error and str(caught.value) == message
 
     @given(equivalent_pairs(), st.integers(min_value=1, max_value=3))
     def test_extension_consistency(self, pair, depth):

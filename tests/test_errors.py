@@ -173,10 +173,11 @@ def test_messages_never_convert_past_the_digit_limit(call, error, message):
     assert str(caught.value) == message
 
 
-@pytest.mark.parametrize("bad", [True, 1.5], ids=["bool", "float"])
+@pytest.mark.parametrize("bad", [True, 1.5, "3"], ids=["bool", "float", "str"])
 @pytest.mark.parametrize("call", [
     lambda v: T2.order(v),
     lambda v: T2.ratio(v),
+    lambda v: UNIT.value(v),
     lambda v: BlockSpace(T2, 2).order(v),
     lambda v: h_membership(T2, UNIT, v),
     lambda v: alpha_iterate(T2, v, UNIT),
@@ -185,7 +186,7 @@ def test_messages_never_convert_past_the_digit_limit(call, error, message):
     lambda v: sn_divides(2, v, SupernaturalNumber({}, INFINITE)),
     lambda v: SupernaturalNumber({2: v}),
     lambda v: r_components(LINE, v),
-], ids=["order", "ratio", "level", "h_membership", "alpha_iterate", "unit_divide",
+], ids=["order", "ratio", "value", "level", "h_membership", "alpha_iterate", "unit_divide",
         "interleave_depth", "sn_divides", "exponent", "radius"])
 def test_integer_arguments_refuse_bools_and_floats(call, bad):
     with pytest.raises(MalformedInput, match="must be an integer"):

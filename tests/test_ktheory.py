@@ -34,10 +34,10 @@ from roeclass import (
     unit_divide,
 )
 from roeclass.errors import MalformedInput, RoeclassError
-from roeclass.ktheory import _block_sums, _positive_level, _spread, _stable_level
+from roeclass.ktheory import _positive_level, _spread, _stable_level
 from roeclass.supernatural import _checked_int, _normal_form
 
-from conftest import Budget, towers
+from conftest import Budget, block_sums_reference, partial_sum_reference, towers
 
 
 def blocks_zero_oracle(d, n):
@@ -120,8 +120,8 @@ class TestK0ClassBasics:
         t = Tower((), (2,))
         a = K0Class(t, (7,), (1, -1))
         assert [a.value(i) for i in range(5)] == [7, 1, -1, 1, -1]
-        assert a.partial_sum(5) == 7
-        assert a.block_sum(1, 4) == 0
+        assert partial_sum_reference(a, 5) == 7
+        assert partial_sum_reference(a, 5) - partial_sum_reference(a, 1) == 0
 
     def test_rejects_finite_context(self):
         with pytest.raises(PreconditionViolation):
@@ -129,7 +129,8 @@ class TestK0ClassBasics:
 
     @given(classes(), st.integers(min_value=0, max_value=40))
     def test_partial_sum_matches_direct(self, a, i):
-        assert a.partial_sum(i) == sum(a.value(j) for j in range(i))
+        # the reference judges the block sums, so it is checked entry by entry
+        assert partial_sum_reference(a, i) == sum(a.value(j) for j in range(i))
 
 
 def k0_screen_reference(context, prefix, period):
@@ -176,19 +177,10 @@ class TestConstructorScreen:
         got = outcome(k0_fields, t, prefix, period)
         assert got == expected
 
-    @given(classes(), st.integers(min_value=0, max_value=40))
-    def test_sums_computed_on_first_read(self, a, i):
-        c = K0Class(a.context, a.prefix, a.period)
-        assert "_prefix_sums" not in vars(c) and "_period_sums" not in vars(c)
-        assert c.partial_sum(i) == sum(c.value(j) for j in range(i))
-        assert c.period_sum == sum(c.period)
-        assert c.block_sum(i, 7) == sum(c.value(j) for j in range(i, i + 7))
-
     def test_laid_out_witness_is_never_summed(self):
         a = K0Class(Tower((2,), (2, 3)), (3, -3), (0,) * 29 + (1,))
         positive, w = k0_positive(a)
         assert positive and (len(w.prefix), len(w.period)) == (1, 77_760)
-        assert "_prefix_sums" not in vars(w) and "_period_sums" not in vars(w)
 
 
 class TestArithmetic:
@@ -290,7 +282,7 @@ def h_membership_reference(t, d, n):
         raise PreconditionViolation("sequence context does not match the tower")
     if _checked_int(n, "level") < 0:
         raise PreconditionViolation("level must be an integer >= 0")
-    prefix, period = _block_sums(d, n)
+    prefix, period = block_sums_reference(d, n)
     return not any(prefix + period)
 
 
@@ -382,6 +374,17 @@ class TestK0Equal:
         assert k0_equal(a, b)
         assert k0_equal(k0_scale(c, a), k0_scale(c, b))
 
+    def test_million_block_window_decides_within_budget(self):
+        # zero-sum periods of 1009 and 1013 entries: the difference is
+        # decided at level 20 over a window of 1009 * 1013 = 1,022,117
+        # blocks, which one running-sum pass reads at C speed
+        t = Tower((), (2,))
+        a = K0Class(t, (), (1,) + (0,) * 1007 + (-1,))
+        b = K0Class(t, (), (2,) + (0,) * 1011 + (-2,))
+        budget = Budget(1.5)
+        assert not k0_equal(a, b)
+        budget.check()
+
 
 class TestK0Positive:
     def test_zero_positive(self):
@@ -412,7 +415,7 @@ class TestK0Positive:
     def test_matches_block_sum_oracle(self, a):
         # positivity is witnessed at the decision level itself
         ok, _ = k0_positive(a)
-        sigma = a.period_sum
+        sigma = sum(a.period)
         if sigma == 0:
             n = _stable_level(a)
             k = a.context.order(n)
@@ -441,7 +444,7 @@ def block_collapse_reference(a, n):
     def collapse(sums):
         return tuple(v for total in sums for v in (total,) + (0,) * (k - 1))
 
-    prefix, period = _block_sums(a, n)
+    prefix, period = block_sums_reference(a, n)
     return K0Class(a.context, collapse(prefix), collapse(period))
 
 
@@ -449,9 +452,14 @@ class TestK0PositiveOracle:
     @settings(max_examples=300, deadline=None)
     @given(classes())
     def test_witness_matches_block_collapse(self, a):
-        n = _positive_level(a)
-        expected = (False, None) if n is None else (True, block_collapse_reference(a, n))
-        assert k0_positive(a) == expected
+        found = _positive_level(a)
+        if found is None:
+            assert k0_positive(a) == (False, None)
+        else:
+            n, sums = found
+            assert k0_positive(a) == (True, block_collapse_reference(a, n))
+            # the witness is laid out from the very class the level was checked on
+            assert sums == alpha_iterate(a.context, n, a)
 
 
 class TestLayoutLimit:
@@ -465,7 +473,7 @@ class TestLayoutLimit:
         # positive from level 22 on, where the witness lays out 2^22 entries;
         # the verdict alone never lays it out
         a = K0Class(Tower((), (2,)), (-10**6,), (1,))
-        assert _positive_level(a) == 22
+        assert _positive_level(a)[0] == 22
         with pytest.raises(PreconditionViolation, match=re.escape(
                 f"a K0 layout of {2**22} entries is over the 2^20 limit")):
             k0_positive(a)
@@ -546,6 +554,17 @@ class TestAlphaIterate:
     def test_alternating_cancels(self):
         t = Tower((), (2,))
         assert alpha_iterate(t, 2, K0Class(t, (), (-1, 1))).is_zero()
+
+    @settings(max_examples=300, deadline=None)
+    @given(towers(max_prefix=2, max_tail=2, allow_finite=False, max_ratio=3),
+           st.lists(entries | st.sampled_from([-10**30, 10**30]), max_size=40),
+           st.lists(entries, min_size=1, max_size=12), st.integers(0, 4))
+    @example(Tower((), (2,)), [1, 2, 3, 4, 5, 6, 7], [1, -1, 2], 2)
+    def test_matches_block_sum_reference(self, t, prefix, period, n):
+        # prefixes of up to 40 entries against k_n from 1 up: several prefix
+        # blocks, and a block that straddles the prefix and the period
+        d = K0Class(t, tuple(prefix), tuple(period))
+        assert alpha_iterate(t, n, d) == K0Class(t, *block_sums_reference(d, n))
 
 
 class TestClassificationPredicates:
