@@ -18,8 +18,8 @@ from functools import cached_property
 from itertools import chain, groupby, islice
 from operator import itemgetter
 
-from .errors import LIMIT_BITS, MalformedInput, PreconditionViolation
-from .supernatural import Tower, _checked_int, _clip
+from .errors import LIMITS, MalformedInput, PreconditionViolation, _checked_int, _clip, over_limit
+from .supernatural import Tower
 
 
 @dataclass(frozen=True)
@@ -72,12 +72,12 @@ class BlockSpace:
         return self.depth if self.tower.tail else min(self.depth, len(self.tower.prefix))
 
     def _blocks(self, n: int) -> tuple[int, int]:
-        """(k_n, number of level-n blocks); more than 2^LIMIT_BITS blocks are
-        refused, without reading size when the ratios above n already pass it."""
+        """(k_n, number of level-n blocks), refused past the "blocks of a split"
+        limit without reading size when the ratios above n already pass it."""
         k = self.order(n)
-        if self._ratios - n > LIMIT_BITS or self.size // k > 1 << LIMIT_BITS:
-            raise PreconditionViolation(
-                f"level {_clip(n)} would split the space into over 2^{LIMIT_BITS} blocks")
+        bits = LIMITS["blocks of a split"][0]
+        if self._ratios - n > bits or self.size // k > 1 << bits:
+            raise over_limit("blocks of a split", n)
         return k, self.size // k
 
     def _check_point(self, x: int):
@@ -109,10 +109,11 @@ class BlockSpace:
         return lo
 
     def metric_matrix(self) -> list[list[int]]:
-        """size^2 distances; more than 2^LIMIT_BITS are refused before
+        """size^2 distances, refused past the "metric matrix" limit before
         allocating, without reading size when the ratios already pass it."""
-        if self._ratios > LIMIT_BITS // 2 or self.size ** 2 > 1 << LIMIT_BITS:
-            raise PreconditionViolation(f"a metric matrix would have over 2^{LIMIT_BITS} entries")
+        bits = LIMITS["metric matrix"][0]
+        if self._ratios > bits // 2 or self.size ** 2 > 1 << bits:
+            raise over_limit("metric matrix")
         import numpy as np  # only here and in FiniteMetricSpace, to keep it off light commands
 
         pts = np.arange(self.size)
@@ -247,7 +248,10 @@ def r_components(m: FiniteMetricSpace, R: int) -> Partition:
 
 
 def asdim_zero_profile(m: FiniteMetricSpace) -> dict[int, tuple[int, int]]:
-    """R -> (max component diameter, max component cardinality), R = 0..max."""
+    """R -> (max component diameter, max component cardinality), R = 0..max,
+    refused past the "asdim profile" limit before any entry is built."""
+    if m.max_distance >= 1 << LIMITS["asdim profile"][0]:
+        raise over_limit("asdim profile", m.max_distance + 1)
     profile: dict[int, tuple[int, int]] = {}
     entry = None
     for scale, clusters in m._scales:

@@ -21,8 +21,9 @@ from functools import cached_property
 from itertools import repeat
 from operator import floordiv
 
-from .errors import LIMIT_BITS, DepthExhausted, MalformedInput, NotEquivalent, PreconditionViolation
-from .supernatural import Tower, _checked_int, _checked_ints, _clip, bijectively_coarsely_equivalent
+from .errors import (LIMITS, DepthExhausted, MalformedInput, NotEquivalent,
+                     PreconditionViolation, _checked_int, _checked_ints, _clip, over_limit)
+from .supernatural import Tower, bijectively_coarsely_equivalent
 
 
 def interleave_towers(t1: Tower, t2: Tower, depth: int) -> tuple[tuple[int, int], ...]:
@@ -118,11 +119,10 @@ class TowerBijection:
 
 def _measure_modulus(b: TowerBijection) -> tuple[int, ...]:
     """One entry per source level 0..n_D; the verifier reads it before its
-    report grows, so over 2^LIMIT_BITS levels are refused here for both."""
+    report grows, so the "verify report rows" limit refuses both here."""
     n_d = b.final_levels[0]
-    if n_d >= 1 << LIMIT_BITS:
-        raise PreconditionViolation(
-            f"source level {_clip(n_d)} would make a report of over 2^{LIMIT_BITS} rows")
+    if n_d >= 1 << LIMITS["verify report rows"][0]:
+        raise over_limit("verify report rows", n_d)
     # reps[i] is y // k_s for every image y of source block i: a block's image
     # lies in one target s-block exactly when its images agree there.  Each
     # level compares the r blocks it merges, a C pass per slice, and divides
@@ -148,15 +148,14 @@ def _measure_modulus(b: TowerBijection) -> tuple[int, ...]:
 
 def build_back_and_forth(t1: Tower, t2: Tower, depth: int) -> TowerBijection:
     """Deterministic back-and-forth witness truncated at interleave depth.
-    A map of over 2^LIMIT_BITS points is refused before it is allocated."""
+    A map past the "map points" limit is refused before it is allocated."""
     # k1_{n_j} is a proper multiple of k2_{m_{j-1}}, itself a multiple of
-    # k1_{n_{j-1}}: so k1_{n_D} >= 2^D, and LIMIT_BITS + 1 steps settle a deeper map
-    levels = interleave_towers(t1, t2, min(_checked_int(depth, "depth"), LIMIT_BITS + 1))
+    # k1_{n_{j-1}}: so k1_{n_D} >= 2^D, and bits + 1 steps settle a deeper map
+    bits = LIMITS["map points"][0]
+    levels = interleave_towers(t1, t2, min(_checked_int(depth, "depth"), bits + 1))
     points = t1.order(levels[-1][0] if levels else 0)
-    if points > 1 << LIMIT_BITS:
-        more = " or more" if depth > len(levels) else ""
-        raise PreconditionViolation(
-            f"a map of {_clip(points)}{more} points is over the 2^{LIMIT_BITS} limit")
+    if points > 1 << bits:
+        raise over_limit("map points", points, " or more" if depth > len(levels) else "")
     return TowerBijection(source=t1, target=t2, depth=depth, levels=levels,
                           mapping=tuple(range(points)))
 

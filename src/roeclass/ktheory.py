@@ -23,16 +23,9 @@ from itertools import accumulate, chain, cycle, islice, repeat
 from math import gcd, lcm, prod
 from operator import add, floordiv, mod, mul, neg, sub
 
-from .errors import LIMIT_BITS, DepthExhausted, MalformedInput, PreconditionViolation
-from .supernatural import (
-    Tower,
-    _checked_int,
-    _checked_ints,
-    _checked_prime,
-    _clip,
-    _normal_form,
-    bijectively_coarsely_equivalent,
-)
+from .errors import (LIMITS, DepthExhausted, MalformedInput, PreconditionViolation,
+                     _checked_int, _checked_ints, over_limit)
+from .supernatural import Tower, _checked_prime, _normal_form, bijectively_coarsely_equivalent
 
 
 @dataclass(frozen=True)
@@ -103,14 +96,13 @@ def _same_context(a: K0Class, b: K0Class) -> Tower:
 
 def k0_add(a: K0Class, b: K0Class) -> K0Class:
     """Entrywise sum, built in whole-sequence passes.  Its period has
-    lcm(|period a|, |period b|) entries; over 2^LIMIT_BITS it is refused
-    before anything is allocated."""
+    lcm(|period a|, |period b|) entries; past the "K0 sum period" limit it
+    is refused before anything is allocated."""
     t = _same_context(a, b)
     s = max(len(a.prefix), len(b.prefix))
     q = lcm(len(a.period), len(b.period))
-    if q > 1 << LIMIT_BITS:
-        raise PreconditionViolation(
-            f"a K0 sum with a period of {q} entries is over the 2^{LIMIT_BITS} limit")
+    if q > 1 << LIMITS["K0 sum period"][0]:
+        raise over_limit("K0 sum period", q)
     sums = map(add, chain(a.prefix, cycle(a.period)), chain(b.prefix, cycle(b.period)))
     return K0Class(t, tuple(islice(sums, s)), tuple(islice(sums, q)))
 
@@ -182,11 +174,10 @@ def k0_equal(a: K0Class, b: K0Class) -> bool:
 
 def _spread(sums: tuple[int, ...], k: int) -> tuple[int, ...]:
     """(s_0, 0, ..., 0, s_1, 0, ...): each sum opens a block of k entries.
-    A layout over 2^LIMIT_BITS entries is refused before it is allocated."""
+    A layout past the "K0 layout" limit is refused before it is allocated."""
     size = k * len(sums)
-    if size > 1 << LIMIT_BITS:
-        raise PreconditionViolation(
-            f"a K0 layout of {_clip(size)} entries is over the 2^{LIMIT_BITS} limit")
+    if size > 1 << LIMITS["K0 layout"][0]:
+        raise over_limit("K0 layout", size)
     seq = [0] * size
     seq[::k] = sums
     return tuple(seq)
@@ -232,8 +223,8 @@ def k0_positive(a: K0Class) -> tuple[bool, K0Class | None]:
 def unit_divide(t: Tower, p: int, r: int) -> K0Class | None:
     """Witness w with p^r * w = [1] in K0, when p^r divides the supernatural
     number; None otherwise (the main obstruction to equivalence).  The
-    witness has a period of p^r entries; over 2^LIMIT_BITS it is
-    refused before anything is allocated."""
+    witness has a period of p^r entries; past the "unit-division period"
+    limit it is refused before anything is allocated."""
     if not t.is_infinite:
         raise PreconditionViolation("unit division needs an infinite tower")
     if _checked_int(r, "exponent") < 0:
@@ -248,10 +239,9 @@ def unit_divide(t: Tower, p: int, r: int) -> K0Class | None:
     if prod(t.tail) % p and (r * (p.bit_length() - 1) >= head.bit_length() or head % p**r):
         return None
     # p >= 2, so an exponent over the cap's bits is over the cap
-    if r > LIMIT_BITS or p**r > 2**LIMIT_BITS:
-        p, r = _clip(p), _clip(r)
-        raise PreconditionViolation(
-            f"[1]/{p}^{r} needs a period of {p}^{r} entries, over the 2^{LIMIT_BITS} limit")
+    bits = LIMITS["unit-division period"][0]
+    if r > bits or p**r > 2**bits:
+        raise over_limit("unit-division period", p, r)
     # any block of size k_n with p^r | k_n holds whole periods, so this is
     # the shortest representative; p^r copies sum blockwise to the unit
     return K0Class(t, (), _spread((1,), p**r))

@@ -22,8 +22,9 @@ from .errors import (
     NotProjection,
     PreconditionViolation,
     UnsupportedEntries,
+    _checked_int,
+    _clip,
 )
-from .supernatural import _checked_int, _clip
 
 Entries = dict[tuple[int, int], Fraction]
 
@@ -139,7 +140,7 @@ class PropagationOperator:
 
     @classmethod
     def identity(cls, space: BlockSpace) -> "PropagationOperator":
-        # the 2^LIMIT_BITS block cap at level 0, whose blocks are the points
+        # the "blocks of a split" limit at level 0, whose blocks are the points
         return cls(space, {(x, x): Fraction(1) for x in range(space._blocks(0)[1])})
 
     @classmethod
@@ -193,7 +194,7 @@ class BlockTuple:
 
 def block_decompose(t: PropagationOperator, n: int) -> BlockTuple:
     """Split into level-n diagonal blocks; propagation above n is an error,
-    and so is a split into more than 2^LIMIT_BITS blocks."""
+    and so is a split past the "blocks of a split" limit."""
     k, count = t.space._blocks(n)
     blocks: list[Entries] = [{} for _ in range(count)]
     for (r, c), v in t.entries.items():

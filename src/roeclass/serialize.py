@@ -19,8 +19,8 @@ from functools import partial
 from itertools import islice
 from operator import eq
 
-from .errors import MalformedInput, PreconditionViolation
-from .supernatural import INFINITE, SupernaturalNumber, Tower, _checked_int
+from .errors import MalformedInput, PreconditionViolation, _checked_int
+from .supernatural import INFINITE, SupernaturalNumber, Tower
 
 
 def canonical_json(obj) -> str:

@@ -19,7 +19,7 @@ from itertools import accumulate, chain, compress, cycle
 from math import gcd, inf, isqrt, prod
 from operator import mul
 
-from .errors import MalformedInput, PreconditionViolation
+from .errors import LIMITS, MalformedInput, PreconditionViolation, _checked_int, _clip, over_limit
 
 # Exponent marking a prime of unbounded valuation along the tower.
 INFINITE = inf
@@ -44,40 +44,6 @@ _SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
 # bound, its least strong pseudoprime (Sorenson & Webster, Math. Comp. 2017).
 _MR_BASES = _SMALL_PRIMES[:13]
 _MR_LIMIT = 3317044064679887385961981
-
-
-# at most 603 decimal digits: under every int/str digit limit Python allows (>= 640)
-_CLIP_BITS = 2000
-
-
-def _clip(value) -> str:
-    """repr of value, cut to 40 characters for an error message.  An int
-    over _CLIP_BITS bits is never converted, since it may pass the int/str
-    digit limit: its bit length stands in for its digits."""
-    if isinstance(value, int) and value.bit_length() > _CLIP_BITS:
-        return f"<{'-' if value < 0 else ''}int of {value.bit_length()} bits>"
-    try:
-        text = repr(value)
-    except ValueError:  # an int over the digit limit inside value, say a Fraction's
-        return f"<{type(value).__name__} over the int/str digit limit>"
-    return text if len(text) <= 40 else text[:40] + "..."
-
-
-def _checked_int(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise MalformedInput(
-            f"{what} must be an integer, got {type(value).__name__} {_clip(value)}")
-    return value
-
-
-def _checked_ints(values, what: str) -> tuple:
-    """tuple(values), every entry an integer: one C pass over their types,
-    and a walk only to name the first entry that is not one."""
-    values = tuple(values)
-    if set(map(type, values)) - {int}:
-        for v in values:
-            _checked_int(v, what)
-    return values
 
 
 def _checked_ratio(value) -> int:
@@ -122,19 +88,13 @@ def isprime(n: int) -> bool:
     return n < _SMALL**2 or _residue_is_prime(n)
 
 
-# A prime argument or exponent key has at most PRIME_BITS bits.  sympy's test
-# of a prime grows with the cube of its bits (on a 2-CPU box 0.1 s at 2048
-# bits, 0.8 s at 4096), so a cold command that tests one stays near 1 s with
-# sympy's import.
-PRIME_BITS = 2048
-
-
 def _checked_prime(p, error: type, what: str = "") -> int:
     """p, when it is a prime; otherwise ``error``.  A p with a factor below
-    _SMALL is not prime at any size; any other p over PRIME_BITS bits is
-    refused before its primality test."""
-    if isinstance(p, int) and p.bit_length() > PRIME_BITS and all(p % q for q in _SMALL_PRIMES):
-        raise error(f"{what}{_clip(p)} is over the {PRIME_BITS}-bit limit for a prime")
+    _SMALL is not prime at any size; any other p past the "prime size"
+    limit is refused before its primality test."""
+    if (isinstance(p, int) and p.bit_length() > LIMITS["prime size"][0]
+            and all(p % q for q in _SMALL_PRIMES)):
+        raise over_limit("prime size", what, p, error=error)
     if not (isinstance(p, int) and isprime(p)):
         raise error(f"{what}{_clip(p)} is not prime")
     return p
@@ -277,7 +237,7 @@ class SupernaturalNumber:
 
     ``exponents`` stores only primes whose exponent differs from
     ``default_exponent`` (which is 0 or INFINITE), so equal values compare
-    equal structurally.  A key over PRIME_BITS bits is refused.
+    equal structurally.  A key past the "prime size" limit is refused.
     """
 
     exponents: dict[int, int | float]
@@ -321,8 +281,8 @@ def supernatural_of_tower(t: Tower) -> SupernaturalNumber:
 
 
 def sn_divides(p: int, m: int, s: SupernaturalNumber) -> bool:
-    """Whether p^m divides s.  Requires p prime (of at most PRIME_BITS bits)
-    and m >= 1."""
+    """Whether p^m divides s.  Requires p prime (within the "prime size"
+    limit) and m >= 1."""
     _checked_prime(p, PreconditionViolation)
     if _checked_int(m, "exponent m") < 1:
         raise PreconditionViolation("exponent m must be an integer >= 1")

@@ -1,5 +1,6 @@
 """Shared hypothesis strategies for tower-based tests, a wall-clock budget,
-a child interpreter under a memory cap, and the K0 block-sum reference."""
+a child interpreter under a memory cap, a patch of one size limit, and the
+K0 block-sum reference."""
 
 import os
 import resource
@@ -12,7 +13,9 @@ from pathlib import Path
 
 from hypothesis import strategies as st
 
+import roeclass
 from roeclass import Tower
+from roeclass.errors import LIMITS
 
 ratios = st.integers(min_value=2, max_value=10)
 
@@ -43,15 +46,21 @@ class Budget:
 
 def run_limited(*args):
     """``python *args`` in a child process under a 1 GiB address space, with
-    the source tree on its path: a call that allocates per point fails there
-    with MemoryError instead of taking the machine's memory."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
+    the tree of the imported roeclass package on its path, so the child runs
+    the code under test: a call that allocates per point fails there with
+    MemoryError instead of taking the machine's memory."""
+    src = str(Path(roeclass.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
         [sys.executable, *args],
         env=env, capture_output=True, text=True, timeout=30,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)))
+
+
+def set_limit_bits(monkeypatch, row, bits):
+    """Patch the bits of one ``errors.LIMITS`` row for a test, keeping its message."""
+    monkeypatch.setitem(LIMITS, row, (bits, LIMITS[row][1]))
 
 
 def partial_sum_reference(d, i):

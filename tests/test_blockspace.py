@@ -24,9 +24,9 @@ from roeclass import (
     embed_into_nonneg_integers,
     r_components,
 )
-from roeclass.supernatural import _clip
+from roeclass.errors import _clip
 
-from conftest import Budget, run_limited, towers
+from conftest import Budget, run_limited, set_limit_bits, towers
 
 
 def bfs_components(m, R):
@@ -254,13 +254,13 @@ def zero_split(s, n):
 
 
 class TestBlockLimit:
-    """A split into level-n blocks refuses more than 2^LIMIT_BITS of them,
-    before any block is allocated."""
+    """A split into level-n blocks refuses more than the "blocks of a split"
+    limit allows, before any block is allocated."""
 
     @pytest.mark.parametrize("split", [components, zero_split], ids=["components", "decompose"])
     @pytest.mark.parametrize("bits", [1, 3, 5])
     def test_boundary(self, monkeypatch, split, bits):
-        monkeypatch.setattr(blockspace, "LIMIT_BITS", bits)
+        set_limit_bits(monkeypatch, "blocks of a split", bits)
         refused = re.escape(f"split the space into over 2^{bits} blocks")
         two = Tower((), (2,))
         assert len(split(BlockSpace(two, bits), 0).blocks) == 2**bits
@@ -281,12 +281,13 @@ class TestBlockLimit:
 
 class TestPointCountLimits:
     """Calls that would build one item per point: the identity shares the
-    2^LIMIT_BITS block cap at level 0, a metric matrix refuses more than
-    2^LIMIT_BITS entries, and component blocks are ranges."""
+    "blocks of a split" limit at level 0, a metric matrix has its own
+    "metric matrix" limit on entries, and component blocks are ranges."""
 
     @pytest.mark.parametrize("bits", [2, 4])
     def test_boundary(self, monkeypatch, bits):
-        monkeypatch.setattr(blockspace, "LIMIT_BITS", bits)
+        set_limit_bits(monkeypatch, "blocks of a split", bits)
+        set_limit_bits(monkeypatch, "metric matrix", bits)
         two = Tower((), (2,))
         assert len(PropagationOperator.identity(BlockSpace(two, bits)).entries) == 2**bits
         deep = BlockSpace(two, bits + 1)
@@ -387,6 +388,14 @@ class TestAsdimProfile:
         profile = asdim_zero_profile(m)
         assert profile[4] == (0, 1)
         assert profile[5] == (5, 2)
+
+    def test_far_pair_refused_at_once(self):
+        # one entry per R in 0..10^9 would never finish
+        budget = Budget(1.0)
+        with pytest.raises(PreconditionViolation, match=re.escape(
+                "an asdim profile of 1000000001 entries is over the 2^20 limit")):
+            asdim_zero_profile(line_metric([0, 10**9]))
+        budget.check()
 
 
 class TestEmbedding:

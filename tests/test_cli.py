@@ -14,6 +14,7 @@ import pytest
 
 import roeclass
 from roeclass.cli import COMMANDS, GROUPS, main
+from roeclass.errors import LIMITS
 
 from conftest import Budget, run_limited
 
@@ -594,6 +595,13 @@ class TestDocs:
             words = line.split()[1:]
             listed.append(" ".join(takewhile(re.compile("[a-z][a-z0-9-]*").fullmatch, words)))
         assert listed == list(COMMANDS)
+
+    def test_readme_limits_match_table(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        table = readme.split("| limit | rule | exit |", 1)[1].split("\n\n", 1)[0]
+        rows = [line.split("|")[1].strip() for line in table.strip().splitlines()[1:]]
+        # Python, not LIMITS, bounds the digits of a printed number
+        assert rows == list(LIMITS) + ["printed numbers"]
 
     def test_readme_python_blocks_run(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()

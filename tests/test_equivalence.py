@@ -25,7 +25,7 @@ from roeclass import (
     transport_class,
     verify_bijective_coarse_equivalence,
 )
-from roeclass.errors import LIMIT_BITS
+from roeclass.errors import LIMITS
 from roeclass.serialize import (
     bijection_from_obj,
     bijection_to_obj,
@@ -92,10 +92,9 @@ def measure_modulus_reference(b):
     """Oracle: _measure_modulus as it was before it compared per-block
     quotients: least and greatest image per span, one Python step per span
     and per span test, every level walked."""
-    n_d = b.final_levels[0]
-    if n_d >= 1 << LIMIT_BITS:
-        raise PreconditionViolation(
-            f"source level {n_d} would make a report of over 2^{LIMIT_BITS} rows")
+    n_d, bits = b.final_levels[0], LIMITS["verify report rows"][0]
+    if n_d >= 1 << bits:
+        raise PreconditionViolation(f"source level {n_d} would make a report of over 2^{bits} rows")
     los = his = b.mapping
     out = []
     walk = enumerate(b.target.levels())
@@ -264,14 +263,14 @@ class TestBuild:
 
     def test_points_over_limit_refused(self):
         # tail 2 against itself has 2^D points at depth D
-        t = Tower((), (2,))
-        assert build_back_and_forth(t, t, LIMIT_BITS).domain_size == 1 << LIMIT_BITS
+        t, bits = Tower((), (2,)), LIMITS["map points"][0]
+        assert build_back_and_forth(t, t, bits).domain_size == 1 << bits
         with pytest.raises(PreconditionViolation, match=re.escape(
                 f"a map of {2**21} points is over the 2^20 limit")):
-            build_back_and_forth(t, t, LIMIT_BITS + 1)
+            build_back_and_forth(t, t, bits + 1)
 
     def test_depth_over_limit_bits_refused_before_interleaving_it(self):
-        # every ratio is at least 2, so LIMIT_BITS + 1 steps already pass the
+        # every ratio is at least 2, so 21 steps already pass the 2^20
         # cap; in a child, so that a regression times out instead of hanging
         budget = Budget(2.0)
         proc = run_limited("-c", """if True:
@@ -328,19 +327,6 @@ class TestBuild:
 
 
 class TestVerify:
-    def test_row_limit_refuses_modulus_and_report(self, monkeypatch):
-        # the verifier reads the modulus first, so one check guards both
-        monkeypatch.setattr(equivalence, "LIMIT_BITS", 3)
-        two = Tower((2,), ())
-        ok = TowerBijection(two, two, 1, ((7, 1),), (0, 1))
-        assert len(verify_bijective_coarse_equivalence(ok).levels) == 8
-        over = TowerBijection(two, two, 1, ((8, 1),), (0, 1))
-        refused = re.escape("source level 8 would make a report of over 2^3 rows")
-        with pytest.raises(PreconditionViolation, match=refused):
-            over.modulus
-        with pytest.raises(PreconditionViolation, match=refused):
-            verify_bijective_coarse_equivalence(over)
-
     @settings(max_examples=300, deadline=None)
     @given(modulus_maps())
     def test_modulus_and_report_match_reference(self, b):
@@ -354,9 +340,10 @@ class TestVerify:
         # 2^20 - 1 levels over a two-point map: every level past the prefix
         # repeats the last entry, so the measure does not walk them
         two = Tower((2,), ())
-        b = TowerBijection(two, two, 1, (((1 << LIMIT_BITS) - 1, 1),), (1, 0))
+        rows = 1 << LIMITS["verify report rows"][0]
+        b = TowerBijection(two, two, 1, ((rows - 1, 1),), (1, 0))
         budget = Budget(1.0)
-        assert b.modulus == (0,) + (1,) * ((1 << LIMIT_BITS) - 1)
+        assert b.modulus == (0,) + (1,) * (rows - 1)
         budget.check()
 
     def test_depth_ten_map_reads_and_verifies_at_c_speed(self):

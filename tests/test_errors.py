@@ -1,9 +1,14 @@
-"""Every library error carries its CLI exit code; validation errors are ValueErrors."""
+"""Every library error carries its CLI exit code; validation errors are
+ValueErrors; every size limit answers at its bound and refuses one step past
+it; and the limits and input checks live in errors.py alone."""
 
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import roeclass.errors
 from roeclass import (
     INFINITE,
     BlockSpace,
@@ -24,15 +29,24 @@ from roeclass import (
     TowerBijection,
     UnsupportedEntries,
     alpha_iterate,
+    asdim_zero_profile,
+    block_decompose,
     build_back_and_forth,
+    components,
     h_membership,
     interleave_towers,
+    k0_add,
+    k0_positive,
     mvn_partial_isometry,
     r_components,
     sn_divides,
     transport_class,
     unit_divide,
+    verify_bijective_coarse_equivalence,
 )
+from roeclass.errors import LIMITS
+
+from conftest import set_limit_bits
 
 
 @pytest.mark.parametrize("cls, code", [
@@ -208,3 +222,134 @@ def test_integer_arguments_refuse_bools_and_floats(call, bad):
 def test_negative_integer_arguments_keep_precondition_message(call, message):
     with pytest.raises(PreconditionViolation, match=message):
         call()
+
+
+TWO_POINTS = Tower((2,), ())
+
+
+def period(q):
+    """A K0 class over T2 whose primitive period has q entries."""
+    return K0Class(T2, (), (1,) + (0,) * (q - 1))
+
+
+def line(*points):
+    return FiniteMetricSpace(len(points), tuple(tuple(abs(x - y) for y in points)
+                                                for x in points))
+
+
+# row -> (bits to patch in, calls at the bound with what they answer, calls
+# one step past it with the class and the message of their refusal)
+BOUNDARY = {
+    "map points": (3, [
+        (lambda: build_back_and_forth(T2, T2, 3).domain_size, 8),
+    ], [
+        (lambda: build_back_and_forth(T2, T2, 4), PreconditionViolation,
+         "a map of 16 points is over the 2^3 limit"),
+        # bits + 1 interleave steps already pass the limit
+        (lambda: build_back_and_forth(T2, T2, 10**18), PreconditionViolation,
+         "a map of 16 or more points is over the 2^3 limit"),
+    ]),
+    # the verifier reads the modulus first, so one check guards both
+    "verify report rows": (3, [
+        (lambda: len(TowerBijection(TWO_POINTS, TWO_POINTS, 1, ((7, 1),), (0, 1)).modulus), 8),
+        (lambda: len(verify_bijective_coarse_equivalence(
+            TowerBijection(TWO_POINTS, TWO_POINTS, 1, ((7, 1),), (0, 1))).levels), 8),
+    ], [
+        (lambda: TowerBijection(TWO_POINTS, TWO_POINTS, 1, ((8, 1),), (0, 1)).modulus,
+         PreconditionViolation, "source level 8 would make a report of over 2^3 rows"),
+        (lambda: verify_bijective_coarse_equivalence(
+            TowerBijection(TWO_POINTS, TWO_POINTS, 1, ((8, 1),), (0, 1))),
+         PreconditionViolation, "source level 8 would make a report of over 2^3 rows"),
+    ]),
+    # the witness of prefix [-m] over period [1] opens blocks of k_n > 3m entries
+    "K0 layout": (3, [
+        (lambda: len(k0_positive(K0Class(T2, (-2,), (1,)))[1].period), 8),
+    ], [
+        (lambda: k0_positive(K0Class(T2, (-3,), (1,))), PreconditionViolation,
+         "a K0 layout of 16 entries is over the 2^3 limit"),
+    ]),
+    # the lcm of 3*5 and 3*7 entries, not their product
+    "K0 sum period": (6, [
+        (lambda: len(k0_add(period(64), period(32)).period), 64),
+    ], [
+        (lambda: k0_add(period(15), period(21)), PreconditionViolation,
+         "a K0 sum with a period of 105 entries is over the 2^6 limit"),
+    ]),
+    "unit-division period": (3, [
+        (lambda: len(unit_divide(T2, 2, 3).period), 8),
+    ], [
+        (lambda: unit_divide(T2, 2, 4), PreconditionViolation,
+         "[1]/2^4 needs a period of 2^4 entries, over the 2^3 limit"),
+        # an exponent over the bits is refused before p^r is formed
+        (lambda: unit_divide(T2, 2, 10**6), PreconditionViolation,
+         "[1]/2^1000000 needs a period of 2^1000000 entries, over the 2^3 limit"),
+    ]),
+    "blocks of a split": (3, [
+        (lambda: len(components(BlockSpace(T2, 3), 0)), 8),
+        (lambda: len(block_decompose(PropagationOperator.zero(BlockSpace(T2, 3)), 0).blocks), 8),
+    ], [
+        (lambda: components(BlockSpace(T2, 4), 0), PreconditionViolation,
+         "level 0 would split the space into over 2^3 blocks"),
+        (lambda: block_decompose(PropagationOperator.zero(BlockSpace(T2, 4)), 0),
+         PreconditionViolation, "level 0 would split the space into over 2^3 blocks"),
+    ]),
+    "metric matrix": (4, [
+        (lambda: len(BlockSpace(T2, 2).metric_matrix()), 4),
+        (lambda: BlockSpace(T2, 2).to_metric_space().size, 4),
+    ], [
+        (lambda: BlockSpace(Tower((5,), ()), 1).metric_matrix(), PreconditionViolation,
+         "a metric matrix would have over 2^4 entries"),
+        (lambda: BlockSpace(T2, 3).to_metric_space(), PreconditionViolation,
+         "a metric matrix would have over 2^4 entries"),
+    ]),
+    "asdim profile": (3, [
+        (lambda: len(asdim_zero_profile(line(0, 7))), 8),
+    ], [
+        (lambda: asdim_zero_profile(line(0, 8)), PreconditionViolation,
+         "an asdim profile of 9 entries is over the 2^3 limit"),
+    ]),
+    # 1021 and 1031 are primes of 10 and 11 bits, with no factor below 1000
+    "prime size": (10, [
+        (lambda: sn_divides(1021, 1, SupernaturalNumber({1021: 1})), True),
+        (lambda: unit_divide(T2, 1021, 1), None),
+    ], [
+        (lambda: sn_divides(1031, 1, SupernaturalNumber({}, INFINITE)), PreconditionViolation,
+         "1031 is over the 10-bit limit for a prime"),
+        (lambda: unit_divide(T2, 1031, 1), PreconditionViolation,
+         "1031 is over the 10-bit limit for a prime"),
+        (lambda: SupernaturalNumber({1031: 1}), MalformedInput,
+         "exponent key 1031 is over the 10-bit limit for a prime"),
+    ]),
+}
+
+
+class TestLimits:
+    def test_every_row_has_a_boundary_case(self):
+        assert list(BOUNDARY) == list(LIMITS)
+
+    @pytest.mark.parametrize("row", list(LIMITS))
+    def test_boundary(self, monkeypatch, row):
+        bits, answers, refusals = BOUNDARY[row]
+        set_limit_bits(monkeypatch, row, bits)
+        for call, want in answers:
+            assert call() == want
+        for call, error, message in refusals:
+            with pytest.raises(error) as caught:
+                call()
+            assert (type(caught.value), str(caught.value)) == (error, message)
+
+
+# the package under test, whichever tree it was imported from
+SRC = Path(roeclass.errors.__file__).parent
+# what only errors.py may write: the limits' names, a refusal over a power
+# of two or a bit count, and an import of an input check from supernatural
+OUT_OF_HOME = re.compile(r"LIMIT_BITS|PRIME_BITS|2\^\{|-bit limit"
+                         r"|from \.supernatural import (\([^)]*|[^\n]*)\b_(clip|checked_ints?)\b")
+
+
+def test_limits_and_input_checks_live_in_errors():
+    assert {"LIMIT_BITS", "_clip", "_checked_int", "_checked_ints"} <= set(
+        re.findall(r"^(?:def )?(\w+)", (SRC / "errors.py").read_text(), re.M))
+    found = {path.name: hits for path in sorted(SRC.glob("*.py")) if path.name != "errors.py"
+             if (hits := [m.group() for m in OUT_OF_HOME.finditer(path.read_text())])}
+    assert found == {}

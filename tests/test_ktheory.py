@@ -33,9 +33,9 @@ from roeclass import (
     transport_class,
     unit_divide,
 )
-from roeclass.errors import MalformedInput, RoeclassError
+from roeclass.errors import MalformedInput, RoeclassError, _checked_int
 from roeclass.ktheory import _positive_level, _spread, _stable_level
-from roeclass.supernatural import _checked_int, _normal_form
+from roeclass.supernatural import _normal_form
 
 from conftest import Budget, block_sums_reference, partial_sum_reference, towers
 

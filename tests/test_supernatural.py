@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from sympy import factorint
 
 from roeclass import supernatural
+from roeclass.errors import LIMITS
 from roeclass.ktheory import K0Class
 from roeclass.supernatural import _normal_form, _primitive_period
 from roeclass import (
@@ -331,16 +332,16 @@ class TestSnDivides:
             sn_divides(2, 0, SupernaturalNumber({2: INFINITE}))
 
 
-# the largest prime of PRIME_BITS bits, and two numbers with no factor below
-# 1000, just over the cap and at the 4300-digit limit: the Fermat number
-# 2^2048 + 1 and an odd number whose primality test takes seconds
+# the largest prime the "prime size" limit accepts, and two numbers with no
+# factor below 1000, just over the cap and at the 4300-digit limit: the Fermat
+# number 2^2048 + 1 and an odd number whose primality test takes seconds
 TOP_PRIME = 2**2048 - 1557
 OVER_CAP = [2**2048 + 1, 10**4299 + 9]
 
 
 class TestPrimeCap:
     def test_cap_is_2048_bits(self):
-        assert supernatural.PRIME_BITS == 2048 == TOP_PRIME.bit_length()
+        assert LIMITS["prime size"][0] == 2048 == TOP_PRIME.bit_length()
 
     def test_top_prime_accepted(self):
         assert sympy.isprime(TOP_PRIME)
@@ -525,7 +526,7 @@ class TestPrimalityAndFactoring:
         assert calls == [p]
 
     def test_composite_over_prime_bits_still_factors(self):
-        # a residue over PRIME_BITS is tested, not refused: 1009^700 answers
+        # a residue past the prime size limit is tested, not refused: 1009^700 answers
         assert supernatural.factorint(1009**700) == {1009: 700}
         assert supernatural_of_tower(Tower((1009**700,), ())) == SupernaturalNumber({1009: 700})
 
