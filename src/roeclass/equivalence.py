@@ -16,10 +16,12 @@ reports rather than raises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
+from collections.abc import Sequence
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
-from itertools import repeat
-from operator import floordiv
+from itertools import chain, compress, islice, repeat
+from operator import add, eq, floordiv, le, mod, ne, sub
 
 from .errors import (LIMITS, DepthExhausted, MalformedInput, NotEquivalent,
                      PreconditionViolation, _checked_int, _checked_ints, _clip, over_limit)
@@ -63,8 +65,13 @@ def interleave_towers(t1: Tower, t2: Tower, depth: int) -> tuple[tuple[int, int]
 class TowerBijection:
     """Truncated bijective coarse equivalence between two towers.
 
-    ``mapping[x]`` is the image of source point x; the domain is the full
-    source truncation {0..k1_{n_D}-1} and images lie in {0..k2_{m_D}-1}.
+    The map is held as its maximal slope-1 runs: ``runs`` is three parallel
+    tuples (starts, images, lengths), and source point starts[i] + t goes to
+    images[i] + t for 0 <= t < lengths[i].  The runs tile the full source
+    truncation {0..k1_{n_D}-1}, and images lie in {0..k2_{m_D}-1}.  A map is
+    given either as the image of every point, in order (the fifth argument),
+    or as ``runs=``; runs that continue each other are merged either way.
+    ``mapping``, the image of every point, is expanded on first read.
     ``modulus`` is measured from the map: modulus[l] is the least target
     level whose components absorb the image of every source l-component.
     """
@@ -73,15 +80,18 @@ class TowerBijection:
     target: Tower
     depth: int
     levels: tuple[tuple[int, int], ...]
-    mapping: tuple[int, ...]
+    points: InitVar[Sequence[int] | None] = None
+    runs: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]] = field(
+        default=None, kw_only=True)
 
-    def __post_init__(self):
+    def __post_init__(self, points):
         _checked_int(self.depth, "depth")
         if not all(isinstance(pair, (tuple, list)) and len(pair) == 2 for pair in self.levels):
             raise MalformedInput("each level must be a pair")
         levels = tuple((_checked_int(n, "level"), _checked_int(m, "level")) for n, m in self.levels)
         object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "mapping", tuple(self.mapping))
+        if (points is None) == (self.runs is None):
+            raise PreconditionViolation("a map is given by its points or by its runs")
         if len(levels) != self.depth:
             raise MalformedInput("levels length must equal depth")
         prev_n, prev_m = 0, 0
@@ -89,16 +99,25 @@ class TowerBijection:
             if n <= prev_n or m <= prev_m:
                 raise MalformedInput("level indices must be strictly increasing")
             prev_n, prev_m = n, m
+        if points is None:
+            starts, _, lengths = runs = _checked_runs(self.runs)
+            size = starts[-1] + lengths[-1]
+        else:
+            points = tuple(points)
+            size = len(points)
         n_d, m_d = self.final_levels
         # every ratio is >= 2, so k_n > cap once n >= cap.bit_length(): each
         # side's order is taken no higher, and a huge level costs nothing
-        dom = self.source.order(min(n_d, len(self.mapping).bit_length()))
-        if dom != len(self.mapping):
-            points = f"at least {_clip(dom)}" if dom > len(self.mapping) else dom
-            raise MalformedInput(f"map must cover the full source truncation ({points} points)")
-        # whole-map passes in C: a witness has tens of thousands of images
-        _checked_ints(self.mapping, "image")
-        lo, hi = min(self.mapping), max(self.mapping)
+        dom = self.source.order(min(n_d, size.bit_length()))
+        if dom != size:
+            need = f"at least {_clip(dom)}" if dom > size else dom
+            raise MalformedInput(f"map must cover the full source truncation ({need} points)")
+        if points is not None:
+            # whole-list passes in C: a witness file has up to 2^20 images
+            runs = range(size), _checked_ints(points, "image"), (1,) * size
+        starts, images, lengths = runs = _merged(*runs)
+        object.__setattr__(self, "runs", runs)
+        lo, hi = min(images), max(map(add, images, lengths)) - 1
         if lo < 0 or hi >= self.target.order(min(m_d, hi.bit_length())):
             raise MalformedInput(
                 f"image {_clip(lo if lo < 0 else hi)} outside the target truncation")
@@ -109,12 +128,88 @@ class TowerBijection:
 
     @property
     def domain_size(self) -> int:
-        return len(self.mapping)
+        starts, _, lengths = self.runs
+        return starts[-1] + lengths[-1]
+
+    @cached_property
+    def mapping(self) -> tuple[int, ...]:
+        """The image of every source point, expanded from the runs on first
+        read; a map given by runs may have over 2^20 points, and is refused."""
+        if self.domain_size > 1 << LIMITS["map points"][0]:
+            raise over_limit("map points", self.domain_size, "")
+        _, images, lengths = self.runs
+        if len(images) == self.domain_size:
+            return images
+        return tuple(chain.from_iterable(map(range, images, map(add, images, lengths))))
+
+    def image(self, x: int) -> int:
+        """The image of source point x (0 <= x < domain_size), by bisecting the run starts."""
+        starts, images, _ = self.runs
+        i = bisect_right(starts, x) - 1
+        return images[i] + x - starts[i]
 
     @cached_property
     def modulus(self) -> tuple[int, ...]:
         """Measured on first use: building or conjugating never pays for it."""
         return _measure_modulus(self)
+
+
+def _checked_runs(runs) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """(starts, images, lengths) of integers that tile 0..N-1 from 0, in order."""
+    if not (isinstance(runs, (tuple, list)) and len(runs) == 3):
+        raise MalformedInput("runs must be three parallel tuples: starts, images, lengths")
+    starts, images, lengths = (_checked_ints(part, "run") for part in runs)
+    if not (len(starts) == len(images) == len(lengths) and starts[:1] == (0,)
+            and min(lengths) >= 1 and all(map(eq, starts[1:], map(add, starts, lengths)))):
+        raise MalformedInput("runs must tile the source from 0, in order")
+    return starts, images, lengths
+
+
+def _merged(starts, images, lengths) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The maximal runs: each run that continues the one before it joins it.
+    Whole-list passes in C, as a map given point by point is one run a point."""
+    keep = [True, *map(ne, islice(images, 1, None), map(add, images, lengths))]
+    if all(keep):
+        return tuple(starts), tuple(images), tuple(lengths)
+    size = starts[-1] + lengths[-1]
+    starts = tuple(compress(starts, keep))
+    return starts, tuple(compress(images, keep)), tuple(map(sub, (*starts[1:], size), starts))
+
+
+# a map whose runs hold fewer points than this on average is measured and
+# checked point by point, in C passes over its images: the run measure takes
+# Python steps per run and level, and on 2^19-point maps of unaligned runs
+# it overtook the point measure at about 32 points a run
+_RUN_POINTS = 64
+
+
+def _by_points(b: TowerBijection) -> bool:
+    return len(b.runs[0]) * _RUN_POINTS > b.domain_size
+
+
+def floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum((a*i + b) // m for i in range(n)) for n, m >= 1 and a, b >= 0, in
+    O(log m) steps: the Euclid-like reduction of the AtCoder Library's
+    floor_sum (atcoder/math.hpp)."""
+    total = 0
+    while True:
+        if a >= m:
+            total += n * (n - 1) // 2 * (a // m)
+            a %= m
+        if b >= m:
+            total += n * (b // m)
+            b %= m
+        top = a * n + b
+        if top < m:
+            return total
+        n, b, m, a = top // m, top % m, a, m
+
+
+def _straddles(c: int, count: int, width: int, k: int) -> bool:
+    """Whether one of the intervals [c + t·width, c + t·width + width), for t
+    in range(count), meets two target blocks [j·k, j·k + k): each meets
+    (c + t·width + width - 1)//k - (c + t·width)//k + 1 of them."""
+    return width > k or floor_sum(count, k, width, c + width - 1) != floor_sum(count, k, width, c)
 
 
 def _measure_modulus(b: TowerBijection) -> tuple[int, ...]:
@@ -123,6 +218,13 @@ def _measure_modulus(b: TowerBijection) -> tuple[int, ...]:
     n_d = b.final_levels[0]
     if n_d >= 1 << LIMITS["verify report rows"][0]:
         raise over_limit("verify report rows", n_d)
+    # once one block holds every image, as on a finite source past its
+    # prefix, every later level repeats the last entry
+    out = (_modulus_of_points if _by_points(b) else _modulus_of_runs)(b, n_d)
+    return tuple(out + [out[-1]] * (n_d + 1 - len(out)))
+
+
+def _modulus_of_points(b: TowerBijection, n_d: int) -> list[int]:
     # reps[i] is y // k_s for every image y of source block i: a block's image
     # lies in one target s-block exactly when its images agree there.  Each
     # level compares the r blocks it merges, a C pass per slice, and divides
@@ -132,7 +234,7 @@ def _measure_modulus(b: TowerBijection) -> tuple[int, ...]:
     out = [0]  # level-0 blocks are single points
     for level in range(1, n_d + 1):
         if len(reps) == 1:
-            break  # one block holds every image: a finite source past its prefix
+            break
         r = b.source.ratio(level - 1)
         head = reps[::r]
         # coarser source blocks contain finer ones, so the modulus never
@@ -143,7 +245,50 @@ def _measure_modulus(b: TowerBijection) -> tuple[int, ...]:
             s += 1
         reps = head
         out.append(s)
-    return tuple(out + [s] * (n_d + 1 - len(out)))
+    return out
+
+
+def _modulus_of_runs(b: TowerBijection, n_d: int) -> list[int]:
+    # A source block inside one run has an interval for image, and the
+    # blocks a run holds whole have images c, c + k, c + 2k, ...: they fit
+    # in target blocks of order K exactly when no interval straddles a
+    # multiple of K, counted by floor_sum.  A block that run starts cut is
+    # judged by the hull of its pieces' images.  The modulus never decreases
+    # and a fitting image fits at every coarser target level, so each item
+    # moves s only forward
+    starts, images, lengths = b.runs
+    size, lasts = b.domain_size, [*map(add, images, lengths)]
+    targets = b.target.levels()
+    s, big = 0, next(targets)
+    k, out = 1, [0]
+    for level in range(1, n_d + 1):
+        if k == size:
+            break
+        k *= b.source.ratio(level - 1)
+        for c, count, width in _image_intervals(starts, images, lengths, lasts, k):
+            while _straddles(c, count, width, big):
+                s, big = s + 1, next(targets)
+        out.append(s)
+    return out
+
+
+def _image_intervals(starts, images, lengths, lasts, k: int):
+    """(c, count, width) triples whose intervals [c + t·width, c + t·width +
+    width) are the images of the source k-blocks, or hold one (a hull)."""
+    for i in compress(range(len(starts)), map(le, repeat(k), lengths)):
+        x = starts[i]
+        first = -(-x // k)
+        count = (x + lengths[i]) // k - first
+        if count > 0:
+            yield images[i] + first * k - x, count, k
+    # the blocks that a run start cuts, from the unaligned starts
+    for block in dict.fromkeys(map(floordiv, compress(starts, map(mod, starts, repeat(k))),
+                                   repeat(k))):
+        x = block * k
+        a, z = bisect_right(starts, x) - 1, bisect_right(starts, x + k - 1) - 1
+        lo = min(images[a] + x - starts[a], min(images[a + 1 : z + 1]))
+        hi = max(max(lasts[a:z]), images[z] + x + k - starts[z])
+        yield lo, 1, hi - lo
 
 
 def build_back_and_forth(t1: Tower, t2: Tower, depth: int) -> TowerBijection:
@@ -156,8 +301,7 @@ def build_back_and_forth(t1: Tower, t2: Tower, depth: int) -> TowerBijection:
     points = t1.order(levels[-1][0] if levels else 0)
     if points > 1 << bits:
         raise over_limit("map points", points, " or more" if depth > len(levels) else "")
-    return TowerBijection(source=t1, target=t2, depth=depth, levels=levels,
-                          mapping=tuple(range(points)))
+    return TowerBijection(t1, t2, depth, levels, runs=((0,), (0,), (points,)))
 
 
 @dataclass(frozen=True)
@@ -184,6 +328,15 @@ class VerificationReport:
         return self.injective and all(c.passed for c in self.levels)
 
 
+def _injective(b: TowerBijection) -> bool:
+    """No two images meet: the image intervals, sorted by start, are disjoint."""
+    if _by_points(b):
+        return len(set(b.mapping)) == b.domain_size
+    _, images, lengths = b.runs
+    firsts, lasts = zip(*sorted(zip(images, map(add, images, lengths))))
+    return all(map(le, lasts, firsts[1:]))
+
+
 def verify_bijective_coarse_equivalence(b: TowerBijection) -> VerificationReport:
     """Measure every claimed property of a candidate truncated witness.
 
@@ -199,7 +352,7 @@ def verify_bijective_coarse_equivalence(b: TowerBijection) -> VerificationReport
     covers bound-components with whole, disjoint images.  Without the bound
     an image straddles two bound-components; without injectivity images meet.
     """
-    injective = len(set(b.mapping)) == len(b.mapping)
+    injective = _injective(b)
     modulus = b.modulus  # refuses an over-long report before anything grows
 
     # bound at level l is m_j for the least j with n_j >= l, and 0 at level 0

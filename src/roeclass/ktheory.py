@@ -280,7 +280,7 @@ def transport_class(b: TowerBijection, a: K0Class) -> K0Class:
         raise DepthExhausted("support escapes the truncated domain")
     out: dict[int, int] = {}
     for i in support:
-        y = b.mapping[i]
+        y = b.image(i)
         if y in out:
             raise PreconditionViolation("map is not injective on the support")
         out[y] = a.prefix[i]

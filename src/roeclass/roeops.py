@@ -275,7 +275,7 @@ def conjugate_by_bijection(b: TowerBijection, t: PropagationOperator) -> Propaga
     for (r, c), v in t.entries.items():
         if r >= b.domain_size or c >= b.domain_size:
             raise DepthExhausted("operator support escapes the truncated domain")
-        key = (b.mapping[r], b.mapping[c])
+        key = (b.image(r), b.image(c))
         if key in entries:
             raise PreconditionViolation("map is not injective on the support")
         entries[key] = v

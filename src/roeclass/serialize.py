@@ -19,7 +19,7 @@ from functools import partial
 from itertools import islice
 from operator import eq
 
-from .errors import MalformedInput, PreconditionViolation, _checked_int
+from .errors import LIMITS, MalformedInput, PreconditionViolation, _checked_int, over_limit
 from .supernatural import INFINITE, SupernaturalNumber, Tower
 
 
@@ -146,9 +146,10 @@ def k0_from_obj(obj) -> K0Class:
 # -- bijections -------------------------------------------------------------
 
 def bijection_to_obj(b: TowerBijection) -> dict:
-    flat = []
-    for x, y in enumerate(b.mapping):
-        flat += [str(x), str(y)]
+    # the runs expanded to the flat pair list of every point, in C passes
+    flat = [""] * (2 * b.domain_size)
+    flat[::2] = map(str, range(b.domain_size))
+    flat[1::2] = map(str, b.mapping)
     return {
         "source": tower_to_obj(b.source),
         "target": tower_to_obj(b.target),
@@ -166,7 +167,10 @@ def bijection_from_obj(obj) -> TowerBijection:
     target = tower_from_obj(obj["target"])
     _expect(isinstance(obj["levels"], list), "levels must be a list")
     flat = obj["map"]
-    _expect(isinstance(flat, list) and len(flat) % 2 == 0, "map must be a flat pair list")
+    _expect(isinstance(flat, list), "map must be a flat pair list")
+    if len(flat) // 2 > 1 << LIMITS["map points"][0]:
+        raise over_limit("map points", len(flat) // 2, "")
+    _expect(len(flat) % 2 == 0, "map must be a flat pair list")
     # screen the map as bce build writes it at C speed, sources "0".."N-1" in
     # order and ASCII-digit images; walk any other list to name its first bad pair
     images = flat[1::2]

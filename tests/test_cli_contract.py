@@ -10,7 +10,9 @@ byte-identical stdout.  Inputs include decimal strings over Python's
 import contextlib
 import io
 import json
+import random
 import tempfile
+from bisect import bisect_right
 from fractions import Fraction
 from pathlib import Path
 
@@ -147,11 +149,19 @@ def map_objs(draw):
     """Bijection files whose shape fits their towers, so that most reach the
     verifier.  Half of them put the last target level anywhere up to 10^7;
     images stay below k_min(m_D, 6), so no order above level 6 is computed
-    here."""
-    src, tgt = (draw(small_ratios), draw(small_ratios)), (draw(small_ratios), draw(small_ratios))
-    depth = draw(st.integers(0, 2))
+    here.  A domain of over 64 points is mapped x -> x mod k, with the
+    target blocks of one level permuted, or with up to three cuts anywhere
+    and each piece shifted: runs long enough for the run measure."""
+    # a quarter of the maps go from tail 4 to tail 4 at levels 4 and 4 or
+    # more: 256 points or more, and a target as large
+    big = draw(st.integers(0, 3)) == 0
+    src = (draw(small_ratios), [4] if big else draw(small_ratios))
+    tgt = (draw(small_ratios), [4] if big else draw(small_ratios))
+    depth = draw(st.integers(int(big), 2))
     increasing = st.sets(st.integers(1, 4), min_size=depth, max_size=depth).map(sorted)
     levels = [list(nm) for nm in zip(draw(increasing), draw(increasing))]
+    if big:
+        levels[-1] = [4, 4]
     if levels and draw(st.booleans()):
         levels[-1][1] = draw(st.integers(levels[-1][1], 10**7))
     n_d, m_d = levels[-1] if levels else (0, 0)
@@ -161,6 +171,17 @@ def map_objs(draw):
         images = draw(st.lists(st.integers(0, cod - 1), min_size=dom, max_size=dom))
     else:
         images = [x % cod for x in range(dom)]
+        shape = draw(st.sampled_from(["modulo", "block permutation", "shifted runs"]))
+        shuffle = random.Random(draw(st.integers(0, 10**6))).shuffle
+        if shape == "block permutation":
+            w = Tower(*map(tuple, tgt)).order(draw(st.integers(0, min(m_d, 6))))
+            blocks = list(range(cod // w))
+            shuffle(blocks)
+            images = [blocks[y // w] * w + y % w for y in images]
+        elif shape == "shifted runs":
+            cuts = sorted(draw(st.sets(st.integers(1, dom - 1), max_size=3)))
+            shifts = draw(st.lists(st.integers(0, cod - 1), min_size=4, max_size=4))
+            images = [(y + shifts[bisect_right(cuts, x)]) % cod for x, y in enumerate(images)]
     flat = [str(v) for x, y in enumerate(images) for v in (x, y)]
     # a third are not as bce build writes them, so that the pair walk reads them
     edit = draw(st.sampled_from([None] * 14 + list(FLAT_EDITS)))

@@ -2,6 +2,7 @@
 
 import random
 import re
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -110,6 +111,34 @@ def measure_modulus_reference(b):
     return tuple(out)
 
 
+def measure_points_reference(b):
+    """Oracle: _measure_modulus as it was while a map was held point by
+    point: one integer per source block, its images divided by the current
+    target order, compared slice against slice as each level merges blocks."""
+    n_d, bits = b.final_levels[0], LIMITS["verify report rows"][0]
+    if n_d >= 1 << bits:
+        raise PreconditionViolation(f"source level {n_d} would make a report of over 2^{bits} rows")
+    reps = b.mapping
+    s = 0
+    out = [0]
+    for level in range(1, n_d + 1):
+        if len(reps) == 1:
+            break
+        r = b.source.ratio(level - 1)
+        head = reps[::r]
+        while any(reps[j::r] != head for j in range(1, r)):
+            reps = [y // b.target.ratio(s) for y in reps]
+            head = reps[::r]
+            s += 1
+        reps = head
+        out.append(s)
+    return tuple(out + [s] * (n_d + 1 - len(out)))
+
+
+def injective_reference(b):
+    return len(set(b.mapping)) == len(b.mapping)
+
+
 def brute_levels(b):
     """Every LevelCheck field from its definition, by listing components.
 
@@ -201,6 +230,50 @@ def modulus_maps(draw):
     else:
         shift = draw(st.integers(0, cod - dom)) if kind == "shifted" else 0
         images = range(shift, shift + dom)
+    return TowerBijection(source, target, depth, tuple(zip(ns, ms)), tuple(images))
+
+
+@st.composite
+def run_maps(draw):
+    """Candidate witnesses made of runs, over the towers of modulus_maps:
+    aligned target-block permutations, runs cut anywhere (mid-block among
+    them) and shifted, runs whose images overlap, maps of all-length-1 runs,
+    and finite sources whose last level lies past their prefix."""
+    source = draw(towers(max_prefix=3, max_tail=2, max_ratio=4))
+    target = draw(towers(max_prefix=3, max_tail=2, max_ratio=4))
+    depth = draw(st.integers(min_value=0, max_value=3))
+    top = 6 if source.tail else 40
+    ns = sorted(draw(st.sets(st.integers(1, top), min_size=depth, max_size=depth)))
+    ms = sorted(draw(st.sets(st.integers(1, 30), min_size=depth, max_size=depth)))
+    n_d, m_d = (ns[-1], ms[-1]) if depth else (0, 0)
+    dom, cod = source.order(n_d), min(target.order(m_d), 4096)
+    assume(dom <= 512)
+    shuffle = random.Random(draw(st.integers(0, 10**6))).shuffle
+    kind = draw(st.sampled_from(["block permutation", "shifted", "overlapping", "points"]))
+    if kind == "points" or dom > cod:
+        images = draw(st.lists(st.integers(0, cod - 1), min_size=dom, max_size=dom))
+    elif kind == "block permutation":
+        w = target.order(draw(st.integers(0, m_d)))
+        w = w if w <= cod else 1
+        blocks = list(range(cod // w))
+        shuffle(blocks)
+        # past the last whole target block, the blocks repeat
+        images = [blocks[y // w % len(blocks)] * w + y % w for y in range(dom)]
+    else:
+        cuts = sorted(draw(st.sets(st.integers(1, dom), max_size=4)) | {dom})
+        pieces = [range(a, b) for a, b in zip([0] + cuts, cuts)]
+        if kind == "shifted":
+            # disjoint images: the pieces in a shuffled order, with gaps
+            order = list(range(len(pieces)))
+            shuffle(order)
+            gaps = sorted(draw(st.lists(st.integers(0, cod - dom), min_size=len(pieces),
+                                        max_size=len(pieces))))
+            at, starts = 0, {}
+            for gap, i in zip(gaps, order):
+                starts[i], at = at + gap, at + len(pieces[i])
+        else:
+            starts = {i: draw(st.integers(0, cod - len(p))) for i, p in enumerate(pieces)}
+        images = [starts[i] + t for i, p in enumerate(pieces) for t in range(len(p))]
     return TowerBijection(source, target, depth, tuple(zip(ns, ms)), tuple(images))
 
 
@@ -474,3 +547,90 @@ class TestVerify:
         report = verify_bijective_coarse_equivalence(b)
         for check in report.levels:
             assert t2.order(check.bound) % t1.order(check.level) == 0
+
+
+class TestRuns:
+    """A map is held as maximal slope-1 runs; a map whose runs are short on
+    average is measured point by point (equivalence._RUN_POINTS).  Both
+    measures are checked against the point references, on every map."""
+
+    @pytest.mark.parametrize("run_points", [0, 10**9], ids=["runs", "points"])
+    @settings(max_examples=300, deadline=None)
+    @given(b=run_maps() | modulus_maps() | candidate_maps())
+    @example(b=TowerBijection(Tower((2,), ()), Tower((3,), ()), 1, ((3, 1),), (0, 1)))
+    def test_matches_point_reference(self, run_points, b):
+        with mock.patch.object(equivalence, "_measure_modulus", measure_points_reference), \
+                mock.patch.object(equivalence, "_injective", injective_reference):
+            old = TowerBijection(b.source, b.target, b.depth, b.levels, b.mapping)
+            want = report_to_obj(verify_bijective_coarse_equivalence(old))
+        with mock.patch.object(equivalence, "_RUN_POINTS", run_points):
+            assert equivalence._injective(b) == injective_reference(b)
+            assert b.modulus == old.modulus
+            assert report_to_obj(verify_bijective_coarse_equivalence(b)) == want
+
+    @given(st.integers(1, 60), st.integers(1, 60), st.integers(0, 200), st.integers(0, 200))
+    def test_floor_sum_matches_brute_force(self, n, m, a, b):
+        assert equivalence.floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+
+    def test_points_merge_into_maximal_runs(self):
+        t = Tower((), (2,))
+        assert TowerBijection(t, t, 2, ((1, 1), (2, 2)), (0, 1, 2, 3)).runs == ((0,), (0,), (4,))
+        swap = TowerBijection(t, t, 2, ((1, 1), (2, 2)), (2, 3, 0, 1))
+        assert swap.runs == ((0, 2), (2, 0), (2, 2))
+        assert [swap.image(x) for x in range(4)] == list(swap.mapping) == [2, 3, 0, 1]
+        split = TowerBijection(t, t, 2, ((1, 1), (2, 2)), runs=((0, 1, 2, 3), (2, 3, 0, 1), (1, 1, 1, 1)))
+        assert split == swap and split.domain_size == 4
+
+    @pytest.mark.parametrize("runs", [
+        ((1,), (0,), (4,)),                 # does not start at 0
+        ((0, 2), (0, 2), (1, 2)),           # a gap at 1
+        ((0, 2), (0, 2), (2,)),             # not parallel
+        ((0,), (0,), (0,)),                 # an empty run
+        ((0,), (0,)),                       # two parts
+        ((0,), (0.0,), (4,)),               # a float image
+    ])
+    def test_malformed_runs_rejected(self, runs):
+        t = Tower((), (2,))
+        with pytest.raises(MalformedInput):
+            TowerBijection(t, t, 2, ((1, 1), (2, 2)), runs=runs)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_conjugate_and_transport_match_point_map(self, data):
+        # 64 points of tail 2 onto tail 4, the target's 8-point blocks permuted
+        t2, t4 = Tower((), (2,)), Tower((), (4,))
+        blocks = data.draw(st.permutations(range(8)))
+        b = TowerBijection(t2, t4, 1, ((6, 3),), tuple(blocks[y // 8] * 8 + y % 8
+                                                       for y in range(64)))
+        assert len(b.runs[0]) == 8 - sum(c == d + 1 for d, c in zip(blocks, blocks[1:]))
+        point = st.integers(0, 63)
+        entries = data.draw(st.dictionaries(st.tuples(point, point), st.integers(1, 9), max_size=6))
+        got = conjugate_by_bijection(b, PropagationOperator(BlockSpace(t2, 6), entries))
+        assert got.entries == {(b.mapping[r], b.mapping[c]): v for (r, c), v in entries.items()}
+        prefix = data.draw(st.lists(st.integers(-3, 3), max_size=64))
+        pushed = {b.mapping[i]: v for i, v in enumerate(prefix) if v}
+        want = tuple(pushed.get(y, 0) for y in range(max(pushed, default=-1) + 1))
+        assert transport_class(b, K0Class(t2, tuple(prefix), (0,))) == K0Class(t4, want, (0,))
+
+    def test_built_witness_allocates_no_point(self):
+        # 524,288 points in one run: build and verify stay under 1 MB
+        t2, t4 = Tower((), (2,)), Tower((), (4,))
+        tracemalloc.start()
+        try:
+            b = build_back_and_forth(t2, t4, 10)
+            report = verify_bijective_coarse_equivalence(b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed and b.domain_size == 1 << 19
+        assert peak < 1 << 20
+
+    def test_unstructured_map_verifies_within_budget(self):
+        # 524,288 runs of one point each take the point measure, in C passes
+        t2, t4 = Tower((), (2,)), Tower((), (4,))
+        levels = build_back_and_forth(t2, t4, 10).levels
+        images = random.Random(0).sample(range(1 << 20), 1 << 19)
+        budget = Budget(2.0)
+        report = verify_bijective_coarse_equivalence(TowerBijection(t2, t4, 10, levels, images))
+        budget.check()
+        assert report.injective and not report.passed

@@ -45,6 +45,7 @@ from roeclass import (
     verify_bijective_coarse_equivalence,
 )
 from roeclass.errors import LIMITS
+from roeclass.serialize import bijection_from_obj, bijection_to_obj
 
 from conftest import set_limit_bits
 
@@ -237,14 +238,30 @@ def line(*points):
                                                 for x in points))
 
 
+def map_obj(points, flat=None):
+    """The file of the identity on 0..points-1 over tail 2, or one with that
+    shape holding ``flat`` as its map."""
+    n = points.bit_length() - 1
+    obj = bijection_to_obj(TowerBijection(T2, T2, 1, ((n, n),), runs=((0,), (0,), (points,))))
+    return obj if flat is None else {**obj, "map": flat}
+
+
 # row -> (bits to patch in, calls at the bound with what they answer, calls
 # one step past it with the class and the message of their refusal)
 BOUNDARY = {
     "map points": (3, [
         (lambda: build_back_and_forth(T2, T2, 3).domain_size, 8),
+        (lambda: bijection_from_obj(map_obj(8)).domain_size, 8),
+        (lambda: len(bijection_from_obj(map_obj(8)).mapping), 8),
     ], [
         (lambda: build_back_and_forth(T2, T2, 4), PreconditionViolation,
          "a map of 16 points is over the 2^3 limit"),
+        # a map file is refused on the length of its list, before any pair is read
+        (lambda: bijection_from_obj(map_obj(8, ["x"] * 18)), PreconditionViolation,
+         "a map of 9 points is over the 2^3 limit"),
+        # a map given by runs is refused only when its points are read
+        (lambda: TowerBijection(T2, T2, 1, ((4, 4),), runs=((0,), (0,), (16,))).mapping,
+         PreconditionViolation, "a map of 16 points is over the 2^3 limit"),
         # bits + 1 interleave steps already pass the limit
         (lambda: build_back_and_forth(T2, T2, 10**18), PreconditionViolation,
          "a map of 16 or more points is over the 2^3 limit"),
@@ -337,6 +354,17 @@ class TestLimits:
             with pytest.raises(error) as caught:
                 call()
             assert (type(caught.value), str(caught.value)) == (error, message)
+
+
+def test_map_file_points_bounded_at_two_to_the_twenty():
+    # one shared string object keeps a list of 2^21 entries cheap: at the
+    # bound its pairs are read (and the repeated source refused), one point
+    # past it the list is refused before any pair is read
+    with pytest.raises(MalformedInput, match="^source point 0 assigned twice$"):
+        bijection_from_obj(map_obj(2, ["0"] * (2 << 20)))
+    with pytest.raises(PreconditionViolation) as caught:
+        bijection_from_obj(map_obj(2, ["0"] * ((2 << 20) + 2)))
+    assert str(caught.value) == "a map of 1048577 points is over the 2^20 limit"
 
 
 # the package under test, whichever tree it was imported from
