@@ -21,7 +21,9 @@ from collections.abc import Sequence
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from itertools import chain, compress, islice, repeat
-from operator import add, eq, floordiv, le, mod, ne, sub
+from math import gcd
+from operator import add, eq, floordiv, le, lt, mod, ne, sub
+from typing import NamedTuple
 
 from .errors import (LIMITS, DepthExhausted, MalformedInput, NotEquivalent,
                      PreconditionViolation, _checked_int, _checked_ints, _clip, over_limit)
@@ -177,39 +179,14 @@ def _merged(starts, images, lengths) -> tuple[tuple[int, ...], tuple[int, ...], 
 
 
 # a map whose runs hold fewer points than this on average is measured and
-# checked point by point, in C passes over its images: the run measure takes
-# Python steps per run and level, and on 2^19-point maps of unaligned runs
-# it overtook the point measure at about 32 points a run
+# checked point by point, in C passes over its images.  The threshold is
+# where the run measure it replaced (a Python step per run and level)
+# overtook the point measure, about 32 points a run on 2^19-point maps
 _RUN_POINTS = 64
 
 
 def _by_points(b: TowerBijection) -> bool:
     return len(b.runs[0]) * _RUN_POINTS > b.domain_size
-
-
-def floor_sum(n: int, m: int, a: int, b: int) -> int:
-    """sum((a*i + b) // m for i in range(n)) for n, m >= 1 and a, b >= 0, in
-    O(log m) steps: the Euclid-like reduction of the AtCoder Library's
-    floor_sum (atcoder/math.hpp)."""
-    total = 0
-    while True:
-        if a >= m:
-            total += n * (n - 1) // 2 * (a // m)
-            a %= m
-        if b >= m:
-            total += n * (b // m)
-            b %= m
-        top = a * n + b
-        if top < m:
-            return total
-        n, b, m, a = top // m, top % m, a, m
-
-
-def _straddles(c: int, count: int, width: int, k: int) -> bool:
-    """Whether one of the intervals [c + t·width, c + t·width + width), for t
-    in range(count), meets two target blocks [j·k, j·k + k): each meets
-    (c + t·width + width - 1)//k - (c + t·width)//k + 1 of them."""
-    return width > k or floor_sum(count, k, width, c + width - 1) != floor_sum(count, k, width, c)
 
 
 def _measure_modulus(b: TowerBijection) -> tuple[int, ...]:
@@ -249,46 +226,39 @@ def _modulus_of_points(b: TowerBijection, n_d: int) -> list[int]:
 
 
 def _modulus_of_runs(b: TowerBijection, n_d: int) -> list[int]:
-    # A source block inside one run has an interval for image, and the
-    # blocks a run holds whole have images c, c + k, c + 2k, ...: they fit
-    # in target blocks of order K exactly when no interval straddles a
-    # multiple of K, counted by floor_sum.  A block that run starts cut is
-    # judged by the hull of its pieces' images.  The modulus never decreases
-    # and a fitting image fits at every coarser target level, so each item
-    # moves s only forward
+    # Call x a K-break when x - 1 and x map into different target K-blocks:
+    # the source k-blocks fit in target K-blocks exactly when k divides every
+    # K-break, that is their gcd.  A run start is a break when the image
+    # before it lies in another K-block.  Inside a run the breaks are the
+    # points whose image is a multiple of K: the least multiple m above the
+    # run's first image y, shifted back by y - x0 to the source, then every K
+    # points, of gcd (m - y + x0, K).  A break for a multiple of K is one for
+    # K: the breaks only thin out as K grows, so s moves only forward
     starts, images, lengths = b.runs
-    size, lasts = b.domain_size, [*map(add, images, lengths)]
+    ends, shifts = [*map(add, images, lengths)], [*map(sub, starts, images)]
+    # each later run start, the image before it and its own first image
+    ats, befores, afters = starts[1:], [e - 1 for e in ends[:-1]], images[1:]
+
+    def breaks_gcd(big: int) -> int:
+        each = repeat(big)
+        split = map(ne, map(floordiv, befores, each), map(floordiv, afters, each))
+        above = [*map(sub, map(add, images, each), map(mod, images, each))]
+        return gcd(*compress(ats, split), *compress(map(add, above, shifts), map(lt, above, ends)),
+                   big if any(map(lt, map(add, above, each), ends)) else 0)
+
     targets = b.target.levels()
     s, big = 0, next(targets)
+    g = breaks_gcd(big)
     k, out = 1, [0]
     for level in range(1, n_d + 1):
-        if k == size:
+        if k == b.domain_size:
             break
         k *= b.source.ratio(level - 1)
-        for c, count, width in _image_intervals(starts, images, lengths, lasts, k):
-            while _straddles(c, count, width, big):
-                s, big = s + 1, next(targets)
+        while g % k:
+            s, big = s + 1, next(targets)
+            g = breaks_gcd(big)
         out.append(s)
     return out
-
-
-def _image_intervals(starts, images, lengths, lasts, k: int):
-    """(c, count, width) triples whose intervals [c + t·width, c + t·width +
-    width) are the images of the source k-blocks, or hold one (a hull)."""
-    for i in compress(range(len(starts)), map(le, repeat(k), lengths)):
-        x = starts[i]
-        first = -(-x // k)
-        count = (x + lengths[i]) // k - first
-        if count > 0:
-            yield images[i] + first * k - x, count, k
-    # the blocks that a run start cuts, from the unaligned starts
-    for block in dict.fromkeys(map(floordiv, compress(starts, map(mod, starts, repeat(k))),
-                                   repeat(k))):
-        x = block * k
-        a, z = bisect_right(starts, x) - 1, bisect_right(starts, x + k - 1) - 1
-        lo = min(images[a] + x - starts[a], min(images[a + 1 : z + 1]))
-        hi = max(max(lasts[a:z]), images[z] + x + k - starts[z])
-        yield lo, 1, hi - lo
 
 
 def build_back_and_forth(t1: Tower, t2: Tower, depth: int) -> TowerBijection:
@@ -304,8 +274,7 @@ def build_back_and_forth(t1: Tower, t2: Tower, depth: int) -> TowerBijection:
     return TowerBijection(t1, t2, depth, levels, runs=((0,), (0,), (points,)))
 
 
-@dataclass(frozen=True)
-class LevelCheck:
+class LevelCheck(NamedTuple):
     level: int
     modulus: int
     bound: int

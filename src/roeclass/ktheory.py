@@ -270,7 +270,8 @@ def k0_iso_exists(t1: Tower, t2: Tower) -> bool:
 
 
 def transport_class(b: TowerBijection, a: K0Class) -> K0Class:
-    """Push a finitely supported class through a truncated bijection."""
+    """Push a finitely supported class through a truncated bijection.  Its
+    layout runs to the largest image, refused past the "K0 layout" limit."""
     if a.context != b.source:
         raise PreconditionViolation("class context does not match the map source")
     if a.period != (0,):
@@ -285,4 +286,6 @@ def transport_class(b: TowerBijection, a: K0Class) -> K0Class:
             raise PreconditionViolation("map is not injective on the support")
         out[y] = a.prefix[i]
     length = max(out, default=-1) + 1
+    if length > 1 << LIMITS["K0 layout"][0]:
+        raise over_limit("K0 layout", length)
     return K0Class(b.target, tuple(out.get(i, 0) for i in range(length)), (0,))

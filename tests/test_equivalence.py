@@ -3,6 +3,7 @@
 import random
 import re
 import tracemalloc
+from bisect import bisect_right
 from unittest import mock
 
 import pytest
@@ -131,6 +132,72 @@ def measure_points_reference(b):
             head = reps[::r]
             s += 1
         reps = head
+        out.append(s)
+    return tuple(out + [s] * (n_d + 1 - len(out)))
+
+
+def floor_sum(n, m, a, b):
+    """sum((a*i + b) // m for i in range(n)) for n, m >= 1 and a, b >= 0, in
+    O(log m) steps: the Euclid-like reduction of the AtCoder Library's
+    floor_sum (atcoder/math.hpp)."""
+    total = 0
+    while True:
+        if a >= m:
+            total += n * (n - 1) // 2 * (a // m)
+            a %= m
+        if b >= m:
+            total += n * (b // m)
+            b %= m
+        top = a * n + b
+        if top < m:
+            return total
+        n, b, m, a = top // m, top % m, a, m
+
+
+def straddles(c, count, width, k):
+    """Whether one of the intervals [c + t·width, c + t·width + width), for t
+    in range(count), meets two target blocks [j·k, j·k + k): each meets
+    (c + t·width + width - 1)//k - (c + t·width)//k + 1 of them."""
+    return width > k or floor_sum(count, k, width, c + width - 1) != floor_sum(count, k, width, c)
+
+
+def image_intervals(starts, images, lengths, lasts, k):
+    """(c, count, width) triples whose intervals [c + t·width, c + t·width +
+    width) are the images of the source k-blocks, or hold one (a hull)."""
+    for i in range(len(starts)):
+        x = starts[i]
+        first = -(-x // k)
+        count = (x + lengths[i]) // k - first
+        if lengths[i] >= k and count > 0:
+            yield images[i] + first * k - x, count, k
+    # the blocks that a run start cuts, from the unaligned starts
+    for block in dict.fromkeys(x // k for x in starts if x % k):
+        x = block * k
+        a, z = bisect_right(starts, x) - 1, bisect_right(starts, x + k - 1) - 1
+        lo = min(images[a] + x - starts[a], min(images[a + 1 : z + 1]))
+        hi = max(max(lasts[a:z]), images[z] + x + k - starts[z])
+        yield lo, 1, hi - lo
+
+
+def measure_runs_reference(b):
+    """Oracle: _measure_modulus on runs as it was before it walked the
+    breaks: the source blocks that one run holds whole have images c, c + k,
+    c + 2k, ..., and fit in target blocks of order K exactly when no image
+    straddles a multiple of K, counted by floor_sum; a block that run starts
+    cut is judged by the hull of its pieces' images."""
+    n_d = b.final_levels[0]
+    starts, images, lengths = b.runs
+    size, lasts = b.domain_size, [y + n for y, n in zip(images, lengths)]
+    targets = b.target.levels()
+    s, big = 0, next(targets)
+    k, out = 1, [0]
+    for level in range(1, n_d + 1):
+        if k == size:
+            break
+        k *= b.source.ratio(level - 1)
+        for c, count, width in image_intervals(starts, images, lengths, lasts, k):
+            while straddles(c, count, width, big):
+                s, big = s + 1, next(targets)
         out.append(s)
     return tuple(out + [s] * (n_d + 1 - len(out)))
 
@@ -552,12 +619,17 @@ class TestVerify:
 class TestRuns:
     """A map is held as maximal slope-1 runs; a map whose runs are short on
     average is measured point by point (equivalence._RUN_POINTS).  Both
-    measures are checked against the point references, on every map."""
+    measures are checked against the point references and the run measure
+    of floor sums, on every map."""
 
     @pytest.mark.parametrize("run_points", [0, 10**9], ids=["runs", "points"])
     @settings(max_examples=300, deadline=None)
     @given(b=run_maps() | modulus_maps() | candidate_maps())
     @example(b=TowerBijection(Tower((2,), ()), Tower((3,), ()), 1, ((3, 1),), (0, 1)))
+    # images 1..7 pass 4 at x = 3 and end just short of 8: one break inside
+    # the first run, so the 3-blocks fit in 4-blocks though 3 does not divide 4
+    @example(b=TowerBijection(Tower((3, 3), ()), Tower((), (2,)), 1, ((2, 3),),
+                              (1, 2, 3, 4, 5, 6, 7, 4, 5)))
     def test_matches_point_reference(self, run_points, b):
         with mock.patch.object(equivalence, "_measure_modulus", measure_points_reference), \
                 mock.patch.object(equivalence, "_injective", injective_reference):
@@ -565,12 +637,12 @@ class TestRuns:
             want = report_to_obj(verify_bijective_coarse_equivalence(old))
         with mock.patch.object(equivalence, "_RUN_POINTS", run_points):
             assert equivalence._injective(b) == injective_reference(b)
-            assert b.modulus == old.modulus
+            assert b.modulus == old.modulus == measure_runs_reference(b)
             assert report_to_obj(verify_bijective_coarse_equivalence(b)) == want
 
     @given(st.integers(1, 60), st.integers(1, 60), st.integers(0, 200), st.integers(0, 200))
     def test_floor_sum_matches_brute_force(self, n, m, a, b):
-        assert equivalence.floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+        assert floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
 
     def test_points_merge_into_maximal_runs(self):
         t = Tower((), (2,))
@@ -624,6 +696,27 @@ class TestRuns:
             tracemalloc.stop()
         assert report.passed and b.domain_size == 1 << 19
         assert peak < 1 << 20
+
+    def test_long_unaligned_runs_verify_within_budget(self):
+        # 2^40 points of tail 2 cut at random into 2^14 runs, laid end to end
+        # in a shuffled order onto tail 4: a few C passes over the runs per
+        # target level.  Every run start is a break until one block holds all
+        t2, t4 = Tower((), (2,)), Tower((), (4,))
+        rng = random.Random(0)
+        cuts = [0, *sorted(rng.sample(range(1, 1 << 40), (1 << 14) - 1)), 1 << 40]
+        lengths = [b - a for a, b in zip(cuts, cuts[1:])]
+        order = list(range(1 << 14))
+        rng.shuffle(order)
+        images, at = [0] * (1 << 14), 0
+        for i in order:
+            images[i], at = at, at + lengths[i]
+        levels = tuple((2 * j - 1, j) for j in range(1, 21)) + ((40, 21),)
+        b = TowerBijection(t2, t4, 21, levels, runs=(cuts[:-1], images, lengths))
+        budget = Budget(2.0)
+        report = verify_bijective_coarse_equivalence(b)
+        budget.check()
+        assert b.modulus == (0,) + (20,) * 40
+        assert report.injective and not report.passed
 
     def test_unstructured_map_verifies_within_budget(self):
         # 524,288 runs of one point each take the point measure, in C passes

@@ -278,12 +278,18 @@ BOUNDARY = {
             TowerBijection(TWO_POINTS, TWO_POINTS, 1, ((8, 1),), (0, 1))),
          PreconditionViolation, "source level 8 would make a report of over 2^3 rows"),
     ]),
-    # the witness of prefix [-m] over period [1] opens blocks of k_n > 3m entries
+    # the witness of prefix [-m] over period [1] opens blocks of k_n > 3m
+    # entries; a transported class runs to the image of its last entry
     "K0 layout": (3, [
         (lambda: len(k0_positive(K0Class(T2, (-2,), (1,)))[1].period), 8),
+        (lambda: len(transport_class(TowerBijection(T2, T2, 1, ((1, 3),), (0, 7)),
+                                     K0Class(T2, (0, 1), (0,))).prefix), 8),
     ], [
         (lambda: k0_positive(K0Class(T2, (-3,), (1,))), PreconditionViolation,
          "a K0 layout of 16 entries is over the 2^3 limit"),
+        (lambda: transport_class(TowerBijection(T2, T2, 1, ((1, 4),), (0, 8)),
+                                 K0Class(T2, (0, 1), (0,))), PreconditionViolation,
+         "a K0 layout of 9 entries is over the 2^3 limit"),
     ]),
     # the lcm of 3*5 and 3*7 entries, not their product
     "K0 sum period": (6, [

@@ -37,7 +37,7 @@ from roeclass.errors import MalformedInput, RoeclassError, _checked_int
 from roeclass.ktheory import _positive_level, _spread, _stable_level
 from roeclass.supernatural import _normal_form
 
-from conftest import Budget, block_sums_reference, partial_sum_reference, towers
+from conftest import Budget, block_sums_reference, partial_sum_reference, run_limited, towers
 
 
 def blocks_zero_oracle(d, n):
@@ -617,3 +617,19 @@ class TestTransport:
         b = build_back_and_forth(t, t, 1)
         with pytest.raises(PreconditionViolation):
             transport_class(b, k0_unit(t))
+
+    def test_far_image_refused_before_its_layout(self):
+        # one entry sent to 2^59 would lay out 2^59 + 1 entries; in a child
+        # under a memory cap, so that a regression fails instead of swapping
+        budget = Budget(2.0)
+        proc = run_limited("-c", """if True:
+            from roeclass import K0Class, PreconditionViolation, Tower, TowerBijection
+            from roeclass import transport_class
+            t2 = Tower((), (2,))
+            b = TowerBijection(t2, t2, 1, ((1, 60),), (0, 2**59))
+            try:
+                transport_class(b, K0Class(t2, (0, 1), (0,)))
+            except PreconditionViolation as e:
+                print(e)""")
+        budget.check()
+        assert proc.stdout == f"a K0 layout of {2**59 + 1} entries is over the 2^20 limit\n"
