@@ -44,8 +44,7 @@ class K0Class:
         prefix = _checked_ints(self.prefix, "sequence entry")
         period = _checked_ints(self.period, "sequence entry")
         # malformed entries are reported before a finite context (exit 2 before 4)
-        if not self.context.is_infinite:
-            raise PreconditionViolation("K0 sequence classes need an infinite tower")
+        _need_infinite(self.context)
         if not period:
             raise MalformedInput("period must be nonempty")
         prefix, period = _normal_form(prefix, period)
@@ -61,6 +60,20 @@ class K0Class:
 
     def is_zero(self) -> bool:
         return self.prefix == () and self.period == (0,)
+
+
+def _need_infinite(t: Tower):
+    if not t.is_infinite:
+        raise PreconditionViolation("K0 sequence classes need an infinite tower")
+
+
+def _k0(t: Tower, prefix: tuple[int, ...], period: tuple[int, ...]) -> K0Class:
+    """The K0Class of int entries the library built, already in normal form
+    over the infinite tower t: no screen and no period search.  Input from
+    outside goes through the checking constructor."""
+    a = object.__new__(K0Class)
+    vars(a).update(context=t, prefix=prefix, period=period)  # past the frozen __setattr__
+    return a
 
 
 @dataclass(frozen=True)
@@ -104,17 +117,20 @@ def k0_add(a: K0Class, b: K0Class) -> K0Class:
     if q > 1 << LIMITS["K0 sum period"][0]:
         raise over_limit("K0 sum period", q)
     sums = map(add, chain(a.prefix, cycle(a.period)), chain(b.prefix, cycle(b.period)))
-    return K0Class(t, tuple(islice(sums, s)), tuple(islice(sums, q)))
+    return _k0(t, *_normal_form(tuple(islice(sums, s)), tuple(islice(sums, q))))
 
 
 def k0_neg(a: K0Class) -> K0Class:
-    return K0Class(a.context, tuple(map(neg, a.prefix)), tuple(map(neg, a.period)))
+    # negation is injective on entries, so it keeps the normal form
+    return _k0(a.context, tuple(map(neg, a.prefix)), tuple(map(neg, a.period)))
 
 
 def k0_scale(c: int, a: K0Class) -> K0Class:
-    c = _checked_int(c, "sequence entry")
-    return K0Class(a.context, tuple(map(mul, repeat(c), a.prefix)),
-                   tuple(map(mul, repeat(c), a.period)))
+    if _checked_int(c, "sequence entry") == 0:
+        return k0_zero(a.context)
+    # multiplication by c != 0 is injective on entries too
+    return _k0(a.context, tuple(map(mul, repeat(c), a.prefix)),
+               tuple(map(mul, repeat(c), a.period)))
 
 
 def k0_sub(a: K0Class, b: K0Class) -> K0Class:
@@ -172,15 +188,27 @@ def k0_equal(a: K0Class, b: K0Class) -> bool:
     return h_membership(d.context, d, _stable_level(d))
 
 
-def _spread(sums: tuple[int, ...], k: int) -> tuple[int, ...]:
-    """(s_0, 0, ..., 0, s_1, 0, ...): each sum opens a block of k entries.
-    A layout past the "K0 layout" limit is refused before it is allocated."""
-    size = k * len(sums)
-    if size > 1 << LIMITS["K0 layout"][0]:
-        raise over_limit("K0 layout", size)
-    seq = [0] * size
-    seq[::k] = sums
-    return tuple(seq)
+def _spread(t: Tower, prefix: tuple[int, ...], period: tuple[int, ...], k: int) -> K0Class:
+    """The class of normal-form sums (prefix, period) with each sum spread
+    over a block of k entries as (sum, 0, ..., 0), written in normal form.
+    A shift that keeps the spread period moves its nonzero entries onto
+    multiples of k, so it shifts the primitive sums: the spread period is
+    primitive unless all zeros.  The k - 1 zeros ending the last prefix
+    block are the period's, and prefix[-1] != period[-1] stops the prefix
+    walk there, so each period sum closes its block.  Refused past the "K0
+    layout" limit on k * len(prefix), then k * len(period), before anything
+    is allocated; a finite t after that, as the checking constructor would."""
+    for size in (k * len(prefix), k * len(period)):
+        if size > 1 << LIMITS["K0 layout"][0]:
+            raise over_limit("K0 layout", size)
+    _need_infinite(t)
+    head = [0] * ((len(prefix) - 1) * k + 1 if prefix else 0)
+    head[::k] = prefix
+    if period == (0,):
+        return _k0(t, tuple(head), period)
+    body = [0] * (k * len(period))
+    body[k - 1 if prefix else 0::k] = period
+    return _k0(t, tuple(head), tuple(body))
 
 
 def _positive_level(a: K0Class) -> tuple[int, K0Class] | None:
@@ -210,14 +238,13 @@ def _positive_level(a: K0Class) -> tuple[int, K0Class] | None:
 
 def k0_positive(a: K0Class) -> tuple[bool, K0Class | None]:
     """Membership in the positive cone, with a pointwise-nonnegative witness:
-    the block sums ``_positive_level`` checked, each opening its block of
-    k_n entries."""
+    the block sums ``_positive_level`` checked, each spread over its block of
+    k_n entries, laid out in normal form at a cost linear in the layout."""
     found = _positive_level(a)
     if found is None:
         return False, None
     n, sums = found
-    k = a.context.order(n)
-    return True, K0Class(a.context, _spread(sums.prefix, k), _spread(sums.period, k))
+    return True, _spread(a.context, sums.prefix, sums.period, a.context.order(n))
 
 
 def unit_divide(t: Tower, p: int, r: int) -> K0Class | None:
@@ -244,7 +271,7 @@ def unit_divide(t: Tower, p: int, r: int) -> K0Class | None:
         raise over_limit("unit-division period", p, r)
     # any block of size k_n with p^r | k_n holds whole periods, so this is
     # the shortest representative; p^r copies sum blockwise to the unit
-    return K0Class(t, (), _spread((1,), p**r))
+    return _spread(t, (), (1,), p**r)
 
 
 def alpha_iterate(t: Tower, n: int, v: K0Class) -> K0Class:
@@ -253,7 +280,7 @@ def alpha_iterate(t: Tower, n: int, v: K0Class) -> K0Class:
         raise PreconditionViolation("sequence context does not match the tower")
     if _checked_int(n, "level") < 0:
         raise PreconditionViolation("level must be an integer >= 0")
-    return K0Class(t, *_block_sums(v, n))
+    return _k0(t, *_normal_form(*_block_sums(v, n)))
 
 
 def k0_iso_exists(t1: Tower, t2: Tower) -> bool:

@@ -25,6 +25,7 @@ from .errors import (
     _checked_int,
     _clip,
 )
+from .supernatural import _normal_form
 
 Entries = dict[tuple[int, int], Fraction]
 
@@ -285,8 +286,9 @@ def conjugate_by_bijection(b: TowerBijection, t: PropagationOperator) -> Propaga
 
 def k0_class_of_projection(bt: BlockTuple) -> K0Class:
     """Finitely supported K0 class of a level-n projection: each block
-    contributes (rank, 0, ..., 0)."""
-    from .ktheory import K0Class, _spread  # here only, so no roe command loads ktheory
+    contributes (rank, 0, ..., 0).  The ranks past the last nonzero one are
+    dropped before the layout, so its limit judges the blocks up to there."""
+    from .ktheory import _spread  # here only, so no roe command loads ktheory
 
     ranks = trace_vector(bt, require_projection=True)
-    return K0Class(bt.space.tower, _spread(ranks, bt.block_size), (0,))
+    return _spread(bt.space.tower, *_normal_form(ranks, (0,)), bt.block_size)

@@ -223,6 +223,8 @@ big_primes = st.sampled_from([10**4299 + 9, 2**2048 + 1, 2**3217 - 1,
 level_args = st.integers(-3, 8)
 # a file in the run's directory, or one under a directory that does not exist
 OUTPUTS = ("out.json", "missing/out.json")
+# (p, r) with p^r in 2^16..2^20: a k0 divide-unit witness laid out large
+LARGE_LAYOUTS = [(2, 16), (2, 17), (2, 20), (3, 11), (3, 12)]
 
 
 @st.composite
@@ -251,7 +253,8 @@ def invocations(draw):
     elif kind == "divide-unit":
         # half over any tower; half over an infinite tail with exponents that
         # give a short witness or reach the 2^20 cap, which refuses at once,
-        # and primes that are small or reach the 2048-bit cap
+        # and primes that are small or reach the 2048-bit cap; one in eight
+        # of those asks for a witness of 2^16..2^20 entries, under the cap
         if draw(st.booleans()):
             tower, prime, exp = draw(tower_objs), st.integers(-1, 7), st.integers(-1, 64)
         else:
@@ -259,6 +262,8 @@ def invocations(draw):
             tower = tower_obj(draw(small_ratios), tail)
             prime = big_primes if draw(st.integers(0, 3)) == 0 else st.sampled_from([2, 3])
             exp = st.integers(0, 4) | st.integers(21, 64)
+            if draw(st.integers(0, 7)) == 5:
+                prime, exp = map(st.just, draw(st.sampled_from(LARGE_LAYOUTS)))
         files = {"t.json": tower}
         argv = ["k0", "divide-unit", "--prime", str(draw(prime)),
                 "--exp", str(draw(exp)), "t.json"]

@@ -1,6 +1,7 @@
 """K0 classes, the H-quotient decision procedures, and unit divisibility."""
 
 import re
+from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
@@ -9,17 +10,21 @@ from hypothesis import strategies as st
 from sympy import factorint
 
 from roeclass import (
+    BlockSpace,
     DepthExhausted,
     FiniteK0,
     K0Class,
     PreconditionViolation,
+    PropagationOperator,
     Tower,
     TowerBijection,
     alpha_iterate,
     bijectively_coarsely_equivalent,
+    block_decompose,
     build_back_and_forth,
     h_membership,
     k0_add,
+    k0_class_of_projection,
     k0_equal,
     k0_iso_exists,
     k0_neg,
@@ -33,7 +38,8 @@ from roeclass import (
     transport_class,
     unit_divide,
 )
-from roeclass.errors import MalformedInput, RoeclassError, _checked_int
+from roeclass import errors, ktheory, supernatural
+from roeclass.errors import LIMITS, MalformedInput, RoeclassError, _checked_int, over_limit
 from roeclass.ktheory import _positive_level, _spread, _stable_level
 from roeclass.supernatural import _normal_form
 
@@ -464,10 +470,22 @@ class TestK0PositiveOracle:
 
 class TestLayoutLimit:
     def test_boundary(self):
-        assert len(_spread((1, 2), 2**19)) == 2**20
+        t = Tower((), (2,))
+        assert len(_spread(t, (), (1, 2), 2**19).period) == 2**20
         with pytest.raises(PreconditionViolation, match=re.escape(
                 f"a K0 layout of {2**20 + 2} entries is over the 2^20 limit")):
-            _spread((1, 2), 2**19 + 1)
+            _spread(t, (), (1, 2), 2**19 + 1)
+
+    def test_prefix_then_period_judged(self):
+        # at level 20 the witness has one prefix sum and three period sums:
+        # 2^20 prefix entries pass, 3 * 2^20 period entries are refused
+        a = K0Class(Tower((), (2,)), (-10**5,), (1, 0, 2))
+        n, sums = _positive_level(a)
+        k = a.context.order(n)
+        assert k * len(sums.prefix) <= 2**20 < k * len(sums.period) == 3 * 2**20
+        with pytest.raises(PreconditionViolation, match=re.escape(
+                f"a K0 layout of {3 * 2**20} entries is over the 2^20 limit")):
+            k0_positive(a)
 
     def test_witness_over_limit_refused(self):
         # positive from level 22 on, where the witness lays out 2^22 entries;
@@ -477,6 +495,135 @@ class TestLayoutLimit:
         with pytest.raises(PreconditionViolation, match=re.escape(
                 f"a K0 layout of {2**22} entries is over the 2^20 limit")):
             k0_positive(a)
+
+
+def _spread_old(sums, k):
+    """The layout k0_positive built before it wrote the normal form down:
+    (s_0, 0, ..., 0, s_1, 0, ...), each sum opening a block of k entries,
+    refused past the "K0 layout" limit."""
+    size = k * len(sums)
+    if size > 1 << LIMITS["K0 layout"][0]:
+        raise over_limit("K0 layout", size)
+    seq = [0] * size
+    seq[::k] = sums
+    return tuple(seq)
+
+
+def spread_reference(t, sums, k):
+    """The old layout of the sums (prefix, period), brought to normal form by
+    the checking constructor: screen, period search and prefix walk."""
+    prefix, period = sums
+    return K0Class(t, _spread_old(prefix, k), _spread_old(period, k))
+
+
+@st.composite
+def normal_form_sums(draw):
+    """Sums (prefix, period) in normal form, weighted towards the edge cases
+    of the layout: an empty prefix, the zero period, a prefix ending in 0
+    and a period of one sum."""
+    prefix = draw(st.lists(entries, max_size=5) | st.just([]))
+    period = draw(st.lists(entries, min_size=1, max_size=5)
+                  | st.just([0]) | st.lists(entries, min_size=1, max_size=1))
+    if prefix and draw(st.booleans()):
+        prefix[-1] = 0
+    return _normal_form(tuple(prefix), tuple(period))
+
+
+def is_fixed_point(c):
+    """c is what the checking constructor makes of its own fields: int
+    entries in normal form, held as tuples."""
+    return K0Class(c.context, c.prefix, c.period) == c
+
+
+class TestSpreadOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(small_infinite_towers, normal_form_sums(),
+           st.integers(1, 12) | st.just(1) | st.sampled_from([64, 97]))
+    @example(Tower((), (2,)), ((), (1,)), 1)
+    @example(Tower((), (2,)), ((5, 0), (1,)), 3)
+    @example(Tower((), (2,)), ((1, 0), (0, 2)), 4)
+    def test_matches_old_layout(self, t, sums, k):
+        c = _spread(t, *sums, k)
+        assert c == spread_reference(t, sums, k)
+        assert is_fixed_point(c)
+
+    @settings(deadline=None)
+    @given(st.sampled_from([Tower((), (2,)), Tower((6,), ())]), normal_form_sums(),
+           st.integers(1, 4) | st.just(2**21))
+    def test_refusals_match_old_layout(self, t, sums, k):
+        # the limit on the prefix, then on the period, then a finite context
+        assert outcome(_spread, t, *sums, k) == outcome(spread_reference, t, sums, k)
+
+
+class TestBuiltClassesAreNormalForm:
+    @settings(max_examples=300, deadline=None)
+    @given(class_pairs(), st.integers(-4, 4), st.integers(0, 3))
+    def test_arithmetic_and_witnesses(self, pair, c, n):
+        a, b = pair
+        built = [k0_neg(a), k0_scale(c, a), k0_add(a, b), alpha_iterate(a.context, n, a)]
+        positive, w = k0_positive(a)
+        built += [w] if positive else []
+        assert all(map(is_fixed_point, built))
+
+    @settings(deadline=None)
+    @given(towers(allow_finite=False, max_ratio=6), st.sampled_from([2, 3, 5]),
+           st.integers(0, 3))
+    def test_unit_division(self, t, p, r):
+        w = unit_divide(t, p, r)
+        assert w is None or is_fixed_point(w)
+
+    @settings(deadline=None)
+    @given(small_infinite_towers, st.integers(0, 2), st.data())
+    def test_projection_classes(self, t, depth, data):
+        space = BlockSpace(t, depth)
+        n = data.draw(st.integers(0, depth))
+        support = data.draw(st.sets(st.integers(0, space.size - 1)))
+        op = PropagationOperator(space, {(x, x): Fraction(1) for x in support})
+        c = k0_class_of_projection(block_decompose(op, n))
+        assert is_fixed_point(c)
+        assert [c.value(i) for i in range(space.size)] == [
+            len(support & set(range(i, i + space.order(n)))) if i % space.order(n) == 0 else 0
+            for i in range(space.size)]
+
+
+# the six shapes of the benchmark's k0_big_witness: (tower, period length),
+# over the prefix (3, -3), with witnesses of 1.3e4-7.8e4 entries
+BIG_WITNESS = [(((), (2,)), 15), (((2,), (2, 3)), 15), (((), (5, 2)), 15),
+               (((), (3,)), 30), (((2,), (2, 3)), 30), (((), (2, 2, 3)), 30)]
+
+
+class TestNoSearchOnBuiltLayouts:
+    """The layouts the library builds are written down in normal form: no
+    entry screen and no period search runs over more than 64 entries."""
+
+    def test_witnesses_skip_screen_and_search(self, monkeypatch):
+        def guarded(f):
+            def run(items, *args):
+                items = tuple(items)
+                assert len(items) <= 64, f"{f.__name__} over {len(items)} entries"
+                return f(items, *args)
+            return run
+
+        monkeypatch.setattr(supernatural, "_primitive_period",
+                            guarded(supernatural._primitive_period))
+        screen = guarded(errors._checked_ints)
+        for module in (errors, ktheory):  # ktheory holds its own name for it
+            monkeypatch.setattr(module, "_checked_ints", screen)
+        t2 = Tower((), (2,))
+        classes = [K0Class(Tower(*ctx), (3, -3), (0,) * (q - 1) + (1,)) for ctx, q in BIG_WITNESS]
+        witnesses = [k0_positive(a) for a in classes]
+        unit = unit_divide(t2, 2, 20)
+        space = BlockSpace(t2, 7)
+        projection = block_decompose(PropagationOperator.identity(space), 6)
+        projected = k0_class_of_projection(projection)
+        monkeypatch.undo()
+        for a, (positive, w) in zip(classes, witnesses):
+            n, sums = _positive_level(a)
+            assert positive
+            assert w == spread_reference(a.context, (sums.prefix, sums.period), a.context.order(n))
+            assert len(w.prefix) + len(w.period) > 10_000
+        assert unit == K0Class(t2, (), (1,) + (0,) * (2**20 - 1))
+        assert projected == K0Class(t2, (64,) + (0,) * 63 + (64,), (0,))
 
 
 class TestUnitDivide:

@@ -605,6 +605,14 @@ class TestK0ClassOfProjection:
         with pytest.raises(PreconditionViolation, match=refused):
             k0_class_of_projection(bt)
 
+    def test_layout_judged_up_to_last_nonzero_rank(self):
+        # two level-39 blocks of rank 0: the class is zero, and the layout
+        # is judged on its period alone, 2^39 entries, not on both blocks
+        bt = block_decompose(PropagationOperator.zero(BlockSpace(Tower((), (2,)), 40)), 39)
+        refused = re.escape(f"a K0 layout of {2**39} entries is over the 2^20 limit")
+        with pytest.raises(PreconditionViolation, match=refused):
+            k0_class_of_projection(bt)
+
     @given(st.data())
     def test_invariant_under_connecting_map(self, data):
         space = BlockSpace(Tower((), (2,)), data.draw(st.integers(1, 3)))
