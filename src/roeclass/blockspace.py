@@ -5,8 +5,9 @@ A tower truncated at depth N gives the point set {0, ..., k_N - 1} with
 d(x, y) = min{n >= 0 : floor(x/k_n) == floor(y/k_n)}; the n-components are the
 consecutive intervals of length k_n.  Arbitrary finite integer metric spaces
 are supported alongside: one minimum spanning tree gives their R-components
-at every scale R, and lays any such space out in the nonnegative integers so
-that components are preserved at every scale.
+at every scale R, certifies those that are ultrametrics, and lays any such
+space out in the nonnegative integers so that components are preserved at
+every scale.
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ class BlockSpace:
         bits = LIMITS["metric matrix"][0]
         if self._ratios > bits // 2 or self.size ** 2 > 1 << bits:
             raise over_limit("metric matrix")
-        import numpy as np  # only here and in FiniteMetricSpace, to keep it off light commands
+        import numpy as np  # only here and in _triangle_holds, to keep it off light commands
 
         pts = np.arange(self.size)
         d = np.zeros((self.size, self.size), dtype=np.int64)
@@ -136,7 +137,15 @@ def components(s: BlockSpace, n: int) -> Partition:
 
 @dataclass(frozen=True)
 class FiniteMetricSpace:
-    """Finite metric space with integer distances, given by full matrix."""
+    """Finite metric space with integer distances, given by full matrix.
+
+    Construction checks the entries, the zero diagonal, that no other entry
+    is 0 and symmetry, then builds the scale tree once (``_scale_tree``,
+    O(n^2)).  The tree certifies the triangle inequality of an ultrametric:
+    d is one, and so a metric, exactly when no cluster of any state is wider
+    than that state's R.  Only a matrix that fails the certificate pays for
+    the O(n^3) min-plus square in NumPy.
+    """
 
     size: int
     distances: tuple[tuple[int, ...], ...]
@@ -158,36 +167,38 @@ class FiniteMetricSpace:
                     if v >= 2**62:
                         raise MalformedInput("distances this large are not supported")
             top = max(map(max, rows))  # only int subclasses get here
-        import numpy as np
-
-        # the narrowest unsigned type that holds a sum of two entries
-        d = np.array(rows, dtype=np.min_scalar_type(2 * top))
-        if (np.diag(d) != 0).any():
+        if any(row[x] for x, row in enumerate(rows)):
             raise MalformedInput("d(x, x) must be 0")
-        if (d == 0).sum() != self.size:
+        if sum(row.count(0) for row in rows) != self.size:
             raise MalformedInput("d(x, y) = 0 requires x = y")
-        if (d != d.T).any():
+        if rows != tuple(zip(*rows)):
             raise MalformedInput("distance matrix must be symmetric")
-        # with a zero diagonal, the triangle inequality says d is its own
-        # min-plus square
-        square, through_k = d[:, 0, None] + d[0], np.empty_like(d)
-        for k in range(1, self.size):
-            np.minimum(square, np.add(d[:, k, None], d[k], out=through_k), out=square)
-        if not np.array_equal(square, d):
-            raise MalformedInput("triangle inequality fails")
         object.__setattr__(self, "distances", rows)
+        object.__setattr__(self, "_top", top)
+        object.__setattr__(self, "_scales", tuple(_scale_tree(self)))
+        wide = any(c[1] > R for R, clusters in self._scales for c in clusters)
+        if wide and not _triangle_holds(rows, top):
+            raise MalformedInput("triangle inequality fails")
 
     def distance(self, x: int, y: int) -> int:
         return self.distances[x][y]
 
     @property
     def max_distance(self) -> int:
-        return max(max(row) for row in self.distances)
+        return self._top
 
-    @cached_property
-    def _scales(self) -> tuple:
-        """Every (R, clusters) state of ``_scale_tree``, built on first use."""
-        return tuple(_scale_tree(self))
+
+def _triangle_holds(rows: tuple[tuple[int, ...], ...], top: int) -> bool:
+    """Whether a symmetric matrix with a zero diagonal and largest entry top
+    is its own min-plus square, which is the triangle inequality: O(n^3), in
+    the narrowest unsigned NumPy type that holds a sum of two entries."""
+    import numpy as np
+
+    d = np.array(rows, dtype=np.min_scalar_type(2 * top))
+    square, through_k = d[:, 0, None] + d[0], np.empty_like(d)
+    for k in range(1, len(rows)):
+        np.minimum(square, np.add(d[:, k, None], d[k], out=through_k), out=square)
+    return np.array_equal(square, d)
 
 
 def _scale_tree(m: FiniteMetricSpace):
@@ -199,6 +210,14 @@ def _scale_tree(m: FiniteMetricSpace):
     length give every scale.  ``clusters`` is ordered by least point; each is
     (points ascending, diameter, images), where images lays the clusters
     merged at R out from the least point on, a gap of exactly R apart.
+
+    It costs O(n^2): Prim reads each entry once, and the walk reads each
+    pair once, when its clusters merge.  It is FiniteMetricSpace's
+    certificate: two points first share a cluster at the scale R where
+    their clusters merge, and d(x, y) >= R always holds, since a shorter
+    distance would have joined them below R.  So no cluster of any state is
+    wider than its R exactly when d(x, y) is that R for every pair, that is,
+    when d is an ultrametric.
     """
     d, n = m.distances, m.size
     best, link, rest, edges = list(d[0]), [0] * n, list(range(1, n)), []

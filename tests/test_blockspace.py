@@ -4,6 +4,7 @@ import random
 import re
 from itertools import accumulate
 from operator import mul
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -527,6 +528,83 @@ def candidate_matrices(draw):
         if change == "mirrored":
             d[y][x] = d[x][y]
     return n, tuple(map(tuple, d))
+
+
+def is_ultrametric(d):
+    """Oracle: d(x, y) <= max(d(x, z), d(z, y)) for every triple."""
+    n = len(d)
+    return all(d[x][y] <= max(d[x][z], d[z][y])
+               for x in range(n) for y in range(n) for z in range(n))
+
+
+@st.composite
+def nudged_ultrametrics(draw):
+    """Scaled ultrametrics of 1-12 points with one off-diagonal entry raised
+    or lowered, its mirror changed along with it or not; one in five is
+    kept as drawn."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    scale = draw(st.sampled_from([1, 1, 3, 2**40]))
+    d = [[scale * v for v in row] for row in draw(ultrametrics(n))]
+    change = draw(st.sampled_from(["none", "raise", "lower", "raise mirrored",
+                                   "lower mirrored"]))
+    if change != "none" and n > 1:
+        x, y = draw(st.permutations(range(n)))[:2]
+        if change.startswith("raise"):
+            d[x][y] += draw(st.integers(1, 2 * max(map(max, d))))
+        else:  # down to 0 at most, which the zero-entry check refuses
+            d[x][y] -= draw(st.integers(1, d[x][y]))
+        if change.endswith("mirrored"):
+            d[y][x] = d[x][y]
+    return n, tuple(map(tuple, d))
+
+
+class TestUltrametricCertificate:
+    """The scale tree certifies an ultrametric; only a matrix that is not
+    one reaches the NumPy min-plus square.  reference_check judges both."""
+
+    @settings(max_examples=400)
+    @given(nudged_ultrametrics())
+    def test_fallback_runs_exactly_off_ultrametrics(self, case):
+        n, d = case
+        want = reference_check(n, d)
+        calls, real = [], blockspace._triangle_holds
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(blockspace, "_triangle_holds", lambda *a: calls.append(a) or real(*a))
+            try:
+                got = FiniteMetricSpace(n, d)
+            except MalformedInput as e:
+                got = str(e)
+        if want is None:
+            assert got.distances == d
+            assert got.max_distance == max(map(max, d))
+        else:
+            assert got == want
+        checked = want in (None, "triangle inequality fails")
+        assert len(calls) == int(checked and not is_ultrametric(d))
+
+    def test_large_ultrametric_within_budget_in_a_memory_capped_child(self):
+        # the certificate costs O(n^2) and imports no NumPy; 1024 points of
+        # tail (2), whose d(x, y) is the bit length of x ^ y
+        proc = run_limited("-c", f"""if True:
+            import sys
+            sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})
+            from conftest import Budget
+            from roeclass import FiniteMetricSpace, embed_into_nonneg_integers
+            n = 1024
+            d = tuple(tuple((x ^ y).bit_length() for y in range(n)) for x in range(n))
+            budget = Budget(2.0)
+            images = embed_into_nonneg_integers(FiniteMetricSpace(n, d))
+            budget.check()
+            # bit i moves a point past the 2^i points below it, whose images
+            # reach top[i], and a gap of i + 1
+            top = [0]
+            for i in range(1, 11):
+                top.append(2 * top[-1] + i)
+            assert images == [sum(top[i] + i + 1 for i in range(10) if x >> i & 1)
+                              for x in range(n)]
+            assert "numpy" not in sys.modules
+            """)
+        assert (proc.returncode, proc.stderr) == (0, "")
 
 
 class TestFiniteMetricSpaceValidation:

@@ -658,8 +658,9 @@ def fresh_main(tmp_path, *argvs):
 
 class TestImportGate:
     """Light commands import neither sympy nor numpy; only a metric space
-    (``embed``) imports numpy, and only an operator (``roe``) fractions.
-    Each command loads only the roeclass layers it runs."""
+    that is not an ultrametric (``embed``) imports numpy, and only an
+    operator (``roe``) fractions.  Each command loads only the roeclass
+    layers it runs."""
 
     def test_light_commands_load_neither(self, files, tmp_path):
         t2, t4 = files("t2.json", TOWER2), files("t4.json", TOWER4)
@@ -683,11 +684,22 @@ class TestImportGate:
         assert report["loaded"] == []
 
     def test_embed_loads_numpy_only(self, files, tmp_path):
-        space = files("m.json", '{"size": 2, "distances": [[0, 3], [3, 0]]}')
+        # points 0, 1, 3 of the line: d(0, 3) = 3 > max(1, 2), so the scale
+        # tree does not certify it and the min-plus square runs
+        space = files("m.json", '{"size": 3, "distances": [[0, 1, 3], [1, 0, 2], [3, 2, 0]]}')
         report = fresh_main(tmp_path, ["embed", space])
         assert report["codes"] == [0]
-        assert report["outs"] == ['["0","3"]\n']
+        assert report["outs"] == ['["0","1","3"]\n']
         assert report["loaded"] == ["numpy"]
+
+    def test_embed_of_ultrametric_loads_no_numpy(self, files, tmp_path):
+        # a shuffled block space of tail (2) at depth 2, distances times 3
+        space = files("m.json", json.dumps({"size": 4, "distances": [
+            [0, 6, 3, 6], [6, 0, 6, 3], [3, 6, 0, 6], [6, 3, 6, 0]]}))
+        report = fresh_main(tmp_path, ["embed", space])
+        assert report["codes"] == [0]
+        assert report["outs"] == ['["0","9","3","12"]\n']
+        assert report["modules"] == sorted(self.BASE + ["roeclass.blockspace"])
 
     def test_equal_semiprime_towers_without_sympy(self, files, tmp_path):
         # 46-digit semiprime ratios: the verdicts take gcds and factor nothing
@@ -714,7 +726,7 @@ class TestImportGate:
         (["k0", "eq", "c", "c"], ["roeclass.ktheory"]),
         (["k0", "pos", "--output", "w.json", "c"], ["roeclass.ktheory"]),
         (["k0", "divide-unit", "--prime", "2", "--exp", "2", "t2"], ["roeclass.ktheory"]),
-        (["embed", "m"], ["numpy", "roeclass.blockspace"]),
+        (["embed", "m"], ["roeclass.blockspace"]),  # an ultrametric: no numpy
         (["roe", "decompose", "--level", "1", "op"],
          ["fractions", "roeclass.blockspace", "roeclass.roeops"]),
         (["roe", "trace", "--level", "1", "op"],

@@ -101,9 +101,24 @@ def k0_objs(draw):
 
 @st.composite
 def metric_objs(draw):
-    """Points on a line."""
-    xs = draw(st.lists(st.integers(0, 20), min_size=1, max_size=5, unique=True))
-    return {"size": len(xs), "distances": [[abs(x - y) for y in xs] for x in xs]}
+    """Points on a line; or an ultrametric, a shuffled and scaled block space
+    of up to 16 points, kept or with one mirrored entry changed, which the
+    scale tree no longer certifies unless the change keeps it ultrametric."""
+    kind = draw(st.sampled_from(["line", "ultrametric", "changed"]))
+    if kind == "line":
+        xs = draw(st.lists(st.integers(0, 20), min_size=1, max_size=5, unique=True))
+        return {"size": len(xs), "distances": [[abs(x - y) for y in xs] for x in xs]}
+    # the orders k_0..k_depth of tails (2), (3), (2, 3) and (4)
+    orders = draw(st.sampled_from([(1, 2, 4, 8, 16), (1, 2, 4), (1, 3, 9), (1, 2, 6, 12),
+                                   (1, 4, 16)]))
+    n, scale = orders[-1], draw(st.sampled_from([1, 3, 50]))
+    perm = draw(st.permutations(range(n)))
+    d = [[scale * next(i for i, k in enumerate(orders) if perm[x] // k == perm[y] // k)
+          for y in range(n)] for x in range(n)]
+    if kind == "changed":
+        x, y = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        d[x][y] = d[y][x] = draw(st.integers(0, 3 * scale * len(orders)))
+    return {"size": n, "distances": d}
 
 
 @st.composite
