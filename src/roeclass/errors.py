@@ -55,7 +55,6 @@ LIMITS = {
     "map points": (LIMIT_BITS, "a map of {0}{1} points is over the 2^{bits} limit"),
     "verify report rows": (LIMIT_BITS, "source level {0} would make a report of over 2^{bits} rows"),
     "K0 layout": (LIMIT_BITS, "a K0 layout of {0} entries is over the 2^{bits} limit"),
-    "K0 sum period": (LIMIT_BITS, "a K0 sum with a period of {0} entries is over the 2^{bits} limit"),
     "unit-division period": (
         LIMIT_BITS, "[1]/{0}^{1} needs a period of {0}^{1} entries, over the 2^{bits} limit"),
     "blocks of a split": (LIMIT_BITS, "level {0} would split the space into over 2^{bits} blocks"),

@@ -109,13 +109,13 @@ def _same_context(a: K0Class, b: K0Class) -> Tower:
 
 def k0_add(a: K0Class, b: K0Class) -> K0Class:
     """Entrywise sum, built in whole-sequence passes.  Its period has
-    lcm(|period a|, |period b|) entries; past the "K0 sum period" limit it
-    is refused before anything is allocated."""
+    lcm(|period a|, |period b|) entries; past the "K0 layout" limit it is
+    refused before anything is allocated."""
     t = _same_context(a, b)
     s = max(len(a.prefix), len(b.prefix))
     q = lcm(len(a.period), len(b.period))
-    if q > 1 << LIMITS["K0 sum period"][0]:
-        raise over_limit("K0 sum period", q)
+    if q > 1 << LIMITS["K0 layout"][0]:
+        raise over_limit("K0 layout", q)
     sums = map(add, chain(a.prefix, cycle(a.period)), chain(b.prefix, cycle(b.period)))
     return _k0(t, *_normal_form(tuple(islice(sums, s)), tuple(islice(sums, q))))
 
@@ -176,16 +176,19 @@ def _stable_level(d: K0Class) -> int:
 
 
 def k0_equal(a: K0Class, b: K0Class) -> bool:
-    """Equality in K0, decided exactly.
+    """Equality in K0, decided exactly, without forming a - b.
 
-    The difference must have period sum zero (nonzero sums survive every
-    block aggregation); then one window check at the gcd-stable level is
-    equivalent to the existential search over all levels.
+    a - b needs period sum zero (nonzero sums survive every block
+    aggregation): equal period averages.  Then a - b is in H exactly when a
+    and b have the same block sums at n, the larger stable level of the
+    two: gcd(k, lcm(p, q)) = lcm(gcd(k, p), gcd(k, q)), the difference's
+    prefix is no longer than the longer one, and the kernels only grow.
     """
-    d = k0_sub(a, b)
-    if sum(d.period) != 0:
+    t = _same_context(a, b)
+    if sum(a.period) * len(b.period) != sum(b.period) * len(a.period):
         return False
-    return h_membership(d.context, d, _stable_level(d))
+    n = max(_stable_level(a), _stable_level(b))
+    return alpha_iterate(t, n, a) == alpha_iterate(t, n, b)
 
 
 def _spread(t: Tower, prefix: tuple[int, ...], period: tuple[int, ...], k: int) -> K0Class:
@@ -196,9 +199,9 @@ def _spread(t: Tower, prefix: tuple[int, ...], period: tuple[int, ...], k: int) 
     primitive unless all zeros.  The k - 1 zeros ending the last prefix
     block are the period's, and prefix[-1] != period[-1] stops the prefix
     walk there, so each period sum closes its block.  Refused past the "K0
-    layout" limit on k * len(prefix), then k * len(period), before anything
-    is allocated; a finite t after that, as the checking constructor would."""
-    for size in (k * len(prefix), k * len(period)):
+    layout" limit on k * len(prefix), then on a nonzero period's k * len(period),
+    before allocating; a finite t after that, as the checking constructor would."""
+    for size in (k * len(prefix), 0 if period == (0,) else k * len(period)):
         if size > 1 << LIMITS["K0 layout"][0]:
             raise over_limit("K0 layout", size)
     _need_infinite(t)

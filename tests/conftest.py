@@ -1,6 +1,6 @@
-"""Shared hypothesis strategies for tower-based tests, a wall-clock budget,
-a child interpreter under a memory cap, a patch of one size limit, and the
-K0 block-sum reference."""
+"""Shared hypothesis strategies for tower-based tests, seeded pairs of
+equivalent towers, a wall-clock budget, a child interpreter under a memory
+cap, a patch of one size limit, and the K0 block-sum reference."""
 
 import os
 import resource
@@ -31,6 +31,25 @@ def towers(draw, max_prefix=4, max_tail=3, allow_finite=True, max_ratio=10):
 
 def infinite_towers(max_prefix=4, max_tail=3):
     return towers(max_prefix=max_prefix, max_tail=max_tail, allow_finite=False)
+
+
+def random_equivalent_pair(rng):
+    """Two towers built over the same prime pool, hence the same invariant."""
+    primes = rng.choice([[2], [3], [2, 3], [2, 5], [3, 5]])
+
+    def tail():
+        t = primes + [rng.choice(primes) for _ in range(rng.randint(0, 1))]
+        rng.shuffle(t)
+        return tuple(t)
+
+    def prefix():
+        return tuple(
+            rng.choice(primes) ** rng.randint(1, 2)
+            for _ in range(rng.randint(0, 2))
+        )
+
+    return Tower(prefix(), tail()), Tower(prefix(), tail())
+
 
 
 class Budget:

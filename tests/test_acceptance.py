@@ -43,7 +43,7 @@ from roeclass.errors import NotBlockDiagonal
 from roeclass.ktheory import _stable_level
 from roeclass.roeops import adjoint, compose, propagation
 
-from conftest import Budget, block_sums_reference
+from conftest import Budget, block_sums_reference, random_equivalent_pair
 
 
 def random_tower(rng, max_prefix=4, max_tail=3, allow_finite=True):
@@ -51,24 +51,6 @@ def random_tower(rng, max_prefix=4, max_tail=3, allow_finite=True):
     low = 0 if allow_finite else 1
     tail = tuple(rng.randint(2, 10) for _ in range(rng.randint(low, max_tail)))
     return Tower(prefix, tail)
-
-
-def random_equivalent_pair(rng):
-    """Two towers built over the same prime pool, hence the same invariant."""
-    primes = rng.choice([[2], [3], [2, 3], [2, 5], [3, 5]])
-
-    def tail():
-        t = primes + [rng.choice(primes) for _ in range(rng.randint(0, 1))]
-        rng.shuffle(t)
-        return tuple(t)
-
-    def prefix():
-        return tuple(
-            rng.choice(primes) ** rng.randint(1, 2)
-            for _ in range(rng.randint(0, 2))
-        )
-
-    return Tower(prefix(), tail()), Tower(prefix(), tail())
 
 
 def window_block_sums(d, n):

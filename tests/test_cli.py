@@ -419,15 +419,17 @@ class TestK0:
         assert (code, out) == (4, "")
         assert "infinite tower" in err
 
-    def test_eq_period_over_limit_exit_4(self, files, capsys):
+    def test_eq_period_past_sum_limit_answers(self, files, capsys):
         # 6 KB files: periods of 2003 and 2011 entries, whose difference
-        # would repeat after 4,028,033
+        # would repeat after 4,028,033, over the 2^20 layout limit; equality
+        # forms no difference, so it answers at once
         a = {"context": json.loads(TOWER2), "prefix": [], "period": [1] + [0] * 2002}
         b = {"context": json.loads(TOWER2), "prefix": [], "period": [1] + [0] * 2010}
+        budget = Budget(0.5)
         code, out, err = run(capsys, "k0", "eq", files("a.json", json.dumps(a)),
                              files("b.json", json.dumps(b)))
-        assert (code, out) == (4, "")
-        assert err == "error: a K0 sum with a period of 4028033 entries is over the 2^20 limit\n"
+        budget.check()
+        assert (code, out, err) == (0, "false\n", "")
 
     def test_class_context_mismatch_is_precondition(self, files, capsys):
         a = {"context": json.loads(TOWER2), "prefix": [], "period": [1]}
@@ -599,9 +601,16 @@ class TestDocs:
     def test_readme_limits_match_table(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
         table = readme.split("| limit | rule | exit |", 1)[1].split("\n\n", 1)[0]
-        rows = [line.split("|")[1].strip() for line in table.strip().splitlines()[1:]]
+        cells = [line.split("|")[1:3] for line in table.strip().splitlines()[1:]]
+        rows = [row.strip() for row, _ in cells]
         # Python, not LIMITS, bounds the digits of a printed number
         assert rows == list(LIMITS) + ["printed numbers"]
+        # a sum's period is judged as a K0 layout, with the message quoted there
+        t2 = roeclass.Tower((), (2,))
+        with pytest.raises(roeclass.PreconditionViolation) as refused:
+            roeclass.k0_add(roeclass.K0Class(t2, (), (1,) + (0,) * 2002),
+                            roeclass.K0Class(t2, (), (1,) + (0,) * 2010))
+        assert f"`{refused.value}`" in dict(zip(rows, (rule for _, rule in cells)))["K0 layout"]
 
     def test_readme_python_blocks_run(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()

@@ -14,6 +14,7 @@ import random
 import tempfile
 from bisect import bisect_right
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
@@ -82,8 +83,8 @@ def k0_objs(draw):
     ±10^12 is decided only where k_n has outgrown it, so `k0 pos --output`
     reaches the 2^20 layout limit.  A quarter of the periods spread their
     entries over up to 300 places, so that two of them repeat together
-    after up to 300 * 299 entries, under the 2^20 limit of a sum; an eighth
-    of the classes hold one entry that is a bool, a float, a string or null."""
+    after up to 300 * 299 entries; an eighth of the classes hold one entry
+    that is a bool, a float, a string or null."""
     tail = draw(st.lists(st.integers(2, 4), min_size=1, max_size=2))
     entries = st.integers(-3, 3) | st.sampled_from([-10**12, 10**12])
     prefix = draw(st.lists(entries, max_size=3))
@@ -97,6 +98,26 @@ def k0_objs(draw):
         seq = draw(st.sampled_from([prefix, period]))
         seq.insert(draw(st.integers(0, len(seq))), draw(st.sampled_from([True, 1.5, "2", None])))
     return {"context": tower_obj(draw(small_ratios), tail), "prefix": prefix, "period": period}
+
+
+@st.composite
+def coprime_k0_objs(draw):
+    """Two classes over one infinite tower whose periods have coprime
+    lengths of 1000 to 2011 entries, each holding up to three entries of
+    -3..3: the sum of two such classes would repeat after up to 2011 * 2010
+    entries, past the 2^20 layout limit, which `k0 eq` never forms."""
+    tail = draw(st.lists(st.integers(2, 4), min_size=1, max_size=2))
+    context = tower_obj(draw(small_ratios), tail)
+    p = draw(st.integers(1000, 2011))
+    q = draw(st.integers(1000, 2011).filter(lambda q: gcd(p, q) == 1))
+    objs = []
+    for length in (p, q):
+        period = [0] * length
+        for v in draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3)):
+            period[draw(st.integers(0, length - 1))] = v
+        prefix = draw(st.lists(st.integers(-3, 3), max_size=3))
+        objs.append({"context": context, "prefix": prefix, "period": period})
+    return objs
 
 
 @st.composite
@@ -260,7 +281,10 @@ def invocations(draw):
         files = {"m.json": draw(map_objs())}
         argv = ["bce", "verify", "m.json"]
     elif kind == "k0 eq":
-        files = {"a.json": draw(k0_objs()), "b.json": draw(k0_objs())}
+        # one in four over long coprime periods, past the layout of a sum
+        long = draw(st.integers(0, 3)) == 0
+        pair = coprime_k0_objs() if long else st.tuples(k0_objs(), k0_objs())
+        files = dict(zip(("a.json", "b.json"), draw(pair)))
         argv = ["k0", "eq", "a.json", "b.json"]
     elif kind == "k0 pos":
         files = {"a.json": draw(k0_objs())}

@@ -36,7 +36,10 @@ from roeclass import (
     h_membership,
     interleave_towers,
     k0_add,
+    k0_class_of_projection,
+    k0_equal,
     k0_positive,
+    k0_sub,
     mvn_partial_isometry,
     r_components,
     sn_divides,
@@ -279,24 +282,27 @@ BOUNDARY = {
          PreconditionViolation, "source level 8 would make a report of over 2^3 rows"),
     ]),
     # the witness of prefix [-m] over period [1] opens blocks of k_n > 3m
-    # entries; a transported class runs to the image of its last entry
+    # entries; a transported class runs to the image of its last entry; a
+    # sum's period is the lcm of 2*3 and 2*2 entries, not their product;
+    # the zero class takes no layout, and equality forms no sum
     "K0 layout": (3, [
         (lambda: len(k0_positive(K0Class(T2, (-2,), (1,)))[1].period), 8),
         (lambda: len(transport_class(TowerBijection(T2, T2, 1, ((1, 3),), (0, 7)),
                                      K0Class(T2, (0, 1), (0,))).prefix), 8),
+        (lambda: len(k0_add(period(8), period(4)).period), 8),
+        (lambda: k0_class_of_projection(
+            block_decompose(PropagationOperator.zero(BlockSpace(T2, 4)), 4)).is_zero(), True),
+        (lambda: k0_equal(period(6), period(4)), False),
     ], [
         (lambda: k0_positive(K0Class(T2, (-3,), (1,))), PreconditionViolation,
          "a K0 layout of 16 entries is over the 2^3 limit"),
         (lambda: transport_class(TowerBijection(T2, T2, 1, ((1, 4),), (0, 8)),
                                  K0Class(T2, (0, 1), (0,))), PreconditionViolation,
          "a K0 layout of 9 entries is over the 2^3 limit"),
-    ]),
-    # the lcm of 3*5 and 3*7 entries, not their product
-    "K0 sum period": (6, [
-        (lambda: len(k0_add(period(64), period(32)).period), 64),
-    ], [
-        (lambda: k0_add(period(15), period(21)), PreconditionViolation,
-         "a K0 sum with a period of 105 entries is over the 2^6 limit"),
+        (lambda: k0_add(period(6), period(4)), PreconditionViolation,
+         "a K0 layout of 12 entries is over the 2^3 limit"),
+        (lambda: k0_sub(period(6), period(4)), PreconditionViolation,
+         "a K0 layout of 12 entries is over the 2^3 limit"),
     ]),
     "unit-division period": (3, [
         (lambda: len(unit_divide(T2, 2, 3).period), 8),
@@ -349,6 +355,8 @@ BOUNDARY = {
 class TestLimits:
     def test_every_row_has_a_boundary_case(self):
         assert list(BOUNDARY) == list(LIMITS)
+        # a sum's period is a K0 layout: no command forms a sum any more
+        assert "K0 sum period" not in LIMITS
 
     @pytest.mark.parametrize("row", list(LIMITS))
     def test_boundary(self, monkeypatch, row):

@@ -1,8 +1,13 @@
 """K0 classes, the H-quotient decision procedures, and unit divisibility."""
 
+import contextlib
+import io
+import json
 import re
+import tempfile
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -39,11 +44,14 @@ from roeclass import (
     unit_divide,
 )
 from roeclass import errors, ktheory, supernatural
+from roeclass.cli import main
 from roeclass.errors import LIMITS, MalformedInput, RoeclassError, _checked_int, over_limit
 from roeclass.ktheory import _positive_level, _spread, _stable_level
+from roeclass.serialize import tower_to_obj
 from roeclass.supernatural import _normal_form
 
-from conftest import Budget, block_sums_reference, partial_sum_reference, run_limited, towers
+from conftest import (Budget, block_sums_reference, partial_sum_reference, random_equivalent_pair,
+                      ratios, run_limited, towers)
 
 
 def blocks_zero_oracle(d, n):
@@ -94,7 +102,7 @@ def class_pairs(draw):
 @st.composite
 def h_elements(draw, context):
     """A visibly trivial class: +c and -c inside one aligned block."""
-    n = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=0, max_value=3))
     k = context.order(n)
     j = draw(st.integers(min_value=0, max_value=2))
     c = draw(st.integers(min_value=-3, max_value=3))
@@ -222,14 +230,16 @@ class TestArithmetic:
         assert k0_scale(c, a).value(i) == c * a.value(i)
 
     def test_sum_period_over_limit_refused_at_once(self):
-        # periods of 2003 and 2011 entries: their sum repeats after 4,028,033
+        # periods of 2003 and 2011 entries: their sum repeats after 4,028,033,
+        # a layout the sum refuses; equality forms no sum and answers
         t = Tower((), (2,))
         a, b = K0Class(t, (), (1,) + (0,) * 2002), K0Class(t, (), (1,) + (0,) * 2010)
         budget = Budget(0.5)
-        for op in (k0_add, k0_sub, k0_equal):
+        for op in (k0_add, k0_sub):
             with pytest.raises(PreconditionViolation, match=re.escape(
-                    "a K0 sum with a period of 4028033 entries is over the 2^20 limit")):
+                    "a K0 layout of 4028033 entries is over the 2^20 limit")):
                 op(a, b)
+        assert not k0_equal(a, b)
         budget.check()
 
     def test_sum_period_under_limit_answers(self):
@@ -392,6 +402,85 @@ class TestK0Equal:
         budget.check()
 
 
+def k0_equal_reference(a, b):
+    """k0_equal as it was before it compared block sums: the difference
+    a - b, its period sum, then H-membership at its own stable level."""
+    d = k0_sub(a, b)
+    if sum(d.period) != 0:
+        return False
+    return h_membership(d.context, d, _stable_level(d))
+
+
+@st.composite
+def sparse_period(draw, length, total):
+    """A period of the given length whose entries sum to total, held in at
+    most three places."""
+    period = [0] * length
+    parts = draw(st.lists(entries, max_size=2))
+    for v in parts + [total - sum(parts)]:
+        period[draw(st.integers(0, length - 1))] += v
+    return tuple(period)
+
+
+@st.composite
+def coprime_pairs(draw):
+    """Two classes over one c05 context with coprime period lengths, the
+    longer up to 2011, as often as not with equal period averages and
+    prefixes.  Half the lengths are powers of the c05 primes, which decide
+    equality by the averages where the context holds them; every lcm stays
+    under 2^16 for the reference's sake."""
+    t = draw(st.sampled_from(C05_CONTEXTS))
+    if draw(st.booleans()):
+        p = draw(st.integers(2, 2011))
+        q = draw(st.integers(1, (1 << 16) // p).filter(lambda q: gcd(p, q) == 1))
+    else:
+        p, q = draw(st.sampled_from([(2**11, 3), (2**11, 5), (2**10, 3**3), (3**6, 2**6),
+                                     (5**4, 2**6), (2**5, 3**5), (2**8, 5**2), (3**4, 5**3)]))
+    c, prefix = draw(entries), draw(st.lists(entries, max_size=4))
+    if draw(st.booleans()):
+        sums, prefixes = (c * p, c * q), (prefix, prefix)
+    else:
+        sums = draw(entries), draw(entries)
+        prefixes = prefix, draw(st.lists(entries, max_size=4))
+    return tuple(K0Class(t, tuple(prefix), draw(sparse_period(length, total)))
+                 for prefix, length, total in zip(prefixes, draw(st.permutations((p, q))), sums))
+
+
+@st.composite
+def equal_by_h(draw):
+    """a, and a plus an aligned zero-sum block at level 0-3 of its context."""
+    t = draw(st.sampled_from(C05_CONTEXTS))
+    a = draw(classes(context=t))
+    return a, k0_add(a, draw(h_elements(context=t)))
+
+
+class TestK0EqualOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(C05_CONTEXTS).flatmap(
+        lambda t: st.tuples(classes(context=t), classes(context=t)))
+        | equal_by_h() | coprime_pairs())
+    def test_matches_difference_reference(self, pair):
+        assert k0_equal(*pair) == k0_equal_reference(*pair)
+
+    def test_forms_no_sum(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("k0_equal formed a sum")
+
+        pairs = [(k0_unit(t), K0Class(t, (5, -5), (2, 0))) for t in C05_CONTEXTS]
+        t2 = Tower((), (2,))
+        pairs.append((K0Class(t2, (), (1,) + (0,) * 2002), K0Class(t2, (), (1,) + (0,) * 2010)))
+        expected = [k0_equal_reference(a, b) for a, b in pairs[:-1]] + [False]
+        for name in ("k0_add", "k0_sub", "k0_neg"):
+            monkeypatch.setattr(ktheory, name, refuse)
+        assert [k0_equal(a, b) for a, b in pairs] == expected
+
+    def test_context_mismatch_refused(self):
+        a = K0Class(Tower((), (2,)), (), (1,))
+        b = K0Class(Tower((), (3,)), (), (1,))
+        assert outcome(k0_equal, a, b) == outcome(k0_equal_reference, a, b) == (
+            PreconditionViolation, "classes live over different towers")
+
+
 class TestK0Positive:
     def test_zero_positive(self):
         t = Tower((), (2,))
@@ -511,9 +600,11 @@ def _spread_old(sums, k):
 
 def spread_reference(t, sums, k):
     """The old layout of the sums (prefix, period), brought to normal form by
-    the checking constructor: screen, period search and prefix walk."""
+    the checking constructor: screen, period search and prefix walk.  The
+    zero period stands for itself, as it takes no layout at any k."""
     prefix, period = sums
-    return K0Class(t, _spread_old(prefix, k), _spread_old(period, k))
+    return K0Class(t, _spread_old(prefix, k),
+                   period if period == (0,) else _spread_old(period, k))
 
 
 @st.composite
@@ -551,7 +642,7 @@ class TestSpreadOracle:
     @given(st.sampled_from([Tower((), (2,)), Tower((6,), ())]), normal_form_sums(),
            st.integers(1, 4) | st.just(2**21))
     def test_refusals_match_old_layout(self, t, sums, k):
-        # the limit on the prefix, then on the period, then a finite context
+        # the limit on the prefix, then on a nonzero period, then a finite context
         assert outcome(_spread, t, *sums, k) == outcome(spread_reference, t, sums, k)
 
 
@@ -733,6 +824,81 @@ class TestClassificationPredicates:
         bce = bijectively_coarsely_equivalent(t1, t2)
         assert k0_iso_exists(t1, t2) == bce == (
             supernatural_of_tower(t1) == supernatural_of_tower(t2))
+
+
+def unit_divides(t, p, r):
+    """Whether p^r divides [1] in K0 of the infinite tower t.  The period
+    limit refuses a witness only where one exists."""
+    try:
+        return unit_divide(t, p, r) is not None
+    except PreconditionViolation:
+        return True
+
+
+def k0_iso_oracle(t1, t2):
+    """Whether (K0, K0+, [1]) of t1 and t2 are isomorphic, read off the K0
+    side: a finite tower's is (Z, N, k) and an infinite tower's is not
+    cyclic, so the finiteness must agree and two finite towers need the same
+    unit; two infinite ones need the same prime powers dividing [1], for
+    every prime of either tower and r up to the bit length of the larger
+    prefix product, past the largest finite exponent."""
+    if not (t1.is_infinite and t2.is_infinite):
+        return t1.is_infinite == t2.is_infinite and k0_unit(t1) == k0_unit(t2)
+    primes = factorint(prod(t1.prefix + t1.tail + t2.prefix + t2.tail))
+    bits = max(prod(t1.prefix), prod(t2.prefix)).bit_length()
+    return all(unit_divides(t1, p, r) == unit_divides(t2, p, r)
+               for p in primes for r in range(1, bits + 1))
+
+
+def classify_k0_iso(t1, t2):
+    """The k0_iso verdict that `roeclass classify` prints for t1 and t2."""
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp, name) for name in ("t1.json", "t2.json")]
+        for path, t in zip(paths, (t1, t2)):
+            path.write_text(json.dumps(tower_to_obj(t)))
+        with contextlib.redirect_stdout(out):
+            assert main(["classify", *map(str, paths)]) == 0
+    return json.loads(out.getvalue())["k0_iso"]
+
+
+# any two towers, one tower twice, two towers over one prime pool (a seeded
+# random_equivalent_pair), and a tower against its own tail under another prefix
+tower_pairs = (st.tuples(towers(), towers()) | towers().map(lambda t: (t, t))
+               | st.randoms(use_true_random=False).map(random_equivalent_pair)
+               | st.tuples(towers(), st.lists(ratios, max_size=4)).map(
+                   lambda tp: (tp[0], Tower(tuple(tp[1]), tp[0].tail))))
+
+
+class TestK0IsoOracle:
+    """classify prints the bce verdict as k0_iso, citing the theorem that
+    the two agree; the oracle reaches the same verdict from the K0 side."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(tower_pairs)
+    def test_classify_matches_k0_side(self, pair):
+        verdict = classify_k0_iso(*pair)
+        assert verdict == k0_iso_oracle(*pair) == k0_iso_exists(*pair)
+
+
+class TestCrossContext:
+    """Equivalent towers have nested aligned blocks, so H and the positive
+    cone coincide: one prefix and period is one element over either tower,
+    with the same unit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False), class_pairs(), st.data())
+    def test_same_decisions_in_both_contexts(self, rng, pair, data):
+        t1, t2 = random_equivalent_pair(rng)
+        a, b = (K0Class(t1, c.prefix, c.period) for c in pair)
+        if data.draw(st.booleans()):
+            b = k0_add(a, data.draw(h_elements(context=t1)))  # equal over t1
+        a2, b2 = (K0Class(t2, c.prefix, c.period) for c in (a, b))
+        assert k0_equal(a, b) == k0_equal(a2, b2)
+        assert k0_positive(a)[0] == k0_positive(a2)[0]
+        assert k0_positive(b)[0] == k0_positive(b2)[0]
+        for p, r in [(2, 1), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1)]:
+            assert (unit_divide(t1, p, r) is None) == (unit_divide(t2, p, r) is None)
 
 
 class TestTransport:

@@ -33,6 +33,7 @@ from roeclass import (
     connecting_map,
     k0_class_of_projection,
     k0_equal,
+    k0_zero,
     mvn_partial_isometry,
     propagation,
     recompose,
@@ -598,20 +599,28 @@ class TestK0ClassOfProjection:
         assert cls.prefix == (2, 0, 1) and cls.period == (0,)
 
     def test_layout_over_limit_refused(self):
-        # one level-40 block of 2^40 points: its K0 layout is refused before
-        # it is allocated, however small the rank
-        bt = block_decompose(PropagationOperator.zero(BlockSpace(Tower((), (2,)), 40)), 40)
+        # one level-40 block of 2^40 points and rank 0 is the zero class,
+        # which takes no layout; rank 1 in the second of two level-39 blocks
+        # lays out both, 2^40 entries, and is refused before it is allocated
+        space = BlockSpace(Tower((), (2,)), 40)
+        bt = block_decompose(PropagationOperator.zero(space), 40)
+        assert k0_class_of_projection(bt) == k0_zero(space.tower)
+        far = PropagationOperator(space, {(2**39, 2**39): Fraction(1)})
         refused = re.escape(f"a K0 layout of {2**40} entries is over the 2^20 limit")
         with pytest.raises(PreconditionViolation, match=refused):
-            k0_class_of_projection(bt)
+            k0_class_of_projection(block_decompose(far, 39))
 
     def test_layout_judged_up_to_last_nonzero_rank(self):
-        # two level-39 blocks of rank 0: the class is zero, and the layout
-        # is judged on its period alone, 2^39 entries, not on both blocks
-        bt = block_decompose(PropagationOperator.zero(BlockSpace(Tower((), (2,)), 40)), 39)
+        # two level-39 blocks of rank 0 are the zero class too; with rank 1
+        # in the first block alone, the layout is judged on that block,
+        # 2^39 entries, and not on both
+        space = BlockSpace(Tower((), (2,)), 40)
+        bt = block_decompose(PropagationOperator.zero(space), 39)
+        assert k0_class_of_projection(bt) == k0_zero(space.tower)
+        near = PropagationOperator(space, {(0, 0): Fraction(1)})
         refused = re.escape(f"a K0 layout of {2**39} entries is over the 2^20 limit")
         with pytest.raises(PreconditionViolation, match=refused):
-            k0_class_of_projection(bt)
+            k0_class_of_projection(block_decompose(near, 39))
 
     @given(st.data())
     def test_invariant_under_connecting_map(self, data):
