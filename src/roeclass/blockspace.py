@@ -14,23 +14,24 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, groupby, islice
 from operator import itemgetter
 
-from .errors import LIMITS, MalformedInput, PreconditionViolation, _checked_int, _clip, over_limit
+from .errors import (LIMITS, Frozen, MalformedInput, PreconditionViolation, _checked_int, _clip,
+                     lazy, over_limit)
 from .supernatural import Tower
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Frozen):
     """Disjoint blocks covering a space, ordered by least element, each
     annotated with its diameter and cardinality.  The blocks of a
     BlockSpace are ranges, so a block costs nothing per point."""
 
-    blocks: tuple[Sequence[int], ...]
-    diameters: tuple[int, ...]
+    _fields = ("blocks", "diameters")
+
+    def __init__(self, blocks: tuple[Sequence[int], ...], diameters: tuple[int, ...]):
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "diameters", diameters)
 
     @property
     def cardinalities(self) -> tuple[int, ...]:
@@ -41,22 +42,22 @@ class Partition:
         return len(self.blocks)
 
 
-@dataclass(frozen=True)
-class BlockSpace:
+class BlockSpace(Frozen):
     """Truncation {0, ..., k_depth - 1} of the canonical tower model."""
 
-    tower: Tower
-    depth: int
+    _fields = ("tower", "depth")
 
-    def __post_init__(self):
-        if _checked_int(self.depth, "depth") < 0:
+    def __init__(self, tower: Tower, depth: int):
+        if _checked_int(depth, "depth") < 0:
             raise MalformedInput("depth must be an integer >= 0")
+        object.__setattr__(self, "tower", tower)
+        object.__setattr__(self, "depth", depth)
 
-    @cached_property
+    @lazy
     def size(self) -> int:
         return self.tower.order(self.depth)
 
-    @cached_property
+    @lazy
     def _orders(self) -> tuple[int, ...]:
         """k_0..k_depth, cut where a finite tower's orders saturate; built on
         first use, so questions that never bisect never pay for it."""
@@ -135,8 +136,7 @@ def components(s: BlockSpace, n: int) -> Partition:
     return Partition(blocks, (s.distance(0, k - 1),) * count)
 
 
-@dataclass(frozen=True)
-class FiniteMetricSpace:
+class FiniteMetricSpace(Frozen):
     """Finite metric space with integer distances, given by full matrix.
 
     Construction checks the entries, the zero diagonal, that no other entry
@@ -147,14 +147,16 @@ class FiniteMetricSpace:
     the O(n^3) min-plus square in NumPy.
     """
 
-    size: int
-    distances: tuple[tuple[int, ...], ...]
+    _fields = ("size", "distances")
 
-    def __post_init__(self):
-        if _checked_int(self.size, "size") < 1:
+    def __init__(self, size: int, distances: tuple[tuple[int, ...], ...]):
+        self.__post_init__(size, distances)  # bench/spans.py times it
+
+    def __post_init__(self, size, distances):
+        if _checked_int(size, "size") < 1:
             raise MalformedInput("size must be an integer >= 1")
-        rows = tuple(tuple(row) for row in self.distances)
-        if len(rows) != self.size or any(len(r) != self.size for r in rows):
+        rows = tuple(tuple(row) for row in distances)
+        if len(rows) != size or any(len(r) != size for r in rows):
             raise MalformedInput("distance matrix shape does not match size")
         # screen all entries at C speed; walk them only to name the first bad one
         plain = set(map(type, chain.from_iterable(rows))) == {int}
@@ -169,10 +171,11 @@ class FiniteMetricSpace:
             top = max(map(max, rows))  # only int subclasses get here
         if any(row[x] for x, row in enumerate(rows)):
             raise MalformedInput("d(x, x) must be 0")
-        if sum(row.count(0) for row in rows) != self.size:
+        if sum(row.count(0) for row in rows) != size:
             raise MalformedInput("d(x, y) = 0 requires x = y")
         if rows != tuple(zip(*rows)):
             raise MalformedInput("distance matrix must be symmetric")
+        object.__setattr__(self, "size", size)
         object.__setattr__(self, "distances", rows)
         object.__setattr__(self, "_top", top)
         object.__setattr__(self, "_scales", tuple(_scale_tree(self)))

@@ -18,15 +18,13 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import InitVar, dataclass, field
-from functools import cached_property
 from itertools import chain, compress, islice, repeat
 from math import gcd
 from operator import add, eq, floordiv, le, lt, mod, ne, sub
 from typing import NamedTuple
 
-from .errors import (LIMITS, DepthExhausted, MalformedInput, NotEquivalent,
-                     PreconditionViolation, _checked_int, _checked_ints, _clip, over_limit)
+from .errors import (LIMITS, DepthExhausted, Frozen, MalformedInput, NotEquivalent,
+                     PreconditionViolation, _checked_int, _checked_ints, _clip, lazy, over_limit)
 from .supernatural import Tower, bijectively_coarsely_equivalent
 
 
@@ -63,8 +61,7 @@ def interleave_towers(t1: Tower, t2: Tower, depth: int) -> tuple[tuple[int, int]
     return tuple(pairs)
 
 
-@dataclass(frozen=True)
-class TowerBijection:
+class TowerBijection(Frozen):
     """Truncated bijective coarse equivalence between two towers.
 
     The map is held as its maximal slope-1 runs: ``runs`` is three parallel
@@ -78,23 +75,24 @@ class TowerBijection:
     level whose components absorb the image of every source l-component.
     """
 
-    source: Tower
-    target: Tower
-    depth: int
-    levels: tuple[tuple[int, int], ...]
-    points: InitVar[Sequence[int] | None] = None
-    runs: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]] = field(
-        default=None, kw_only=True)
+    _fields = ("source", "target", "depth", "levels", "runs")
 
-    def __post_init__(self, points):
-        _checked_int(self.depth, "depth")
-        if not all(isinstance(pair, (tuple, list)) and len(pair) == 2 for pair in self.levels):
+    def __init__(self, source: Tower, target: Tower, depth: int,
+                 levels: tuple[tuple[int, int], ...], points: Sequence[int] | None = None, *,
+                 runs: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]] | None = None):
+        self.__post_init__(source, target, depth, levels, points, runs)  # bench/spans.py times it
+
+    def __post_init__(self, source, target, depth, levels, points, runs):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "depth", _checked_int(depth, "depth"))
+        if not all(isinstance(pair, (tuple, list)) and len(pair) == 2 for pair in levels):
             raise MalformedInput("each level must be a pair")
-        levels = tuple((_checked_int(n, "level"), _checked_int(m, "level")) for n, m in self.levels)
+        levels = tuple((_checked_int(n, "level"), _checked_int(m, "level")) for n, m in levels)
         object.__setattr__(self, "levels", levels)
-        if (points is None) == (self.runs is None):
+        if (points is None) == (runs is None):
             raise PreconditionViolation("a map is given by its points or by its runs")
-        if len(levels) != self.depth:
+        if len(levels) != depth:
             raise MalformedInput("levels length must equal depth")
         prev_n, prev_m = 0, 0
         for n, m in levels:
@@ -102,7 +100,7 @@ class TowerBijection:
                 raise MalformedInput("level indices must be strictly increasing")
             prev_n, prev_m = n, m
         if points is None:
-            starts, _, lengths = runs = _checked_runs(self.runs)
+            starts, _, lengths = runs = _checked_runs(runs)
             size = starts[-1] + lengths[-1]
         else:
             points = tuple(points)
@@ -133,7 +131,7 @@ class TowerBijection:
         starts, _, lengths = self.runs
         return starts[-1] + lengths[-1]
 
-    @cached_property
+    @lazy
     def mapping(self) -> tuple[int, ...]:
         """The image of every source point, expanded from the runs on first
         read; a map given by runs may have over 2^20 points, and is refused."""
@@ -150,7 +148,7 @@ class TowerBijection:
         i = bisect_right(starts, x) - 1
         return images[i] + x - starts[i]
 
-    @cached_property
+    @lazy
     def modulus(self) -> tuple[int, ...]:
         """Measured on first use: building or conjugating never pays for it."""
         return _measure_modulus(self)
@@ -287,10 +285,12 @@ class LevelCheck(NamedTuple):
         return self.within_bound and self.decomposition_ok and self.order_divides
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    injective: bool
-    levels: tuple[LevelCheck, ...]
+class VerificationReport(Frozen):
+    _fields = ("injective", "levels")
+
+    def __init__(self, injective: bool, levels: tuple[LevelCheck, ...]):
+        object.__setattr__(self, "injective", injective)
+        object.__setattr__(self, "levels", levels)
 
     @property
     def passed(self) -> bool:

@@ -1,4 +1,5 @@
-"""Exception types, size limits and input checks shared across the library.
+"""Exception types, size limits, input checks and the base of immutable
+values, shared across the library.
 
 Every error the library raises on purpose is a RoeclassError, and each class
 carries the CLI exit code it maps to: MalformedInput -> 2, DepthExhausted -> 3,
@@ -10,6 +11,8 @@ row -> (bits, message).  A check reads its row's bits when it runs, and
 refuses a size over 2^bits (a prime over bits bits) with ``over_limit``
 before the work or the allocation that the row bounds.
 """
+
+from operator import attrgetter
 
 
 class RoeclassError(Exception):
@@ -106,3 +109,50 @@ def _checked_ints(values, what: str) -> tuple:
         for v in values:
             _checked_int(v, what)
     return values
+
+
+class Frozen:
+    """An immutable value, as a frozen dataclass is one.  A subclass names its
+    fields once, in ``_fields`` (two or more), and its ``__init__`` stores them
+    with ``object.__setattr__``, as a dataclass does.  Values are equal when
+    their classes are the same and their field tuples equal, hash as the
+    field tuple (so a value with a dict field is unhashable) and show as
+    ``Name(field=value, ...)``; other attributes, private or lazy, take no
+    part.  Setting or deleting any attribute raises AttributeError."""
+
+    def __init_subclass__(cls):
+        key = attrgetter(*cls._fields)  # the tuple of the fields, built in C
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return key(self) == key(other)
+            return NotImplemented
+
+        def __hash__(self):
+            return hash(key(self))
+
+        cls.__eq__, cls.__hash__ = __eq__, __hash__
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class lazy:
+    """An attribute computed on first read into the instance's ``__dict__``, which
+    later reads find first; a read that raises stores nothing.  It takes no lock."""
+
+    def __init__(self, func):
+        self.func, self.__doc__ = func, func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.func.__name__] = self.func(obj)
+        return value

@@ -18,36 +18,36 @@ to zero, so they are all nonnegative only if they all vanish.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, chain, cycle, islice, repeat
 from math import gcd, lcm, prod
 from operator import add, floordiv, mod, mul, neg, sub
 
-from .errors import (LIMITS, DepthExhausted, MalformedInput, PreconditionViolation,
+from .errors import (LIMITS, DepthExhausted, Frozen, MalformedInput, PreconditionViolation,
                      _checked_int, _checked_ints, over_limit)
 from .supernatural import Tower, _checked_prime, _normal_form, bijectively_coarsely_equivalent
 
 
-@dataclass(frozen=True)
-class K0Class:
+class K0Class(Frozen):
     """Eventually periodic integer sequence representing a K0 element.
 
     Canonical form: minimal period, shortest prefix.  Structural equality is
     equality of sequences; use k0_equal for equality modulo H.
     """
 
-    context: Tower
-    prefix: tuple[int, ...]
-    period: tuple[int, ...]
+    _fields = ("context", "prefix", "period")
 
-    def __post_init__(self):
-        prefix = _checked_ints(self.prefix, "sequence entry")
-        period = _checked_ints(self.period, "sequence entry")
+    def __init__(self, context: Tower, prefix: tuple[int, ...], period: tuple[int, ...]):
+        self.__post_init__(context, prefix, period)  # bench/spans.py times it
+
+    def __post_init__(self, context, prefix, period):
+        prefix = _checked_ints(prefix, "sequence entry")
+        period = _checked_ints(period, "sequence entry")
         # malformed entries are reported before a finite context (exit 2 before 4)
-        _need_infinite(self.context)
+        _need_infinite(context)
         if not period:
             raise MalformedInput("period must be nonempty")
         prefix, period = _normal_form(prefix, period)
+        object.__setattr__(self, "context", context)
         object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "period", period)
 
@@ -76,17 +76,17 @@ def _k0(t: Tower, prefix: tuple[int, ...], period: tuple[int, ...]) -> K0Class:
     return a
 
 
-@dataclass(frozen=True)
-class FiniteK0:
+class FiniteK0(Frozen):
     """Element of K0 = (Z, order unit k) for a finite tower of full order k."""
 
-    rank: int
-    unit_rank: int
+    _fields = ("rank", "unit_rank")
 
-    def __post_init__(self):
-        _checked_int(self.rank, "rank")
-        if _checked_int(self.unit_rank, "unit rank") < 1:
+    def __init__(self, rank: int, unit_rank: int):
+        _checked_int(rank, "rank")
+        if _checked_int(unit_rank, "unit rank") < 1:
             raise MalformedInput("unit rank must be >= 1")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "unit_rank", unit_rank)
 
 
 def k0_unit(t: Tower) -> K0Class | FiniteK0:
@@ -184,11 +184,11 @@ def k0_equal(a: K0Class, b: K0Class) -> bool:
     two: gcd(k, lcm(p, q)) = lcm(gcd(k, p), gcd(k, q)), the difference's
     prefix is no longer than the longer one, and the kernels only grow.
     """
-    t = _same_context(a, b)
+    _same_context(a, b)
     if sum(a.period) * len(b.period) != sum(b.period) * len(a.period):
         return False
     n = max(_stable_level(a), _stable_level(b))
-    return alpha_iterate(t, n, a) == alpha_iterate(t, n, b)
+    return _normal_form(*_block_sums(a, n)) == _normal_form(*_block_sums(b, n))
 
 
 def _spread(t: Tower, prefix: tuple[int, ...], period: tuple[int, ...], k: int) -> K0Class:

@@ -9,7 +9,6 @@ limit, with the (non-normalized) block trace vector tracking K0 data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -17,6 +16,7 @@ from math import gcd, lcm
 from .blockspace import BlockSpace
 from .errors import (
     DepthExhausted,
+    Frozen,
     MalformedInput,
     NotBlockDiagonal,
     NotProjection,
@@ -112,27 +112,29 @@ def _is_projection(a: Entries) -> bool:
     return squares == trace * d and trace == _rank(rows) * d
 
 
-@dataclass(frozen=True)
-class PropagationOperator:
+class PropagationOperator(Frozen):
     """Sparse exact-rational matrix over the points of a block space."""
 
-    space: BlockSpace
-    entries: Entries
+    _fields = ("space", "entries")
 
-    def __post_init__(self):
+    def __init__(self, space: BlockSpace, entries: Entries):
+        self.__post_init__(space, entries)  # bench/spans.py times it
+
+    def __post_init__(self, space, entries):
         # size >= 2^n for the n ratios (each >= 2) among the first depth: an
         # index below 2^n is inside, and size, huge for a deep space, is read
         # only for an index that reaches 2^n (r < size > c: both below it)
-        n = self.space._ratios
+        n = space._ratios
         clean: Entries = {}
-        for (r, c), v in self.entries.items():
+        for (r, c), v in entries.items():
             _checked_int(r, "entry row")
             _checked_int(c, "entry column")
-            if r < 0 or c < 0 or (r | c) >> n and not (r < self.space.size > c):
+            if r < 0 or c < 0 or (r | c) >> n and not (r < space.size > c):
                 raise MalformedInput(f"entry ({_clip(r)}, {_clip(c)}) outside the truncation")
             v = _coerce_scalar(v)
             if v:
                 clean[(r, c)] = v
+        object.__setattr__(self, "space", space)
         object.__setattr__(self, "entries", clean)
 
     @classmethod
@@ -171,22 +173,22 @@ def adjoint(a: PropagationOperator) -> PropagationOperator:
     return PropagationOperator(a.space, _mat_adjoint(a.entries))
 
 
-@dataclass(frozen=True)
-class BlockTuple:
+class BlockTuple(Frozen):
     """Level-n block decomposition: k_depth/k_n square blocks of size k_n."""
 
-    space: BlockSpace
-    level: int
-    blocks: tuple[Entries, ...]
+    _fields = ("space", "level", "blocks")
 
-    def __post_init__(self):
-        k = self.space.order(self.level)
-        if len(self.blocks) != self.space.size // k:
+    def __init__(self, space: BlockSpace, level: int, blocks: tuple[Entries, ...]):
+        k = space.order(level)
+        if len(blocks) != space.size // k:
             raise MalformedInput("wrong number of blocks for the level")
-        for blk in self.blocks:
+        for blk in blocks:
             for (r, c), v in blk.items():
                 if not (0 <= r < k and 0 <= c < k):
                     raise MalformedInput("block entry outside the block")
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def block_size(self) -> int:

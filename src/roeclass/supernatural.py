@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, compress, cycle
 from math import gcd, inf, isqrt, prod
 from operator import mul
 
-from .errors import LIMITS, MalformedInput, PreconditionViolation, _checked_int, _clip, over_limit
+from .errors import (LIMITS, Frozen, MalformedInput, PreconditionViolation, _checked_int, _clip,
+                     over_limit)
 
 # Exponent marking a prime of unbounded valuation along the tower.
 INFINITE = inf
@@ -173,8 +173,7 @@ def _normal_form(prefix: tuple, period: tuple) -> tuple[tuple, tuple]:
     return prefix[:s], period[shift:] + period[:shift]
 
 
-@dataclass(frozen=True)
-class Tower:
+class Tower(Frozen):
     """Ratio stream of an increasing chain of finite subgroup orders.
 
     ``prefix`` is consumed once, then ``tail`` repeats forever; an empty tail
@@ -184,12 +183,11 @@ class Tower:
     equal representations.
     """
 
-    prefix: tuple[int, ...] = ()
-    tail: tuple[int, ...] = ()
+    _fields = ("prefix", "tail")
 
-    def __post_init__(self):
-        prefix = tuple(r for r in map(_checked_ratio, self.prefix) if r > 1)
-        tail = tuple(r for r in map(_checked_ratio, self.tail) if r > 1)
+    def __init__(self, prefix: tuple[int, ...] = (), tail: tuple[int, ...] = ()):
+        prefix = tuple(r for r in map(_checked_ratio, prefix) if r > 1)
+        tail = tuple(r for r in map(_checked_ratio, tail) if r > 1)
         if tail:
             prefix, tail = _normal_form(prefix, tail)
         object.__setattr__(self, "prefix", prefix)
@@ -231,8 +229,7 @@ class Tower:
         return prod(self.prefix[:n]) * prod(self.tail) ** whole * prod(self.tail[:rest])
 
 
-@dataclass(frozen=True, eq=True)
-class SupernaturalNumber:
+class SupernaturalNumber(Frozen):
     """Formal product prod_p p^{e_p} with e_p in {0, 1, 2, ...} or INFINITE.
 
     ``exponents`` stores only primes whose exponent differs from
@@ -240,24 +237,24 @@ class SupernaturalNumber:
     equal structurally.  A key past the "prime size" limit is refused.
     """
 
-    exponents: dict[int, int | float]
-    default_exponent: int | float = 0
+    _fields = ("exponents", "default_exponent")
 
-    def __post_init__(self):
-        if self.default_exponent not in (0, INFINITE):
+    def __init__(self, exponents: dict[int, int | float], default_exponent: int | float = 0):
+        if default_exponent not in (0, INFINITE):
             raise MalformedInput("default exponent must be 0 or INFINITE")
         normalized = {}
-        for p, e in sorted(self.exponents.items()):
+        for p, e in sorted(exponents.items()):
             _checked_prime(p, MalformedInput, "exponent key ")
             if e != INFINITE:
                 _checked_int(e, f"exponent of {_clip(p)}")
-            if e == self.default_exponent:
+            if e == default_exponent:
                 continue
             if e != INFINITE and e < 1:
                 raise MalformedInput(
                     f"exponent of {_clip(p)} must be >= 1 or INFINITE, got {_clip(e)}")
             normalized[p] = e
         object.__setattr__(self, "exponents", normalized)
+        object.__setattr__(self, "default_exponent", default_exponent)
 
     def exponent_of(self, p: int) -> int | float:
         return self.exponents.get(p, self.default_exponent)

@@ -629,9 +629,10 @@ class TestDocs:
         assert set(roeclass.__all__) <= set(dir(roeclass))
 
     def test_package_import_loads_no_layer(self):
+        # nor dataclasses: the value base lives in errors.py, not in the root
         proc = subprocess.run(
-            [sys.executable, "-c", "import sys, roeclass; "
-             "print(sorted(m for m in sys.modules if m.startswith('roeclass.')))"],
+            [sys.executable, "-c", "import sys, roeclass; print(sorted(m for m in sys.modules "
+             "if m.startswith('roeclass.') or m in ('dataclasses', 'inspect')))"],
             env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=60)
         assert proc.stdout == "[]\n", proc.stderr
 
@@ -647,6 +648,8 @@ for argv in json.loads(sys.argv[1]):
         report["codes"].append(main(argv))
     report["outs"].append(out.getvalue())
 report["loaded"] = sorted(m for m in ("sympy", "numpy") if m in sys.modules)
+report["introspection"] = sorted(m for m in ("dataclasses", "inspect", "ast", "dis", "tokenize")
+                                 if m in sys.modules)
 report["modules"] = sorted(m for m in sys.modules
                            if m.startswith("roeclass.") or m in ("sympy", "numpy", "fractions"))
 print(json.dumps(report))
@@ -669,7 +672,8 @@ class TestImportGate:
     """Light commands import neither sympy nor numpy; only a metric space
     that is not an ultrametric (``embed``) imports numpy, and only an
     operator (``roe``) fractions.  Each command loads only the roeclass
-    layers it runs."""
+    layers it runs, and none loads ``dataclasses`` or the introspection
+    modules it would bring (``inspect``, ``ast``, ``dis``, ``tokenize``)."""
 
     def test_light_commands_load_neither(self, files, tmp_path):
         t2, t4 = files("t2.json", TOWER2), files("t4.json", TOWER4)
@@ -691,6 +695,7 @@ class TestImportGate:
         assert json.loads(report["outs"][1])["obstruction"] == [2, 1]
         assert json.loads(report["outs"][8])["passed"] is True
         assert report["loaded"] == []
+        assert report["introspection"] == []
 
     def test_embed_loads_numpy_only(self, files, tmp_path):
         # points 0, 1, 3 of the line: d(0, 3) = 3 > max(1, 2), so the scale
@@ -761,6 +766,7 @@ class TestImportGate:
         report = fresh_main(tmp_path, [inputs.get(a, a) for a in argv])
         assert report["codes"] == [0]
         assert report["modules"] == sorted(self.BASE + extra)
+        assert report["introspection"] == []
 
     def test_divide_unit_factors_nothing(self, files, tmp_path):
         # tail (2, p*q) with p, q primes near 2^49 and 2^50: whether 2^3
