@@ -21,19 +21,27 @@ from typing import Callable, NamedTuple
 import roeclass as rc
 
 from . import serialize as ser
-from .errors import MalformedInput, RoeclassError
+from .errors import LIMITS, MalformedInput, RoeclassError, over_limit
 
 
 def _read_source(path: str, stdin_used: list) -> str:
+    """The text of a file or of stdin, refused on the "input bytes" row
+    before it is parsed: one character past the limit is read, and no more."""
     if path == "-" and stdin_used:
         raise MalformedInput("stdin ('-') can only be read once")
+    cap = 1 << LIMITS["input bytes"][0]
     try:
         if path == "-":
             stdin_used.append(True)
-            return sys.stdin.read()
-        return Path(path).read_text(encoding="utf-8")
+            text = sys.stdin.read(cap + 1)
+        else:
+            with open(path, encoding="utf-8") as f:
+                text = f.read(cap + 1)
     except (OSError, UnicodeDecodeError) as e:
         raise MalformedInput(f"cannot read {path}: {e}") from e
+    if len(text) > cap:  # a character is at least a byte
+        raise over_limit("input bytes", "stdin" if path == "-" else path)
+    return text
 
 
 def _emit(obj, output: str | None):

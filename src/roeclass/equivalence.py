@@ -112,12 +112,15 @@ class TowerBijection(Frozen):
         if dom != size:
             need = f"at least {_clip(dom)}" if dom > size else dom
             raise MalformedInput(f"map must cover the full source truncation ({need} points)")
-        if points is not None:
+        if points is None:
+            _, images, lengths = runs
+            lo, hi = min(images), max(map(add, images, lengths)) - 1
+        else:
             # whole-list passes in C: a witness file has up to 2^20 images
-            runs = range(size), _checked_ints(points, "image"), (1,) * size
-        starts, images, lengths = runs = _merged(*runs)
-        object.__setattr__(self, "runs", runs)
-        lo, hi = min(images), max(map(add, images, lengths)) - 1
+            points = _checked_ints(points, "image")
+            lo, hi = min(points), max(points)
+            runs = range(size), points, (1,) * size
+        object.__setattr__(self, "runs", _merged(*runs))
         if lo < 0 or hi >= self.target.order(min(m_d, hi.bit_length())):
             raise MalformedInput(
                 f"image {_clip(lo if lo < 0 else hi)} outside the target truncation")
@@ -147,6 +150,13 @@ class TowerBijection(Frozen):
         starts, images, _ = self.runs
         i = bisect_right(starts, x) - 1
         return images[i] + x - starts[i]
+
+    def images(self, xs: Sequence[int]) -> list[int]:
+        """The image of each source point in xs, as ``image`` gives it, in C passes."""
+        starts, images, _ = self.runs
+        # x's run is bisect_right(starts, x) - 1: a leading 0 takes up the - 1
+        shifts = (0, *map(sub, images, starts))
+        return [*map(add, xs, map(shifts.__getitem__, map(bisect_right, repeat(starts), xs)))]
 
     @lazy
     def modulus(self) -> tuple[int, ...]:

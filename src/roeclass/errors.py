@@ -53,8 +53,10 @@ class UnsupportedEntries(PreconditionViolation):
     """Exact construction is only implemented for a restricted entry shape."""
 
 
-LIMIT_BITS = 20  # shared by every row but the prime's: 2^20 = 1,048,576
+LIMIT_BITS = 20  # shared by every row but the input's and the prime's: 2^20 = 1,048,576
 LIMITS = {
+    # a 2^20-point map file, the largest bce build writes, is about 21 MB
+    "input bytes": (25, "{0} is over the 2^{bits}-byte limit for an input"),
     "map points": (LIMIT_BITS, "a map of {0}{1} points is over the 2^{bits} limit"),
     "verify report rows": (LIMIT_BITS, "source level {0} would make a report of over 2^{bits} rows"),
     "K0 layout": (LIMIT_BITS, "a K0 layout of {0} entries is over the 2^{bits} limit"),

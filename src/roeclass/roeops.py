@@ -10,8 +10,9 @@ limit, with the (non-normalized) block trace vector tracking K0 data.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from math import gcd, lcm
+from operator import ge, itemgetter
 
 from .blockspace import BlockSpace
 from .errors import (
@@ -271,17 +272,21 @@ def mvn_partial_isometry(p: BlockTuple, q: BlockTuple) -> BlockTuple | None:
 
 
 def conjugate_by_bijection(b: TowerBijection, t: PropagationOperator) -> PropagationOperator:
-    """Relocate entries along the bijection: (x1, x2) -> (f(x1), f(x2))."""
+    """Relocate entries along the bijection: (x1, x2) -> (f(x1), f(x2)).  The
+    first entry, in order, that escapes the domain (exit 3) or lands on an
+    earlier entry's place (exit 4) decides the error."""
     if t.space.tower != b.source:
         raise PreconditionViolation("operator space does not match the map source")
-    entries: Entries = {}
-    for (r, c), v in t.entries.items():
-        if r >= b.domain_size or c >= b.domain_size:
-            raise DepthExhausted("operator support escapes the truncated domain")
-        key = (b.image(r), b.image(c))
-        if key in entries:
-            raise PreconditionViolation("map is not injective on the support")
-        entries[key] = v
+    positions = [*t.entries]
+    rows, cols = [*map(itemgetter(0), positions)], [*map(itemgetter(1), positions)]
+    far = [*map(ge, map(max, rows, cols), repeat(b.domain_size))]
+    inside = far.index(True) if True in far else len(far)  # the entries before any escape
+    ys = b.images(rows[:inside] + cols[:inside])
+    entries = dict(zip(zip(ys[:inside], ys[inside:]), t.entries.values()))
+    if len(entries) < inside:
+        raise PreconditionViolation("map is not injective on the support")
+    if inside < len(far):
+        raise DepthExhausted("operator support escapes the truncated domain")
     m_d = b.final_levels[1]
     return PropagationOperator(BlockSpace(b.target, m_d), entries)
 

@@ -16,7 +16,7 @@ import json
 import re
 import sys
 from functools import partial
-from itertools import islice
+from itertools import islice, repeat
 from operator import eq
 
 from .errors import LIMITS, MalformedInput, PreconditionViolation, _checked_int, over_limit
@@ -147,9 +147,15 @@ def k0_from_obj(obj) -> K0Class:
 
 def bijection_to_obj(b: TowerBijection) -> dict:
     # the runs expanded to the flat pair list of every point, in C passes
-    flat = [""] * (2 * b.domain_size)
-    flat[::2] = map(str, range(b.domain_size))
-    flat[1::2] = map(str, b.mapping)
+    n = b.domain_size
+    if b.runs[1] == (0,):  # the identity, as bce build writes it: one list of strings
+        if n > 1 << LIMITS["map points"][0]:
+            raise over_limit("map points", n, "")
+        images = sources = [*map(str, range(n))]
+    else:
+        images, sources = [*map(str, b.mapping)], map(str, range(n))
+    flat = [""] * (2 * n)
+    flat[::2], flat[1::2] = sources, images
     return {
         "source": tower_to_obj(b.source),
         "target": tower_to_obj(b.target),
@@ -171,12 +177,16 @@ def bijection_from_obj(obj) -> TowerBijection:
     if len(flat) // 2 > 1 << LIMITS["map points"][0]:
         raise over_limit("map points", len(flat) // 2, "")
     _expect(len(flat) % 2 == 0, "map must be a flat pair list")
-    # screen the map as bce build writes it at C speed, sources "0".."N-1" in
-    # order and ASCII-digit images; walk any other list to name its first bad pair
     images = flat[1::2]
+    n = len(images)
+    # the identity map, as bce build writes it, in two list compares: one run
+    if n and images == flat[::2] and images == [*map(str, range(n))]:
+        return TowerBijection(source, target, obj["depth"], obj["levels"], runs=((0,), (0,), (n,)))
+    # screen any other map at C speed, sources "0".."N-1" in order and
+    # ASCII-digit images; walk any other list to name its first bad pair
     sources = islice(flat, 0, None, 2)
     if (set(map(type, images)) == {str} and "".join(images).isascii()
-            and all(map(str.isdigit, images)) and all(map(eq, sources, map(str, range(len(images)))))):
+            and all(map(str.isdigit, images)) and all(map(eq, sources, map(str, range(n))))):
         mapping = _convert(tuple, map(int, images), "image point")
     else:
         assignments = {}
@@ -248,21 +258,47 @@ def operator_to_obj(t: PropagationOperator) -> dict:
 
 
 def operator_from_obj(obj) -> PropagationOperator:
-    from fractions import Fraction  # only operators hold scalars
-
     from .roeops import PropagationOperator
 
     obj = _as_object(obj, "operator", {"space", "entries"})
     space = space_from_obj(obj["space"])
-    _expect(isinstance(obj["entries"], list), "entries must be a list")
+    items = obj["entries"]
+    _expect(isinstance(items, list), "entries must be a list")
+    entries = _entries_in_passes(items)
+    return PropagationOperator(space, _entries_by_walk(items) if entries is None else entries)
+
+
+def _entries_in_passes(items: list) -> dict | None:
+    """The entries of a well-formed list, screened and parsed in whole-list
+    C passes; None when a pass fails, so that the walk names the first bad entry."""
+    from fractions import Fraction  # only operators hold scalars
+
+    if set(map(type, items)) != {list} or set(map(len, items)) != {3}:
+        return None
+    rows, cols, scalars = zip(*items)
+    positions = [*zip(rows, cols)]
+    if (set(map(type, rows)) | set(map(type, cols)) != {int} or len(set(positions)) < len(items)
+            or set(map(type, scalars)) != {str} or not all(map(_SCALAR_RE.fullmatch, scalars))):
+        return None
+    nums, _, dens = zip(*map(str.partition, scalars, repeat("/")))
+    try:
+        values = [*map(Fraction, map(int, nums), map(int, [d or "1" for d in dens]))]
+    except ValueError:  # a number over the digit limit
+        return None
+    return dict(zip(positions, values))
+
+
+def _entries_by_walk(items: list) -> dict:
+    from fractions import Fraction
+
     entries = {}
-    for item in obj["entries"]:
+    for item in items:
         _expect(isinstance(item, list) and len(item) == 3, "each entry must be [row, col, value]")
         r = _checked_int(item[0], "row")
         c = _checked_int(item[1], "col")
         _expect((r, c) not in entries, f"entry ({r}, {c}) given twice")
         entries[(r, c)] = Fraction(*_scalar_from_str(item[2], f"entry ({r}, {c})"))
-    return PropagationOperator(space, entries)
+    return entries
 
 
 def blocktuple_to_obj(bt: BlockTuple) -> dict:

@@ -104,6 +104,18 @@ class TestSn:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "4300" in err
 
+    def test_input_bytes_bound(self, files, capsys):
+        # a tower padded with spaces to 2^25 bytes is read; one byte more is
+        # refused before json.loads sees any of it
+        bound = 1 << LIMITS["input bytes"][0]
+        assert bound == 1 << 25
+        at = files("at.json", TOWER2.ljust(bound))
+        code, out, _ = run(capsys, "sn", at)
+        assert (code, out) == (0, '{"default":"0","exponents":{"2":"inf"}}\n')
+        past = files("past.json", TOWER2.ljust(bound + 1))
+        assert run(capsys, "sn", past) == (
+            4, "", f"error: {past} is over the 2^25-byte limit for an input\n")
+
     def test_non_utf8_stdin_exit_2(self, capsys, monkeypatch):
         stdin = io.TextIOWrapper(io.BytesIO(b'{"prefix": [], "tail": ["\xff"]}'), encoding="utf-8")
         monkeypatch.setattr("sys.stdin", stdin)

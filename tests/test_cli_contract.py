@@ -4,7 +4,9 @@ For every generated input ``main`` either returns 0, 2, 3 or 4 (1 only
 from ``bce verify``) or stops in argparse with ``SystemExit(2)``.  Nothing
 else escapes, stderr holds no traceback, and a second run prints
 byte-identical stdout.  Inputs include decimal strings over Python's
-4300-digit conversion limit and ``--output`` paths that cannot be written.
+4300-digit conversion limit, ``--output`` paths that cannot be written,
+maps as ``bce build`` writes them with and without one edited pair, and
+operator files whose one bad entry comes late.
 """
 
 import contextlib
@@ -20,8 +22,9 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from roeclass import Tower
+from roeclass import Tower, build_back_and_forth
 from roeclass.cli import main
+from roeclass.serialize import bijection_to_obj
 
 from conftest import Budget
 
@@ -176,18 +179,62 @@ def operator_objs(draw, dense=False, ratios=None):
         positions = draw(st.lists(st.one_of(point.map(lambda r: (r, r)), st.tuples(point, point)),
                                   max_size=4, unique=True))
         entries = [[r, c, draw(scalars)] for r, c in positions]
+        if draw(st.integers(0, 3)) == 0:
+            entries = draw(late_bad_entries(min(size, 2**20)))
     return {"space": {"tower": tower_obj(prefix, tail), "depth": depth},
             "entries": entries}
+
+
+# one bad entry of each kind: shape, row, column and scalar
+BAD_ENTRY = {"shape": ["x", [0, 0], [0, 0, "1", 0]], "row": [True, "0", 1.5, None, -1],
+             "col": [False, "1", 0.5, None, -1], "scalar": ["1.5", "٣", "1/0", 3, "1" * 4301]}
+
+
+@st.composite
+def late_bad_entries(draw, width):
+    """20 to 300 good entries on distinct places among the first ``width``
+    points, read row by row, with one bad entry, or a place given twice, in
+    the last quarter of the list."""
+    n = min(width * width, draw(st.integers(20, 300)))
+    entries = [[i // width, i % width, ("1", "-1/2", "3/4")[i % 3]] for i in range(n)]
+    at = draw(st.integers(3 * n // 4, n - 1))
+    kind = draw(st.sampled_from([*BAD_ENTRY, "duplicate"]))
+    if kind == "duplicate":
+        entries[at][:2] = entries[draw(st.integers(0, n - 1))][:2]
+    elif kind == "shape":
+        entries[at] = draw(st.sampled_from(BAD_ENTRY["shape"]))
+    else:
+        entries[at][["row", "col", "scalar"].index(kind)] = draw(st.sampled_from(BAD_ENTRY[kind]))
+    return entries
+
+
+# tails of equal supernatural numbers, which bce build interleaves
+EQUIVALENT_TAILS = [((2,), (4,)), ((2,), (2,)), ((4,), (2,)), ((2, 3), (6,))]
+
+
+@st.composite
+def built_maps(draw):
+    """Maps as bce build writes them, the inclusion of {0..k1-1} into
+    {0..k2-1}; a third with one pair edited at a random place."""
+    t1, t2 = draw(st.sampled_from(EQUIVALENT_TAILS))
+    obj = bijection_to_obj(build_back_and_forth(Tower((), t1), Tower((), t2),
+                                                draw(st.integers(0, 4))))
+    edit = draw(st.sampled_from([None] * 16 + list(FLAT_EDITS)))
+    if edit:
+        _edit_flat(obj["map"], edit, 2 * draw(st.integers(0, len(obj["map"]) // 2 - 1)))
+    return obj
 
 
 @st.composite
 def map_objs(draw):
     """Bijection files whose shape fits their towers, so that most reach the
-    verifier.  Half of them put the last target level anywhere up to 10^7;
+    verifier.  A quarter are maps as bce build writes them.  Half of them put the last target level anywhere up to 10^7;
     images stay below k_min(m_D, 6), so no order above level 6 is computed
     here.  A domain of over 64 points is mapped x -> x mod k, with the
     target blocks of one level permuted, or with up to three cuts anywhere
     and each piece shifted: runs long enough for the run measure."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(built_maps())
     # a quarter of the maps go from tail 4 to tail 4 at levels 4 and 4 or
     # more: 256 points or more, and a target as large
     big = draw(st.integers(0, 3)) == 0
@@ -228,8 +275,8 @@ def map_objs(draw):
 
 
 # edits of a canonical flat list: two leave it valid, the rest malformed
-FLAT_EDITS = ("leading zeros", "out of order", "non-ASCII digit", "duplicate source",
-              "bare int", "odd length", "image over the digit limit")
+FLAT_EDITS = ("leading zeros", "out of order", "swapped images", "non-ASCII digit",
+              "duplicate source", "bare int", "odd length", "image over the digit limit")
 
 
 def _edit_flat(flat, edit, i):
@@ -238,6 +285,8 @@ def _edit_flat(flat, edit, i):
         flat[i] = "00" + flat[i]
     elif edit == "out of order":
         flat[:2], flat[i : i + 2] = flat[i : i + 2], flat[:2]
+    elif edit == "swapped images":
+        flat[1], flat[i + 1] = flat[i + 1], flat[1]
     elif edit == "non-ASCII digit":
         flat[i + 1] = NON_ASCII_DIGITS[i // 2 % len(NON_ASCII_DIGITS)]
     elif edit == "duplicate source":

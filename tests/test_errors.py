@@ -2,7 +2,9 @@
 ValueErrors; every size limit answers at its bound and refuses one step past
 it; and the limits and input checks live in errors.py alone."""
 
+import io
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -47,6 +49,7 @@ from roeclass import (
     unit_divide,
     verify_bijective_coarse_equivalence,
 )
+from roeclass.cli import _read_source
 from roeclass.errors import LIMITS
 from roeclass.serialize import bijection_from_obj, bijection_to_obj
 
@@ -241,6 +244,15 @@ def line(*points):
                                                 for x in points))
 
 
+def read_stdin(text):
+    """What the command line reads of ``text`` given on stdin."""
+    stdin, sys.stdin = sys.stdin, io.StringIO(text)
+    try:
+        return _read_source("-", [])
+    finally:
+        sys.stdin = stdin
+
+
 def map_obj(points, flat=None):
     """The file of the identity on 0..points-1 over tail 2, or one with that
     shape holding ``flat`` as its map."""
@@ -252,6 +264,15 @@ def map_obj(points, flat=None):
 # row -> (bits to patch in, calls at the bound with what they answer, calls
 # one step past it with the class and the message of their refusal)
 BOUNDARY = {
+    # an input is read one character past the bound, and refused before parsing
+    "input bytes": (5, [
+        (lambda: read_stdin("x" * 32), "x" * 32),
+        # a character is at least a byte: 32 two-byte characters are read
+        (lambda: read_stdin("é" * 32), "é" * 32),
+    ], [
+        (lambda: read_stdin("x" * 33), PreconditionViolation,
+         "stdin is over the 2^5-byte limit for an input"),
+    ]),
     "map points": (3, [
         (lambda: build_back_and_forth(T2, T2, 3).domain_size, 8),
         (lambda: bijection_from_obj(map_obj(8)).domain_size, 8),
@@ -264,6 +285,9 @@ BOUNDARY = {
          "a map of 9 points is over the 2^3 limit"),
         # a map given by runs is refused only when its points are read
         (lambda: TowerBijection(T2, T2, 1, ((4, 4),), runs=((0,), (0,), (16,))).mapping,
+         PreconditionViolation, "a map of 16 points is over the 2^3 limit"),
+        # and so is writing the file of one, which never reads its points
+        (lambda: bijection_to_obj(TowerBijection(T2, T2, 1, ((4, 4),), runs=((0,), (0,), (16,)))),
          PreconditionViolation, "a map of 16 points is over the 2^3 limit"),
         # bits + 1 interleave steps already pass the limit
         (lambda: build_back_and_forth(T2, T2, 10**18), PreconditionViolation,
