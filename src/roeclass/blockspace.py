@@ -42,6 +42,14 @@ class Partition(Frozen):
         return len(self.blocks)
 
 
+def _order_bits(t: Tower, n: int) -> int:
+    """floor(log2 k_n) or less, from the ratios alone: each ratio r among the
+    first n adds at least r.bit_length() - 1 bits (prefix, whole tail periods, rest)."""
+    whole, rest = divmod(max(n - len(t.prefix), 0), len(t.tail)) if t.tail else (0, 0)
+    low = [r.bit_length() - 1 for r in t.tail]
+    return sum(r.bit_length() - 1 for r in t.prefix[:n]) + whole * sum(low) + sum(low[:rest])
+
+
 class BlockSpace(Frozen):
     """Truncation {0, ..., k_depth - 1} of the canonical tower model."""
 
@@ -64,8 +72,11 @@ class BlockSpace(Frozen):
         return tuple(islice(self.tower.levels(), self.depth + 1))
 
     def order(self, n: int) -> int:
+        """k_n, refused past the "block order" limit before it is formed."""
         if not 0 <= _checked_int(n, "level") <= self.depth:
             raise PreconditionViolation(f"level {_clip(n)} outside 0..{_clip(self.depth)}")
+        if _order_bits(self.tower, n) > 1 << LIMITS["block order"][0]:
+            raise over_limit("block order", n)
         return self.tower.order(n)
 
     @property
@@ -130,10 +141,11 @@ class BlockSpace(Frozen):
 
 
 def components(s: BlockSpace, n: int) -> Partition:
-    """Level-n components: k_depth/k_n consecutive intervals of length k_n."""
+    """Level-n components: k_depth/k_n consecutive intervals of length k_n.
+    A block's diameter is the least level of order k_n: each ratio raises it."""
     k, count = s._blocks(n)
     blocks = tuple(range(j * k, (j + 1) * k) for j in range(count))
-    return Partition(blocks, (s.distance(0, k - 1),) * count)
+    return Partition(blocks, (min(n, s._ratios),) * count)
 
 
 class FiniteMetricSpace(Frozen):

@@ -151,13 +151,6 @@ class TowerBijection(Frozen):
         i = bisect_right(starts, x) - 1
         return images[i] + x - starts[i]
 
-    def images(self, xs: Sequence[int]) -> list[int]:
-        """The image of each source point in xs, as ``image`` gives it, in C passes."""
-        starts, images, _ = self.runs
-        # x's run is bisect_right(starts, x) - 1: a leading 0 takes up the - 1
-        shifts = (0, *map(sub, images, starts))
-        return [*map(add, xs, map(shifts.__getitem__, map(bisect_right, repeat(starts), xs)))]
-
     @lazy
     def modulus(self) -> tuple[int, ...]:
         """Measured on first use: building or conjugating never pays for it."""

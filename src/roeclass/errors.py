@@ -63,6 +63,7 @@ LIMITS = {
     "unit-division period": (
         LIMIT_BITS, "[1]/{0}^{1} needs a period of {0}^{1} entries, over the 2^{bits} limit"),
     "blocks of a split": (LIMIT_BITS, "level {0} would split the space into over 2^{bits} blocks"),
+    "block order": (LIMIT_BITS, "level {0} would make a block order of over 2^{bits} bits"),
     "metric matrix": (LIMIT_BITS, "a metric matrix would have over 2^{bits} entries"),
     "asdim profile": (LIMIT_BITS, "an asdim profile of {0} entries is over the 2^{bits} limit"),
     # sympy's test of a prime grows with the cube of its bits (on a 2-CPU box

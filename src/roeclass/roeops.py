@@ -10,9 +10,8 @@ limit, with the (non-normalized) block trace vector tracking K0 data.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain
 from math import gcd, lcm
-from operator import ge, itemgetter
 
 from .blockspace import BlockSpace
 from .errors import (
@@ -180,8 +179,8 @@ class BlockTuple(Frozen):
     _fields = ("space", "level", "blocks")
 
     def __init__(self, space: BlockSpace, level: int, blocks: tuple[Entries, ...]):
-        k = space.order(level)
-        if len(blocks) != space.size // k:
+        k, count = space._blocks(level)
+        if len(blocks) != count:
             raise MalformedInput("wrong number of blocks for the level")
         for blk in blocks:
             for (r, c), v in blk.items():
@@ -213,7 +212,7 @@ def block_decompose(t: PropagationOperator, n: int) -> BlockTuple:
 def _regroup(bt: BlockTuple, m: int) -> tuple[Entries, ...]:
     """Group consecutive level-n blocks into level-m diagonal blocks (m >= n)."""
     k = bt.block_size
-    r = bt.space.order(m) // k
+    r = bt.space.tower.order(m) // k  # m >= the level, which is judged already
     grouped: list[Entries] = []
     for i in range(0, len(bt.blocks), r):
         blk: Entries = {}
@@ -277,16 +276,15 @@ def conjugate_by_bijection(b: TowerBijection, t: PropagationOperator) -> Propaga
     earlier entry's place (exit 4) decides the error."""
     if t.space.tower != b.source:
         raise PreconditionViolation("operator space does not match the map source")
-    positions = [*t.entries]
-    rows, cols = [*map(itemgetter(0), positions)], [*map(itemgetter(1), positions)]
-    far = [*map(ge, map(max, rows, cols), repeat(b.domain_size))]
-    inside = far.index(True) if True in far else len(far)  # the entries before any escape
-    ys = b.images(rows[:inside] + cols[:inside])
-    entries = dict(zip(zip(ys[:inside], ys[inside:]), t.entries.values()))
-    if len(entries) < inside:
-        raise PreconditionViolation("map is not injective on the support")
-    if inside < len(far):
-        raise DepthExhausted("operator support escapes the truncated domain")
+    size, image = b.domain_size, b.image
+    entries: Entries = {}
+    for (r, c), v in t.entries.items():
+        if r >= size or c >= size:
+            raise DepthExhausted("operator support escapes the truncated domain")
+        key = (image(r), image(c))
+        if key in entries:
+            raise PreconditionViolation("map is not injective on the support")
+        entries[key] = v
     m_d = b.final_levels[1]
     return PropagationOperator(BlockSpace(b.target, m_d), entries)
 

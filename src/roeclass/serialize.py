@@ -16,8 +16,7 @@ import json
 import re
 import sys
 from functools import partial
-from itertools import islice, repeat
-from operator import eq
+from itertools import repeat
 
 from .errors import LIMITS, MalformedInput, PreconditionViolation, _checked_int, over_limit
 from .supernatural import INFINITE, SupernaturalNumber, Tower
@@ -146,14 +145,13 @@ def k0_from_obj(obj) -> K0Class:
 # -- bijections -------------------------------------------------------------
 
 def bijection_to_obj(b: TowerBijection) -> dict:
-    # the runs expanded to the flat pair list of every point, in C passes
+    # the runs expanded to the flat pair list of every point, in C passes;
+    # the identity, as bce build writes it, reuses the source strings
     n = b.domain_size
-    if b.runs[1] == (0,):  # the identity, as bce build writes it: one list of strings
-        if n > 1 << LIMITS["map points"][0]:
-            raise over_limit("map points", n, "")
-        images = sources = [*map(str, range(n))]
-    else:
-        images, sources = [*map(str, b.mapping)], map(str, range(n))
+    if n > 1 << LIMITS["map points"][0]:
+        raise over_limit("map points", n, "")
+    sources = [*map(str, range(n))]
+    images = sources if b.runs[1] == (0,) else [*map(str, b.mapping)]
     flat = [""] * (2 * n)
     flat[::2], flat[1::2] = sources, images
     return {
@@ -172,6 +170,7 @@ def bijection_from_obj(obj) -> TowerBijection:
     source = tower_from_obj(obj["source"])
     target = tower_from_obj(obj["target"])
     _expect(isinstance(obj["levels"], list), "levels must be a list")
+    bijection = partial(TowerBijection, source, target, obj["depth"], obj["levels"])
     flat = obj["map"]
     _expect(isinstance(flat, list), "map must be a flat pair list")
     if len(flat) // 2 > 1 << LIMITS["map points"][0]:
@@ -179,26 +178,25 @@ def bijection_from_obj(obj) -> TowerBijection:
     _expect(len(flat) % 2 == 0, "map must be a flat pair list")
     images = flat[1::2]
     n = len(images)
-    # the identity map, as bce build writes it, in two list compares: one run
-    if n and images == flat[::2] and images == [*map(str, range(n))]:
-        return TowerBijection(source, target, obj["depth"], obj["levels"], runs=((0,), (0,), (n,)))
-    # screen any other map at C speed, sources "0".."N-1" in order and
-    # ASCII-digit images; walk any other list to name its first bad pair
-    sources = islice(flat, 0, None, 2)
-    if (set(map(type, images)) == {str} and "".join(images).isascii()
-            and all(map(str.isdigit, images)) and all(map(eq, sources, map(str, range(n))))):
-        mapping = _convert(tuple, map(int, images), "image point")
-    else:
-        assignments = {}
-        for i in range(0, len(flat), 2):
-            x = _parse_uint(flat[i], "source point")
-            y = _parse_uint(flat[i + 1], "image point")
-            _expect(x not in assignments, f"source point {x} assigned twice")
-            assignments[x] = y
-        _expect(set(assignments) == set(range(len(assignments))),
-                "map sources must cover 0..N-1 exactly")
-        mapping = tuple(assignments[x] for x in range(len(assignments)))
-    return TowerBijection(source, target, obj["depth"], obj["levels"], mapping)
+    strings = [*map(str, range(n))]
+    # sources "0".."N-1" in order, in one list compare: the identity map, as
+    # bce build writes it, is one run, and any other map with ASCII-digit
+    # images is parsed at C speed; walk any other list to name its first bad pair
+    if flat[::2] == strings:
+        if n and images == strings:
+            return bijection(runs=((0,), (0,), (n,)))
+        if (set(map(type, images)) == {str} and "".join(images).isascii()
+                and all(map(str.isdigit, images))):
+            return bijection(_convert(tuple, map(int, images), "image point"))
+    assignments = {}
+    for i in range(0, len(flat), 2):
+        x = _parse_uint(flat[i], "source point")
+        y = _parse_uint(flat[i + 1], "image point")
+        _expect(x not in assignments, f"source point {x} assigned twice")
+        assignments[x] = y
+    _expect(set(assignments) == set(range(len(assignments))),
+            "map sources must cover 0..N-1 exactly")
+    return bijection(tuple(assignments[x] for x in range(len(assignments))))
 
 
 def report_to_obj(r: VerificationReport) -> dict:
@@ -264,33 +262,27 @@ def operator_from_obj(obj) -> PropagationOperator:
     space = space_from_obj(obj["space"])
     items = obj["entries"]
     _expect(isinstance(items, list), "entries must be a list")
-    entries = _entries_in_passes(items)
-    return PropagationOperator(space, _entries_by_walk(items) if entries is None else entries)
+    return PropagationOperator(space, _entries(items))
 
 
-def _entries_in_passes(items: list) -> dict | None:
-    """The entries of a well-formed list, screened and parsed in whole-list
-    C passes; None when a pass fails, so that the walk names the first bad entry."""
+def _entries(items: list) -> dict:
+    """The entries of an operator file, screened and parsed in whole-list C
+    passes; a list that fails a pass is walked, so that the message names
+    its first bad entry."""
     from fractions import Fraction  # only operators hold scalars
 
-    if set(map(type, items)) != {list} or set(map(len, items)) != {3}:
-        return None
-    rows, cols, scalars = zip(*items)
-    positions = [*zip(rows, cols)]
-    if (set(map(type, rows)) | set(map(type, cols)) != {int} or len(set(positions)) < len(items)
-            or set(map(type, scalars)) != {str} or not all(map(_SCALAR_RE.fullmatch, scalars))):
-        return None
-    nums, _, dens = zip(*map(str.partition, scalars, repeat("/")))
-    try:
-        values = [*map(Fraction, map(int, nums), map(int, [d or "1" for d in dens]))]
-    except ValueError:  # a number over the digit limit
-        return None
-    return dict(zip(positions, values))
-
-
-def _entries_by_walk(items: list) -> dict:
-    from fractions import Fraction
-
+    if set(map(type, items)) == {list} and set(map(len, items)) == {3}:
+        rows, cols, scalars = zip(*items)
+        positions = [*zip(rows, cols)]
+        if (set(map(type, rows)) | set(map(type, cols)) == {int}
+                and len(set(positions)) == len(items) and set(map(type, scalars)) == {str}
+                and all(map(_SCALAR_RE.fullmatch, scalars))):
+            nums, _, dens = zip(*map(str.partition, scalars, repeat("/")))
+            try:
+                return dict(zip(positions, map(Fraction, map(int, nums),
+                                               map(int, [d or "1" for d in dens]))))
+            except ValueError:  # a number over the digit limit
+                pass
     entries = {}
     for item in items:
         _expect(isinstance(item, list) and len(item) == 3, "each entry must be [row, col, value]")

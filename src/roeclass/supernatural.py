@@ -104,7 +104,9 @@ def factorint(n: int) -> dict[int, int]:
     """Prime factorization {p: e} of n >= 1, by trial division below _SMALL.
 
     A residue with no small factor is prime when it is below _SMALL**2 or
-    passes ``_residue_is_prime``; sympy factors any other residue.
+    passes ``_residue_is_prime``; sympy factors any other residue.  A residue
+    past the "prime size" limit is refused before either, as the exponent
+    key of a supernatural number would be, prime or not.
     """
     if n < 1:
         raise PreconditionViolation("can only factor integers >= 1")
@@ -119,6 +121,8 @@ def factorint(n: int) -> dict[int, int]:
                 e += 1
             out[p] = e
     else:
+        if n.bit_length() > LIMITS["prime size"][0]:
+            raise over_limit("prime size", "exponent key ", n, error=MalformedInput)
         if n >= _SMALL**2 and not _residue_is_prime(n):
             from sympy import factorint as sympy_factorint
 

@@ -8,7 +8,10 @@ tail 4, a 2,000-entry operator over tail 2 at depth 15 (``roe conjugate``)
 and one of about 3,800 entries over tail (2, 3) at depth 8 (``roe
 decompose --level 4``).  Each tree builds its own depth-8 tail-2-against-
 tail-4 witness, 32,768 points, with its own ``bce build``, and verifies and
-conjugates that one.
+conjugates that one.  The "block-permuted" commands read the same witness
+with the four points of every target 4-block permuted by a seeded shuffle
+(the verifier still passes it), made from each tree's file the same way:
+a map of tens of thousands of runs, whose images are found run by run.
 
 Each tree's ``src/roeclass`` is copied without its ``__pycache__``.  By
 default one untimed run compiles the copy's bytecode first; with
@@ -37,6 +40,9 @@ COMMANDS = {
     "bce verify": ["bce", "verify", "{map}"],
     "roe decompose": ["roe", "decompose", "--level", "4", "--output", "{out}", "decompose.json"],
     "roe conjugate": ["roe", "conjugate", "--output", "{out}", "{map}", "conjugate.json"],
+    "bce verify, block-permuted": ["bce", "verify", "{permuted}"],
+    "roe conjugate, block-permuted": ["roe", "conjugate", "--output", "{out}", "{permuted}",
+                                      "conjugate.json"],
 }
 
 
@@ -63,6 +69,20 @@ def write_inputs(work: Path):
                                                                rng.randint(1, 4))
                  for x in range(1296) for _ in range(3)}
     (work / "decompose.json").write_text(json.dumps(operator((2, 3), 8, decompose)))
+
+
+def block_permuted(built: Path, out: Path):
+    """The map file ``built`` with the images in each target 4-block (level
+    1 of tail 4) permuted by a shuffle seeded by the block."""
+    obj = json.loads(built.read_text())
+    images = [int(y) for y in obj["map"][1::2]]
+    perms = {}
+    for i, y in enumerate(images):
+        if y // 4 not in perms:
+            perms[y // 4] = random.Random(y // 4).sample(range(4), 4)
+        images[i] = y - y % 4 + perms[y // 4][y % 4]
+    obj["map"][1::2] = map(str, images)
+    out.write_text(json.dumps(obj, separators=(",", ":")))
 
 
 def run(work: Path, argv: list, env: dict) -> float:
@@ -95,15 +115,17 @@ def main() -> int:
             subprocess.run([sys.executable, "-m", "roeclass.cli", "bce", "build", "--depth", "8",
                             "--output", f"map{i}.json", "t2.json", "t4.json"],
                            cwd=work, env=env, check=True)
+            block_permuted(work / f"map{i}.json", work / f"permuted{i}.json")
             if args.no_bytecode:
                 shutil.rmtree(src / "roeclass" / "__pycache__")
                 env["PYTHONDONTWRITEBYTECODE"] = "1"
-            sides.append((env, f"map{i}.json", f"out{i}.json"))
+            sides.append((env, f"map{i}.json", f"permuted{i}.json", f"out{i}.json"))
         times = {(side, name): [] for side in range(len(sides)) for name in args.commands}
         for _ in range(args.runs):
             for name in args.commands:
-                for side, (env, mapfile, out) in enumerate(sides):
-                    argv = [a.format(map=mapfile, out=out) for a in COMMANDS[name]]
+                for side, (env, mapfile, permuted, out) in enumerate(sides):
+                    argv = [a.format(map=mapfile, permuted=permuted, out=out)
+                            for a in COMMANDS[name]]
                     times[side, name].append(run(work, argv, env))
     mode = "without bytecode" if args.no_bytecode else "with compiled bytecode"
     print(f"| median of {args.runs} cold runs, ms, {mode} | {' | '.join(labels)} |")

@@ -225,6 +225,13 @@ class TestComponents:
         part = components(s, 3)
         assert part.diameters == (1,)
 
+    def test_deep_level_builds_no_orders(self):
+        # a level-n block's diameter is read from the ratio count, not
+        # bisected over every order up to the depth (quadratic in bits)
+        s = BlockSpace(Tower((), (2,)), 20_000)
+        assert components(s, 20_000).diameters == (20_000,)
+        assert "_orders" not in vars(s)
+
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(towers(max_prefix=3, max_tail=2, max_ratio=4),
                      towers(max_prefix=3, max_tail=0, max_ratio=4)), st.data())

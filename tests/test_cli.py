@@ -60,6 +60,17 @@ class TestSn:
         assert code == 0
         assert out == '{"default":"0","exponents":{"2":"inf"}}\n'
 
+    def test_residue_over_bit_cap_exit_2(self, files, capsys):
+        # trial division leaves the Mersenne prime 2^9689 - 1, refused
+        # before sympy would spend seconds proving it prime
+        tower = json.dumps({"prefix": [], "tail": [str(3 * (2**9689 - 1))]})
+        budget = Budget(0.5)
+        code, out, err = run(capsys, "sn", files("t.json", tower))
+        budget.check()
+        assert (code, out) == (2, "")
+        assert err == ("error: exponent key <int of 9689 bits> is over the 2048-bit limit "
+                       "for a prime\n")
+
     def test_stdin(self, files, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(TOWER2))
         code, out, _ = run(capsys, "sn", "-")
@@ -586,6 +597,29 @@ class TestRoe:
         budget.check()
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             4, "", "error: level 0 would split the space into over 2^20 blocks\n")
+
+    @pytest.mark.parametrize("command", ["decompose", "trace"])
+    def test_deep_level_refused_before_its_order(self, files, command):
+        # k_N and the space's size would each have about 10^9 bits: the
+        # "block order" row judges the level from its ratios, in a child
+        # under a 1 GiB address space
+        op = {"space": {"tower": json.loads(TOWER2), "depth": 10**9}, "entries": [[0, 0, "1"]]}
+        budget = Budget(2.0)
+        proc = run_child("roe", command, "--level", str(10**9 - 1),
+                         files("op.json", json.dumps(op)))
+        budget.check()
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            4, "", "error: level 999999999 would make a block order of over 2^20 bits\n")
+
+    def test_block_order_boundary(self, files, capsys):
+        # over tail 2 each ratio adds one bit: level 2^20 is accepted, one more is not
+        for depth, want in ((1 << 20, '["1"]\n'), ((1 << 20) + 1, "")):
+            op = {"space": {"tower": json.loads(TOWER2), "depth": depth},
+                  "entries": [[0, 0, "1"]]}
+            code, out, err = run(capsys, "roe", "trace", "--level", str(depth),
+                                 files("op.json", json.dumps(op)))
+            assert (code, out) == ((0, want) if want else (4, ""))
+        assert err == f"error: level {depth} would make a block order of over 2^20 bits\n"
 
     def test_conjugate_support_escape_exit_3(self, files, capsys, tmp_path):
         mapfile = str(tmp_path / "map.json")

@@ -215,10 +215,26 @@ EQUIVALENT_TAILS = [((2,), (4,)), ((2,), (2,)), ((4,), (2,)), ((2, 3), (6,))]
 @st.composite
 def built_maps(draw):
     """Maps as bce build writes them, the inclusion of {0..k1-1} into
-    {0..k2-1}; a third with one pair edited at a random place."""
-    t1, t2 = draw(st.sampled_from(EQUIVALENT_TAILS))
-    obj = bijection_to_obj(build_back_and_forth(Tower((), t1), Tower((), t2),
-                                                draw(st.integers(0, 4))))
+    {0..k2-1}, and valid maps made from one for each route of the reader:
+    its target blocks of one level permuted inside their parent blocks
+    (sources in order, images screened), or its pairs shuffled or its
+    sources written with leading zeros (the pair walk).  A third have one
+    pair edited at a random place."""
+    t1, t2 = (Tower((), t) for t in draw(st.sampled_from(EQUIVALENT_TAILS)))
+    obj = bijection_to_obj(build_back_and_forth(t1, t2, draw(st.integers(0, 4))))
+    flat, m_d = obj["map"], obj["levels"][-1][1] if obj["levels"] else 0
+    shape = draw(st.sampled_from(["as built", "block permutation", "shuffled", "leading zeros"]))
+    if shape == "block permutation" and m_d:
+        s = draw(st.integers(0, m_d - 1))
+        w, r = t2.order(s), t2.ratio(s)
+        perm = draw(st.permutations(range(r)))
+        flat[1::2] = [str(y + (perm[y // w % r] - y // w % r) * w) for y in map(int, flat[1::2])]
+    elif shape == "shuffled":
+        pairs = [flat[i : i + 2] for i in range(0, len(flat), 2)]
+        random.Random(draw(st.integers(0, 10**6))).shuffle(pairs)
+        flat[:] = [v for pair in pairs for v in pair]
+    elif shape == "leading zeros":
+        flat[::2] = ["0" + x for x in flat[::2]]
     edit = draw(st.sampled_from([None] * 16 + list(FLAT_EDITS)))
     if edit:
         _edit_flat(obj["map"], edit, 2 * draw(st.integers(0, len(obj["map"]) // 2 - 1)))

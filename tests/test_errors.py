@@ -52,6 +52,7 @@ from roeclass import (
 from roeclass.cli import _read_source
 from roeclass.errors import LIMITS
 from roeclass.serialize import bijection_from_obj, bijection_to_obj
+from roeclass.supernatural import factorint
 
 from conftest import set_limit_bits
 
@@ -346,6 +347,29 @@ BOUNDARY = {
         (lambda: block_decompose(PropagationOperator.zero(BlockSpace(T2, 4)), 0),
          PreconditionViolation, "level 0 would split the space into over 2^3 blocks"),
     ]),
+    # judged from the ratios: each r among the first n adds r.bit_length() - 1
+    # bits, 1 for a ratio of 2 or 3 (3^8 has 13 bits) and 4 for one of 17
+    "block order": (3, [
+        (lambda: BlockSpace(T2, 9).order(8), 256),
+        (lambda: len(components(BlockSpace(T2, 8), 8)), 1),
+        (lambda: len(block_decompose(PropagationOperator.zero(BlockSpace(T2, 9)), 8).blocks), 2),
+        (lambda: BlockTuple(BlockSpace(Tower((), (3,)), 8), 8, ({},)).block_size, 3**8),
+        (lambda: len(components(BlockSpace(Tower((17, 17, 2), ()), 3), 2)), 2),
+    ], [
+        (lambda: BlockSpace(T2, 9).order(9), PreconditionViolation,
+         "level 9 would make a block order of over 2^3 bits"),
+        (lambda: components(BlockSpace(T2, 9), 9), PreconditionViolation,
+         "level 9 would make a block order of over 2^3 bits"),
+        (lambda: block_decompose(PropagationOperator.zero(BlockSpace(T2, 9)), 9),
+         PreconditionViolation, "level 9 would make a block order of over 2^3 bits"),
+        (lambda: BlockTuple(BlockSpace(Tower((), (3,)), 9), 9, ({},)), PreconditionViolation,
+         "level 9 would make a block order of over 2^3 bits"),
+        (lambda: components(BlockSpace(Tower((17, 17, 2), ()), 3), 3), PreconditionViolation,
+         "level 3 would make a block order of over 2^3 bits"),
+        # a level a billion deep is refused before its order is formed
+        (lambda: components(BlockSpace(T2, 10**9), 10**9 - 1), PreconditionViolation,
+         "level 999999999 would make a block order of over 2^3 bits"),
+    ]),
     "metric matrix": (4, [
         (lambda: len(BlockSpace(T2, 2).metric_matrix()), 4),
         (lambda: BlockSpace(T2, 2).to_metric_space().size, 4),
@@ -372,6 +396,9 @@ BOUNDARY = {
          "1031 is over the 10-bit limit for a prime"),
         (lambda: SupernaturalNumber({1031: 1}), MalformedInput,
          "exponent key 1031 is over the 10-bit limit for a prime"),
+        # what trial division leaves of a ratio, before any primality test
+        (lambda: factorint(3 * 1000003), MalformedInput,
+         "exponent key 1000003 is over the 10-bit limit for a prime"),
     ]),
 }
 

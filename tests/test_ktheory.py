@@ -28,6 +28,7 @@ from roeclass import (
     block_decompose,
     build_back_and_forth,
     h_membership,
+    interleave_towers,
     k0_add,
     k0_class_of_projection,
     k0_equal,
@@ -42,6 +43,7 @@ from roeclass import (
     supernatural_of_tower,
     transport_class,
     unit_divide,
+    verify_bijective_coarse_equivalence,
 )
 from roeclass import errors, ktheory, supernatural
 from roeclass.cli import main
@@ -930,6 +932,34 @@ class TestTransport:
         b = build_back_and_forth(t, t, 1)
         with pytest.raises(PreconditionViolation):
             transport_class(b, k0_unit(t))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.randoms(use_true_random=False), st.data())
+    def test_witnesses_keep_the_class(self, rng, data):
+        """The K0 side of the rigidity theorem along a witness: a finitely
+        supported class over t1 inside the witness's domain goes to the same
+        sequence read over t2, along the built witness and along one whose
+        target blocks of one level are permuted inside their parent blocks,
+        which the verifier passes too.  Each image is one run lookup."""
+        t1, t2 = random_equivalent_pair(rng)
+        levels = interleave_towers(t1, t2, data.draw(st.integers(1, 3)))
+        # the deepest of them with at most 2^12 points; depth 1 has at most 25
+        depth = max(j for j, (n, _) in enumerate(levels, 1) if t1.order(n) <= 1 << 12)
+        built = build_back_and_forth(t1, t2, depth)
+        size = built.domain_size
+        s = data.draw(st.integers(0, built.final_levels[1] - 1))
+        w, r = t2.order(s), t2.ratio(s)
+        perm = data.draw(st.permutations(range(r)))
+        permuted = TowerBijection(t1, t2, depth, built.levels,
+                                  [y + (perm[y // w % r] - y // w % r) * w for y in range(size)])
+        assert verify_bijective_coarse_equivalence(permuted).passed
+        entries = tuple(data.draw(st.lists(st.integers(-3, 3), max_size=min(size, 40))))
+        a, want = K0Class(t1, entries, (0,)), K0Class(t2, entries, (0,))
+        assert transport_class(built, a) == want  # the inclusion moves nothing
+        moved = transport_class(permuted, a)
+        assert k0_equal(moved, want)
+        # the permuted blocks lie inside level-(s + 1) blocks, whose sums agree
+        assert alpha_iterate(t2, s + 1, moved) == alpha_iterate(t2, s + 1, want)
 
     def test_far_image_refused_before_its_layout(self):
         # one entry sent to 2^59 would lay out 2^59 + 1 entries; in a child

@@ -362,6 +362,22 @@ class TestPrimeCap:
         assert str(caught.value) == (
             f"{what}<int of {p.bit_length()} bits> is over the 2048-bit limit for a prime")
 
+    @pytest.mark.parametrize("n, bits", [(3 * (2**9689 - 1), 9689), (1009**300, 2994)],
+                             ids=["prime_residue", "composite_residue"])
+    def test_residue_over_cap_refused_before_primality_test(self, monkeypatch, n, bits):
+        # trial division leaves 2^9689 - 1 (prime) or 1009^300 (composite),
+        # each refused with the key's message and never tested or factored
+        monkeypatch.setattr(supernatural, "_residue_is_prime", None)
+        budget = Budget(0.2)
+        with pytest.raises(MalformedInput) as caught:
+            supernatural.factorint(n)
+        budget.check()
+        assert str(caught.value) == (
+            f"exponent key <int of {bits} bits> is over the 2048-bit limit for a prime")
+
+    def test_residue_at_cap_is_tested(self):
+        assert supernatural.factorint(3 * TOP_PRIME) == {3: 1, TOP_PRIME: 1}
+
     def test_over_cap_with_small_factor_is_not_prime(self):
         with pytest.raises(PreconditionViolation, match=r"^<int of 2049 bits> is not prime$"):
             sn_divides(2**2048 + 3, 1, SupernaturalNumber({}, INFINITE))
@@ -525,10 +541,16 @@ class TestPrimalityAndFactoring:
             {5: INFINITE, p: INFINITE})
         assert calls == [p]
 
-    def test_composite_over_prime_bits_still_factors(self):
-        # a residue past the prime size limit is tested, not refused: 1009^700 answers
-        assert supernatural.factorint(1009**700) == {1009: 700}
-        assert supernatural_of_tower(Tower((1009**700,), ())) == SupernaturalNumber({1009: 700})
+    def test_composite_residue_over_prime_bits_refused(self):
+        # a residue within the prime size limit is factored: 1009^200 has
+        # 1,995 bits; past the limit it is refused, prime or not
+        assert supernatural.factorint(1009**200) == {1009: 200}
+        assert supernatural_of_tower(Tower((1009**200,), ())) == SupernaturalNumber({1009: 200})
+        message = "^exponent key <int of 6986 bits> is over the 2048-bit limit for a prime$"
+        with pytest.raises(MalformedInput, match=message):
+            supernatural.factorint(1009**700)
+        with pytest.raises(MalformedInput, match=message):
+            supernatural_of_tower(Tower((1009**700,), ()))
 
     @pytest.mark.parametrize("n", CARMICHAEL + STRONG_PSEUDOPRIMES + PRIME_SQUARES)
     def test_named_composites(self, n):
