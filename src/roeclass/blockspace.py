@@ -65,11 +65,21 @@ class BlockSpace(Frozen):
     def size(self) -> int:
         return self.tower.order(self.depth)
 
-    @lazy
-    def _orders(self) -> tuple[int, ...]:
-        """k_0..k_depth, cut where a finite tower's orders saturate; built on
-        first use, so questions that never bisect never pay for it."""
-        return tuple(islice(self.tower.levels(), self.depth + 1))
+    _orders = (1,)  # k_0, k_1, ... as far as _orders_past has been asked
+
+    def _orders_past(self, top: int) -> tuple[int, ...]:
+        """The orders up to the first above top, the square of the last known
+        and 2^64, or to the depth (a finite tower's stop at saturation): a
+        longer tuple is bound, none mutated, O(log depth) times at most."""
+        orders = self._orders
+        if orders[-1] <= top:
+            goal, more = max(top, orders[-1] ** 2, 1 << 64), []
+            for k in islice(self.tower.levels(), len(orders), self.depth + 1):
+                more.append(k)
+                if k > goal:
+                    break
+            orders = self.__dict__["_orders"] = orders + tuple(more)
+        return orders
 
     def order(self, n: int) -> int:
         """k_n, refused past the "block order" limit before it is formed."""
@@ -93,23 +103,22 @@ class BlockSpace(Frozen):
             raise over_limit("blocks of a split", n)
         return k, self.size // k
 
-    def _check_point(self, x: int):
-        if not (isinstance(x, int) and 0 <= x < self.size):
-            raise PreconditionViolation(f"point {_clip(x)} outside 0..{_clip(self.size - 1)}")
-
     def distance(self, x: int, y: int) -> int:
         """Least level whose blocks contain both points.
 
         Each order divides the next, so "same block" is false and then true
         as the level grows: bisect for the first level where it holds.  It
         needs k_n > |x - y| and holds once k_n > max(x, y), so only the
-        levels between those two are searched.
+        levels between those two are searched; orders are formed about that far.
         """
         orders = self._orders
         size = orders[-1]
         if not (isinstance(x, int) and isinstance(y, int) and 0 <= x < size and 0 <= y < size):
-            self._check_point(x)
-            self._check_point(y)
+            for p in (x, y):  # size is read only to refuse a point
+                if not (isinstance(p, int) and 0 <= p < self._orders_past(p)[-1]):
+                    raise PreconditionViolation(
+                        f"point {_clip(p)} outside 0..{_clip(self.size - 1)}")
+            orders = self._orders
         lo = bisect_right(orders, x - y if x > y else y - x)
         hi = bisect_right(orders, x if x > y else y, lo)
         while lo < hi:
@@ -127,14 +136,15 @@ class BlockSpace(Frozen):
         bits = LIMITS["metric matrix"][0]
         if self._ratios > bits // 2 or self.size ** 2 > 1 << bits:
             raise over_limit("metric matrix")
-        import numpy as np  # only here and in _triangle_holds, to keep it off light commands
-
-        pts = np.arange(self.size)
-        d = np.zeros((self.size, self.size), dtype=np.int64)
-        for k in self._orders[:-1]:  # saturated levels add nothing
-            labels = pts // k
-            d += labels[:, None] != labels[None, :]
-        return d.tolist()
+        # row x holds n on its level-n block outside its level-(n-1) block:
+        # one slice per level, from the whole row down to x's own entry
+        orders = self._orders_past(self.size - 1)
+        fills = [[n] * k for n, k in enumerate(orders)]
+        rows = [fills[-1][:] for _ in range(self.size)]
+        for x, row in enumerate(rows):
+            for k, fill in zip(orders[-2::-1], fills[-2::-1]):
+                row[x // k * k:x // k * k + k] = fill
+        return rows
 
     def to_metric_space(self) -> "FiniteMetricSpace":
         return FiniteMetricSpace(self.size, tuple(map(tuple, self.metric_matrix())))

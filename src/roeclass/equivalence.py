@@ -179,10 +179,10 @@ def _merged(starts, images, lengths) -> tuple[tuple[int, ...], tuple[int, ...], 
     return starts, tuple(compress(images, keep)), tuple(map(sub, (*starts[1:], size), starts))
 
 
-# a map whose runs hold fewer points than this on average is measured and
-# checked point by point, in C passes over its images.  The threshold is
-# where the run measure it replaced (a Python step per run and level)
-# overtook the point measure, about 32 points a run on 2^19-point maps
+# maps whose runs average fewer points are measured and checked point by
+# point, in C passes over the images; the break measure pays per run and
+# target order, so it wins only on long runs: on 32,768-point maps the two
+# tie near 37 points a run, and the breaks take a third of the time at 148
 _RUN_POINTS = 64
 
 

@@ -223,20 +223,7 @@ def scalar_to_str(v: Fraction | int) -> str:
     return _convert(str, v, "output number", PreconditionViolation)
 
 
-_SCALAR_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
-
-
-def _int_groups(match: re.Match) -> tuple[int, ...]:
-    num, den = match.groups()
-    return (int(num),) if den is None else (int(num), int(den))
-
-
-def _scalar_from_str(s, what: str) -> tuple[int, ...]:
-    """The numerator of s, a string like '-3' or '3/4', and its denominator
-    if it has one, each parsed once: ``Fraction(*result)`` is ``Fraction(s)``."""
-    match = isinstance(s, str) and _SCALAR_RE.fullmatch(s)
-    _expect(match, f"{what} must be a string like '-3' or '3/4'")
-    return _convert(_int_groups, match, what)
+_SCALAR_RE = re.compile(r"-?[0-9]+(?:/[1-9][0-9]*)?")
 
 
 def space_to_obj(s: BlockSpace) -> dict:
@@ -289,7 +276,9 @@ def _entries(items: list) -> dict:
         r = _checked_int(item[0], "row")
         c = _checked_int(item[1], "col")
         _expect((r, c) not in entries, f"entry ({r}, {c}) given twice")
-        entries[(r, c)] = Fraction(*_scalar_from_str(item[2], f"entry ({r}, {c})"))
+        _expect(isinstance(item[2], str) and _SCALAR_RE.fullmatch(item[2]),
+                f"entry ({r}, {c}) must be a string like '-3' or '3/4'")
+        entries[(r, c)] = _convert(Fraction, item[2], f"entry ({r}, {c})")
     return entries
 
 

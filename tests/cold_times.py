@@ -12,6 +12,11 @@ conjugates that one.  The "block-permuted" commands read the same witness
 with the four points of every target 4-block permuted by a seeded shuffle
 (the verifier still passes it), made from each tree's file the same way:
 a map of tens of thousands of runs, whose images are found run by run.
+The two "pieces permuted" commands verify the same witness with its
+aligned 32-point (128-point) pieces shuffled inside target 256-blocks
+(1024-blocks), the coarsest that the verifier's bounds still allow: runs
+of about 37 and at least 128 points, one on each side of the 64 points a
+run below which the modulus is measured point by point.
 
 Each tree's ``src/roeclass`` is copied without its ``__pycache__``.  By
 default one untimed run compiles the copy's bytecode first; with
@@ -43,7 +48,12 @@ COMMANDS = {
     "bce verify, block-permuted": ["bce", "verify", "{permuted}"],
     "roe conjugate, block-permuted": ["roe", "conjugate", "--output", "{out}", "{permuted}",
                                       "conjugate.json"],
+    "bce verify, 32-point pieces permuted": ["bce", "verify", "{pieces32}"],
+    "bce verify, 128-point pieces permuted": ["bce", "verify", "{pieces128}"],
 }
+# (piece, target block) of each permuted map: the level-1 target blocks of
+# tail 4 for points, and the coarsest blocks that pass the depth-8 bounds
+PERMUTED = {"permuted": (1, 4), "pieces32": (32, 256), "pieces128": (128, 1024)}
 
 
 def tower(*tail):
@@ -71,16 +81,17 @@ def write_inputs(work: Path):
     (work / "decompose.json").write_text(json.dumps(operator((2, 3), 8, decompose)))
 
 
-def block_permuted(built: Path, out: Path):
-    """The map file ``built`` with the images in each target 4-block (level
-    1 of tail 4) permuted by a shuffle seeded by the block."""
+def block_permuted(built: Path, out: Path, piece: int, block: int):
+    """The map file ``built`` with the aligned ``piece``-point pieces of the
+    images in each target ``block``-block permuted by a shuffle seeded by
+    the block."""
     obj = json.loads(built.read_text())
     images = [int(y) for y in obj["map"][1::2]]
-    perms = {}
+    pieces, perms = block // piece, {}
     for i, y in enumerate(images):
-        if y // 4 not in perms:
-            perms[y // 4] = random.Random(y // 4).sample(range(4), 4)
-        images[i] = y - y % 4 + perms[y // 4][y % 4]
+        if y // block not in perms:
+            perms[y // block] = random.Random(y // block).sample(range(pieces), pieces)
+        images[i] = y - y % block + perms[y // block][y % block // piece] * piece + y % piece
     obj["map"][1::2] = map(str, images)
     out.write_text(json.dumps(obj, separators=(",", ":")))
 
@@ -115,17 +126,18 @@ def main() -> int:
             subprocess.run([sys.executable, "-m", "roeclass.cli", "bce", "build", "--depth", "8",
                             "--output", f"map{i}.json", "t2.json", "t4.json"],
                            cwd=work, env=env, check=True)
-            block_permuted(work / f"map{i}.json", work / f"permuted{i}.json")
+            for name, (piece, block) in PERMUTED.items():
+                block_permuted(work / f"map{i}.json", work / f"{name}{i}.json", piece, block)
             if args.no_bytecode:
                 shutil.rmtree(src / "roeclass" / "__pycache__")
                 env["PYTHONDONTWRITEBYTECODE"] = "1"
-            sides.append((env, f"map{i}.json", f"permuted{i}.json", f"out{i}.json"))
+            files = {name: f"{name}{i}.json" for name in ["map", *PERMUTED]}
+            sides.append((env, dict(files, out=f"out{i}.json")))
         times = {(side, name): [] for side in range(len(sides)) for name in args.commands}
         for _ in range(args.runs):
             for name in args.commands:
-                for side, (env, mapfile, permuted, out) in enumerate(sides):
-                    argv = [a.format(map=mapfile, permuted=permuted, out=out)
-                            for a in COMMANDS[name]]
+                for side, (env, files) in enumerate(sides):
+                    argv = [a.format(**files) for a in COMMANDS[name]]
                     times[side, name].append(run(work, argv, env))
     mode = "without bytecode" if args.no_bytecode else "with compiled bytecode"
     print(f"| median of {args.runs} cold runs, ms, {mode} | {' | '.join(labels)} |")

@@ -1,8 +1,10 @@
 """Shared hypothesis strategies for tower-based tests, seeded pairs of
 equivalent towers, a wall-clock budget, a child interpreter under a memory
-cap, a patch of one size limit, and the K0 block-sum reference."""
+cap, a patch of one size limit, the K0 block-sum reference and the operator
+scalar parse that captured numerator and denominator."""
 
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 import roeclass
 from roeclass import Tower
 from roeclass.errors import LIMITS
+from roeclass.serialize import _convert, _expect
 
 ratios = st.integers(min_value=2, max_value=10)
 
@@ -103,3 +106,21 @@ def block_sums_reference(d, n):
     sums = [partial_sum_reference(d, (j + 1) * k) - partial_sum_reference(d, j * k)
             for j in range(nb + lcm(k, len(d.period)) // k)]
     return tuple(sums[:nb]), tuple(sums[nb:])
+
+
+_SCALAR_GROUPS_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
+
+
+def _int_groups(match: re.Match) -> tuple[int, ...]:
+    num, den = match.groups()
+    return (int(num),) if den is None else (int(num), int(den))
+
+
+def _scalar_from_str(s, what: str) -> tuple[int, ...]:
+    """The numerator of s, a string like '-3' or '3/4', and its denominator
+    if it has one, each parsed once: ``Fraction(*result)`` is ``Fraction(s)``.
+    ``serialize`` read operator scalars this way one entry at a time, until
+    its entry walk took the whole-list passes' screen and ``Fraction(s)``."""
+    match = isinstance(s, str) and _SCALAR_GROUPS_RE.fullmatch(s)
+    _expect(match, f"{what} must be a string like '-3' or '3/4'")
+    return _convert(_int_groups, match, what)

@@ -2,7 +2,8 @@
 
 import random
 import re
-from itertools import accumulate
+import tracemalloc
+from itertools import accumulate, islice
 from operator import mul
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from roeclass import (
     block_decompose,
     components,
     embed_into_nonneg_integers,
+    propagation,
     r_components,
 )
 from roeclass.errors import _clip
@@ -78,14 +80,15 @@ small_block_spaces = st.builds(
 ).filter(lambda s: s.size <= 512)
 
 
-def scan_distance(s, x, y):
-    """Oracle: the bottom-up scan over the orders, with the point checks
-    written out, as BlockSpace.distance was before it bisected."""
-    size = s._orders[-1]
+def scan_distance(orders, x, y):
+    """Oracle: the bottom-up scan over every order k_0..k_depth, with the
+    point checks written out, as BlockSpace.distance was before it bisected
+    and before it formed orders only as far as its points."""
+    size = orders[-1]
     for p in (x, y):
         if not (isinstance(p, int) and 0 <= p < size):
-            raise PreconditionViolation(f"point {_clip(p)} outside 0..{size - 1}")
-    for n, k in enumerate(s._orders):
+            raise PreconditionViolation(f"point {_clip(p)} outside 0..{_clip(size - 1)}")
+    for n, k in enumerate(orders):
         if x // k == y // k:
             return n
     raise AssertionError("unreachable: whole truncation is one block")
@@ -93,19 +96,23 @@ def scan_distance(s, x, y):
 
 @st.composite
 def divisor_chain_spaces(draw):
-    """Spaces the shared strategies never draw: prefix ratios of 1, finite
-    towers cut past saturation, depths up to 12.  Tower drops ratio 1 and
-    BlockSpace cuts saturated levels, so half the spaces get a divisor
-    chain with repeated orders written in directly."""
+    """Spaces the shared strategies never draw, each with its orders up to
+    the depth: prefix ratios of 1, finite towers cut past saturation,
+    depths up to 12, and up to 150, past the 2^64 below which a space forms
+    its orders at once.  Tower drops ratio 1 and BlockSpace cuts saturated
+    levels, so half the spaces get a divisor chain with repeated orders
+    written in directly, as orders already formed to the depth."""
     r = st.integers(min_value=1, max_value=5)
     prefix, tail = draw(st.lists(r, max_size=6)), draw(st.lists(r, max_size=2))
-    s = BlockSpace(Tower(tuple(prefix), tuple(tail)), draw(st.integers(0, 12)))
+    depth = draw(st.integers(0, 12) | st.integers(40, 150))
+    s = BlockSpace(Tower(tuple(prefix), tuple(tail)), depth)
     if draw(st.booleans()):
         orders = tuple(accumulate(draw(st.lists(r, max_size=12)), mul, initial=1))
         object.__setattr__(s, "depth", len(orders) - 1)
         object.__setattr__(s, "_orders", orders)
         object.__setattr__(s, "size", orders[-1])
-    return s
+        return s, orders
+    return s, tuple(islice(s.tower.levels(), s.depth + 1))
 
 
 def points(s):
@@ -138,17 +145,22 @@ class TestDistance:
 
     @settings(max_examples=500)
     @given(divisor_chain_spaces(), st.data())
-    def test_matches_bottom_up_scan(self, s, data):
-        x = data.draw(points(s))
-        y = data.draw(st.one_of(st.just(x), points(s)))
-        try:
-            want = scan_distance(s, x, y)
-        except PreconditionViolation as e:
-            with pytest.raises(PreconditionViolation) as got:
-                s.distance(x, y)
-            assert str(got.value) == str(e)
-        else:
-            assert s.distance(x, y) == want
+    def test_matches_bottom_up_scan(self, space, data):
+        # a few pairs on one space: later ones meet the orders the earlier
+        # ones formed, which are always a leading part of every order
+        s, orders = space
+        for _ in range(data.draw(st.integers(1, 4))):
+            x = data.draw(points(s))
+            y = data.draw(st.one_of(st.just(x), points(s)))
+            try:
+                want = scan_distance(orders, x, y)
+            except PreconditionViolation as e:
+                with pytest.raises(PreconditionViolation) as got:
+                    s.distance(x, y)
+                assert str(got.value) == str(e)
+            else:
+                assert s.distance(x, y) == want
+            assert s._orders == orders[:len(s._orders)]
 
     def test_deep_space_within_budget(self):
         # a scan from level 0 is quadratic on the far pair (20,000 divisions
@@ -161,6 +173,21 @@ class TestDistance:
         assert s.distance(2**19999 - 1, 2**19999) == 20000
         budget.check()
         assert got == [(x ^ y).bit_length() for x, y in pairs]
+
+    def test_deep_space_forms_orders_only_as_far_as_the_points(self):
+        # all 20,001 orders of tail 6 at depth 2*10^4 take about 70 MB; a
+        # one-entry operator needs those up to the first above 2^64, below
+        # which every order is formed at once
+        s = BlockSpace(Tower((), (6,)), 20000)
+        op = PropagationOperator(s, {(0, 1): 1})
+        tracemalloc.start()
+        try:
+            assert propagation(op) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20 and s._orders == tuple(6**n for n in range(26))
+        assert "size" not in vars(s)
 
     @given(small_block_spaces, st.data())
     def test_min_level_definition(self, s, data):
@@ -185,6 +212,52 @@ class TestDistance:
         r = data.draw(st.integers(min_value=0, max_value=s.depth))
         ball = sum(1 for y in range(s.size) if s.distance(x, y) <= r)
         assert ball == s.order(r)
+
+
+def numpy_metric_matrix(s):
+    """Oracle: BlockSpace.metric_matrix as it was in NumPy, one pass of block
+    labels per level below the last, each adding 1 where two labels differ."""
+    pts = np.arange(s.size)
+    d = np.zeros((s.size, s.size), dtype=np.int64)
+    for k in tuple(islice(s.tower.levels(), s.depth + 1))[:-1]:
+        labels = pts // k
+        d += labels[:, None] != labels[None, :]
+    return d.tolist()
+
+
+@st.composite
+def matrix_spaces(draw):
+    """Block spaces up to the metric matrix cap of 2^20 entries (1,024
+    points): prefix/tail towers, and finite ones cut up to 12 levels deep,
+    so often past saturation."""
+    t = draw(st.one_of(towers(max_prefix=3, max_tail=2, max_ratio=6),
+                       towers(max_prefix=4, max_tail=0, max_ratio=6)))
+    depth = draw(st.integers(min_value=0, max_value=12))
+    while t.order(depth) ** 2 > 1 << blockspace.LIMITS["metric matrix"][0]:
+        depth -= 1
+    return BlockSpace(t, depth)
+
+
+class TestMetricMatrix:
+    @settings(max_examples=60, deadline=None)
+    @given(matrix_spaces())
+    @example(BlockSpace(Tower((), (2,)), 10))
+    @example(BlockSpace(Tower((), (32,)), 2))
+    @example(BlockSpace(Tower((2, 3), ()), 9))
+    @example(BlockSpace(Tower((5,), (2,)), 0))
+    def test_matches_numpy_oracle(self, s):
+        assert s.metric_matrix() == numpy_metric_matrix(s)
+
+    def test_block_space_embeds_without_numpy(self):
+        proc = run_limited("-c", """if True:
+            import sys
+            from roeclass import BlockSpace, Tower, embed_into_nonneg_integers
+            m = BlockSpace(Tower((), (2,)), 10).to_metric_space()
+            assert m.size == 1024 and m.distance(0, 1023) == 10
+            assert len(embed_into_nonneg_integers(m)) == 1024
+            assert "numpy" not in sys.modules
+            """)
+        assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def diameter_reference(s, n):

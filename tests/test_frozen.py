@@ -492,6 +492,11 @@ class TestLazy:
         assert "size" not in vars(s) and "_orders" not in vars(s)
         assert s.size == 96 and s.distance(3, 17) == 4
         assert vars(s)["size"] == 96 and vars(s)["_orders"] == (1, 2, 6, 12, 24, 48, 96)
+        # a deep space forms its orders only as far as the points need, here
+        # to the first above 2^64, and reads size only when asked
+        deep = blockspace.BlockSpace(T((), (2,)), 10**6)
+        assert deep.distance(3, 17) == 5 and "size" not in vars(deep)
+        assert vars(deep)["_orders"] == tuple(2**n for n in range(66))
         assert s == blockspace.BlockSpace(T((2, 3), (2,)), 6)
         assert repr(s) == "BlockSpace(tower=Tower(prefix=(2, 3), tail=(2,)), depth=6)"
 

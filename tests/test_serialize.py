@@ -39,7 +39,7 @@ from roeclass.serialize import (
 )
 from roeclass.roeops import PropagationOperator
 
-from conftest import towers
+from conftest import _scalar_from_str, towers
 
 
 class TestTower:
@@ -288,6 +288,10 @@ def scalar_from_str_reference(s, what):
     return serialize._convert(Fraction, s, what)
 
 
+class Row(int):
+    """An int subclass: a valid row that the whole-list passes leave to the walk."""
+
+
 def typed(f, *args):
     """outcome of f, with the exact type of a value it returned."""
     out = outcome(f, *args)
@@ -314,10 +318,17 @@ class TestOperator:
     @example("1" * 4301)
     @example("2/" + "1" * 4301)
     def test_scalar_parse_agrees_with_fraction(self, s):
-        def parse(s, what):
-            return Fraction(*serialize._scalar_from_str(s, what))
+        # an operator file's one entry, read by the whole-list passes and,
+        # with an int subclass for its row, which no pass takes, by the walk
+        def read(row):
+            return lambda s, what: serialize._entries([[row, 1, s]])[(0, 1)]
 
-        assert typed(parse, s, "entry (0, 1)") == typed(scalar_from_str_reference, s, "entry (0, 1)")
+        def groups(s, what):
+            return Fraction(*_scalar_from_str(s, what))
+
+        want = typed(scalar_from_str_reference, s, "entry (0, 1)")
+        assert typed(groups, s, "entry (0, 1)") == want
+        assert typed(read(0), s, "entry (0, 1)") == typed(read(Row(0)), s, "entry (0, 1)") == want
 
     def test_format_and_round_trip(self):
         s = BlockSpace(Tower((), (2,)), 2)

@@ -30,7 +30,6 @@ from roeclass.serialize import (
     _convert,
     _expect,
     _parse_uint,
-    _scalar_from_str,
     bijection_from_obj,
     bijection_to_obj,
     operator_from_obj,
@@ -38,6 +37,8 @@ from roeclass.serialize import (
     tower_from_obj,
     tower_to_obj,
 )
+
+from conftest import _scalar_from_str
 
 # -- the references ----------------------------------------------------------
 
