@@ -114,10 +114,12 @@ class BlockSpace(Frozen):
         orders = self._orders
         size = orders[-1]
         if not (isinstance(x, int) and isinstance(y, int) and 0 <= x < size and 0 <= y < size):
-            for p in (x, y):  # size is read only to refuse a point
+            for p in (x, y):  # size is read only to refuse a point, and named
+                # by its level where the "block order" row would refuse to form it
                 if not (isinstance(p, int) and 0 <= p < self._orders_past(p)[-1]):
-                    raise PreconditionViolation(
-                        f"point {_clip(p)} outside 0..{_clip(self.size - 1)}")
+                    deep = _order_bits(self.tower, self.depth) > 1 << LIMITS["block order"][0]
+                    top = f"k_{_clip(self.depth)} - 1" if deep else _clip(self.size - 1)
+                    raise PreconditionViolation(f"point {_clip(p)} outside 0..{top}")
             orders = self._orders
         lo = bisect_right(orders, x - y if x > y else y - x)
         hi = bisect_right(orders, x if x > y else y, lo)

@@ -1,8 +1,10 @@
 """Command line front end.
 
 Each command is one entry of COMMANDS: help, options, input files with their
-``serialize`` parsers, and an action.  The parser is built from the table and
-``main`` reads, runs and emits every command the same way.  Exit codes: 0 for
+``serialize`` parsers, and an action.  ``main`` reads an accepted command line
+straight from the table and runs and emits every command the same way; the
+argparse parser built from the same table is loaded only for help and usage
+errors, whose text it alone writes.  Exit codes: 0 for
 a computed result (predicates print ``true`` or ``false``), 1 when ``bce
 verify`` produces a failing report; any other failure is a RoeclassError,
 printed as one ``error:`` line and exiting with its ``exit_code`` (2, 3 or 4,
@@ -11,9 +13,9 @@ see ``errors``).
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 # the actions read layer functions off the lazy package root when they run,
@@ -135,7 +137,51 @@ COMMANDS = {
 }
 
 
+def _read_argv(argv) -> SimpleNamespace | None:
+    """The namespace _build_parser().parse_args(argv) gives, read from COMMANDS
+    alone: the command's words, then exact option names with their values and
+    positionals in any order.  None for help, a usage error and every form
+    left to argparse: an abbreviation, --opt=value, --, a value that starts
+    with -."""
+    words = 2 if argv[:1] and argv[0] in GROUPS else 1
+    key = " ".join(argv[:words])
+    if key not in COMMANDS:
+        return None
+    command = COMMANDS[key]
+    args = dict(zip(("command", "subcommand"), argv[:words]), key=key)
+    options, positionals = {}, []
+    for names, keywords in command.options:
+        dest = keywords.get("dest", names[0].lstrip("-").replace("-", "_"))
+        args[dest] = False if keywords.get("action") == "store_true" else None
+        options.update(dict.fromkeys(names, (dest, keywords)))
+    tokens = iter(argv[words:])
+    for token in tokens:
+        if token in options:
+            dest, keywords = options[token]
+            if keywords.get("action") == "store_true":
+                args[dest] = True
+                continue
+            value = next(tokens, "-")  # a missing value, like one that starts with -
+            if value.startswith("-"):
+                return None
+            try:
+                args[dest] = keywords.get("type", str)(value)
+            except ValueError:
+                return None
+        elif token.startswith("-") and token != "-":
+            return None
+        else:
+            positionals.append(token)
+    if len(positionals) != len(command.inputs) or any(
+            keywords.get("required") and args[dest] is None for dest, keywords in options.values()):
+        return None
+    args.update(zip((argument for argument, _ in command.inputs), positionals))
+    return SimpleNamespace(**args)
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse  # 5-7 ms of a cold start: only help and usage errors need it
+
     parser = argparse.ArgumentParser(
         prog="roeclass",
         description="Coarse classification of block metric spaces from order towers.",
@@ -156,7 +202,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read_argv(argv) or _build_parser().parse_args(argv)
     command = COMMANDS[args.key]
     stdin_used: list = []
     try:

@@ -1,14 +1,16 @@
-"""Cold wall times of the artifact commands, for one or more source trees.
+"""Cold wall times of two light commands and the artifact commands, for one
+or more source trees.
 
     python tests/cold_times.py TREE [TREE ...] [--labels NAME ...] [--runs 5]
         [--commands "bce verify" "roe conjugate"] [--no-bytecode]
 
 The inputs are written to a temporary directory: the towers tail 2 and
-tail 4, a 2,000-entry operator over tail 2 at depth 15 (``roe conjugate``)
-and one of about 3,800 entries over tail (2, 3) at depth 8 (``roe
-decompose --level 4``).  Each tree builds its own depth-8 tail-2-against-
-tail-4 witness, 32,768 points, with its own ``bce build``, and verifies and
-conjugates that one.  The "block-permuted" commands read the same witness
+tail 4 (``sn`` and ``classify`` read them: the light path, which costs
+start-up and imports), a 2,000-entry operator over tail 2 at depth 15
+(``roe conjugate``) and one of about 3,800 entries over tail (2, 3) at
+depth 8 (``roe decompose --level 4``).  Each tree builds its own depth-8
+tail-2-against-tail-4 witness, 32,768 points, with its own ``bce build``,
+and verifies and conjugates that one.  The "block-permuted" commands read the same witness
 with the four points of every target 4-block permuted by a seeded shuffle
 (the verifier still passes it), made from each tree's file the same way:
 a map of tens of thousands of runs, whose images are found run by run.
@@ -41,6 +43,8 @@ from fractions import Fraction
 from pathlib import Path
 
 COMMANDS = {
+    "sn": ["sn", "t2.json"],
+    "classify": ["classify", "t2.json", "t4.json"],
     "bce build": ["bce", "build", "--depth", "8", "--output", "{out}", "t2.json", "t4.json"],
     "bce verify": ["bce", "verify", "{map}"],
     "roe decompose": ["roe", "decompose", "--level", "4", "--output", "{out}", "decompose.json"],

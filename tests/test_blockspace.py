@@ -143,6 +143,20 @@ class TestDistance:
             with pytest.raises(PreconditionViolation, match=f"^point {bad} outside 0..3$"):
                 s.distance(x, y)
 
+    def test_refusal_past_block_order_row_forms_no_order(self):
+        # 3^(4*10^6) took most of a second to form only to be printed; past
+        # the "block order" row the bound is named by its level instead
+        s = BlockSpace(Tower((), (3,)), 4 * 10**6)
+        budget = Budget(0.01)
+        with pytest.raises(PreconditionViolation, match=r"^point -1 outside 0\.\.k_4000000 - 1$"):
+            s.distance(0, -1)
+        budget.check()
+        assert "size" not in vars(s)
+        # the row's edge: 2^20 bits of order are printed as before, one more are not
+        for depth, top in [(2**20, "<int of 1048576 bits>"), (2**20 + 1, "k_1048577 - 1")]:
+            with pytest.raises(PreconditionViolation, match=f"^point -1 outside 0..{top}$"):
+                BlockSpace(Tower((), (2,)), depth).distance(-1, 0)
+
     @settings(max_examples=500)
     @given(divisor_chain_spaces(), st.data())
     def test_matches_bottom_up_scan(self, space, data):

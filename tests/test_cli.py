@@ -11,9 +11,11 @@ from pathlib import Path
 from types import ModuleType
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import roeclass
-from roeclass.cli import COMMANDS, GROUPS, main
+from roeclass.cli import COMMANDS, GROUPS, _build_parser, _read_argv, main
 from roeclass.errors import LIMITS
 
 from conftest import Budget, run_limited
@@ -696,6 +698,7 @@ for argv in json.loads(sys.argv[1]):
 report["loaded"] = sorted(m for m in ("sympy", "numpy") if m in sys.modules)
 report["introspection"] = sorted(m for m in ("dataclasses", "inspect", "ast", "dis", "tokenize")
                                  if m in sys.modules)
+report["argparse"] = sorted(m for m in ("argparse", "gettext") if m in sys.modules)
 report["modules"] = sorted(m for m in sys.modules
                            if m.startswith("roeclass.") or m in ("sympy", "numpy", "fractions"))
 print(json.dumps(report))
@@ -719,7 +722,9 @@ class TestImportGate:
     that is not an ultrametric (``embed``) imports numpy, and only an
     operator (``roe``) fractions.  Each command loads only the roeclass
     layers it runs, and none loads ``dataclasses`` or the introspection
-    modules it would bring (``inspect``, ``ast``, ``dis``, ``tokenize``)."""
+    modules it would bring (``inspect``, ``ast``, ``dis``, ``tokenize``).
+    An accepted command line loads neither ``argparse`` nor the ``gettext``
+    it brings: only help and usage errors do."""
 
     def test_light_commands_load_neither(self, files, tmp_path):
         t2, t4 = files("t2.json", TOWER2), files("t4.json", TOWER4)
@@ -742,6 +747,17 @@ class TestImportGate:
         assert json.loads(report["outs"][8])["passed"] is True
         assert report["loaded"] == []
         assert report["introspection"] == []
+        assert report["argparse"] == []
+
+    def test_usage_error_text_is_argparse(self, files):
+        # a missing --depth: exit 2 and argparse's usage and message, as before
+        t2 = files("t2.json", TOWER2)
+        proc = run_child("bce", "build", t2, t2)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("usage: roeclass bce build [-h] --depth DEPTH")
+        assert proc.stderr.endswith(
+            "\nroeclass bce build: error: the following arguments are required: --depth\n")
 
     def test_embed_loads_numpy_only(self, files, tmp_path):
         # points 0, 1, 3 of the line: d(0, 3) = 3 > max(1, 2), so the scale
@@ -813,6 +829,7 @@ class TestImportGate:
         assert report["codes"] == [0]
         assert report["modules"] == sorted(self.BASE + extra)
         assert report["introspection"] == []
+        assert report["argparse"] == []
 
     def test_divide_unit_factors_nothing(self, files, tmp_path):
         # tail (2, p*q) with p, q primes near 2^49 and 2^50: whether 2^3
@@ -827,6 +844,80 @@ class TestImportGate:
             f'{{"context":{{"prefix":[],"tail":["2","{pq}"]}},'
             '"period":[1,0,0,0,0,0,0,0],"prefix":[]}\n']
         assert report["loaded"] == []
+
+
+PARSER = _build_parser()
+WORDS = sorted({word for key in COMMANDS for word in key.split()})
+OPTIONS = sorted({name for c in COMMANDS.values() for names, _ in c.options for name in names})
+# file names, command words among them; a lone "-" (stdin) is a positional only
+VALUES = ["t2.json", "a b.json", "x=1", "", "sn", "bce", "build", "3"]
+INTS = st.one_of(st.integers(0, 10**30).map(str), st.sampled_from(["+3", " 4 ", "٣", "1_000", "007"]))
+TOKENS = st.sampled_from(WORDS + OPTIONS + VALUES + [
+    "-", "--", "-h", "--help", "--dep", "--out", "--p", "--e", "--proj", "--depth=3",
+    "--level=1", "-1", "-0", "0x10", "1.5", "+2", "٣", "1_000"])
+
+
+@st.composite
+def well_formed_argvs(draw):
+    """A command's words, then each required option and maybe each other
+    one (some twice: the last value counts) and its inputs, in any order."""
+    key = draw(st.sampled_from(list(COMMANDS)))
+    items = [[draw(st.sampled_from(VALUES + ["-"]))] for _ in COMMANDS[key].inputs]
+    for names, keywords in COMMANDS[key].options:
+        for _ in range(draw(st.integers(1 if keywords.get("required") else 0, 2))):
+            if keywords.get("action") == "store_true":
+                items.append([names[0]])
+            else:
+                values = INTS if keywords.get("type") is int else st.sampled_from(VALUES)
+                items.append([names[0], draw(values)])
+    return key.split() + [token for item in draw(st.permutations(items)) for token in item]
+
+
+@st.composite
+def any_argvs(draw):
+    head = draw(st.sampled_from([[]] + [key.split() for key in COMMANDS]))
+    return head + draw(st.lists(TOKENS, max_size=7))
+
+
+class TestReader:
+    """``_read_argv`` reads accepted command lines from COMMANDS alone, and
+    argparse, which still writes help and every usage error, is its oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(well_formed_argvs())
+    def test_reads_every_well_formed_line(self, argv):
+        got = _read_argv(argv)
+        assert got is not None
+        assert vars(got) == vars(PARSER.parse_args(argv))
+
+    @settings(max_examples=1000, deadline=None)
+    @given(any_argvs())
+    def test_agrees_with_argparse_where_it_reads(self, argv):
+        got = _read_argv(argv)
+        if got is not None:
+            assert vars(got) == vars(PARSER.parse_args(argv))
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["--help"], ["sn", "-h"], ["bce", "build", "--help", "a", "b"],
+        ["bce"], ["bce", "nope"], ["nope", "a"], ["bce", "--depth", "2", "build", "a", "b"],
+        ["sn", "--output", "o", "a"],  # an option of another command
+        ["bce", "build", "--dep", "2", "a", "b"],  # an abbreviation
+        ["bce", "build", "--depth=2", "a", "b"], ["sn", "--", "a"],
+        ["bce", "build", "--depth", "-1", "a", "b"], ["k0", "pos", "--output", "-", "a"],
+        ["sn", "-1"], ["bce", "build", "--depth", "x", "a", "b"],
+        ["bce", "build", "--depth", "0x10", "a", "b"],
+        ["bce", "build", "--depth", "9" * 5000, "a", "b"],  # past int()'s digit limit
+        ["bce", "build", "a", "b"], ["bce", "build", "a", "b", "--depth"],
+        ["sn"], ["sn", "a", "b"], ["classify", "a"],
+    ])
+    def test_leaves_the_rest_to_argparse(self, argv):
+        assert _read_argv(argv) is None
+
+    @pytest.mark.parametrize("form", [["--depth=2"], ["--dep", "2"], ["--depth=+2"]])
+    def test_forms_left_to_argparse_still_run(self, files, capsys, form):
+        t2, t4 = files("t2.json", TOWER2), files("t4.json", TOWER4)
+        assert run(capsys, "bce", "build", *form, t2, t4) == run(
+            capsys, "bce", "build", "--depth", "2", t2, t4)
 
 
 class TestEntryPoint:
