@@ -107,9 +107,11 @@ class BlockSpace(Frozen):
         """Least level whose blocks contain both points.
 
         Each order divides the next, so "same block" is false and then true
-        as the level grows: bisect for the first level where it holds.  It
-        needs k_n > |x - y| and holds once k_n > max(x, y), so only the
-        levels between those two are searched; orders are formed about that far.
+        as the level grows.  It holds from the first level with k_n >
+        max(x, y), and most pairs part at the level just below, which one
+        comparison tests first.  Otherwise it also needs k_n > |x - y|, and
+        only the levels from there up to that one are bisected.  Orders are
+        formed about as far as max(x, y).
         """
         orders = self._orders
         size = orders[-1]
@@ -121,8 +123,10 @@ class BlockSpace(Frozen):
                     top = f"k_{_clip(self.depth)} - 1" if deep else _clip(self.size - 1)
                     raise PreconditionViolation(f"point {_clip(p)} outside 0..{top}")
             orders = self._orders
-        lo = bisect_right(orders, x - y if x > y else y - x)
-        hi = bisect_right(orders, x if x > y else y, lo)
+        hi = bisect_right(orders, x if x > y else y) - 1  # level hi + 1 holds both
+        if hi < 0 or x // orders[hi] != y // orders[hi]:  # hi < 0: x = y = 0
+            return hi + 1
+        lo = bisect_right(orders, x - y if x > y else y - x, 0, hi)
         while lo < hi:
             mid = (lo + hi) // 2
             k = orders[mid]
@@ -273,8 +277,12 @@ def _scale_tree(m: FiniteMetricSpace):
             points, diam, images, offset = [], 0, {}, 0
             for c in sorted(kids):  # least point first
                 pts, c_diam, c_images = clusters.pop(c)
-                cross = (max(map(d[x].__getitem__, points), default=0) for x in pts)
-                diam = max(diam, c_diam, *cross)  # each pair is met once in the walk
+                if points:  # each pair is met once in the walk, row by row in C;
+                    # the repeated column keeps a tuple for a one-point cluster
+                    cut = itemgetter(*points, points[0])
+                    diam = max(diam, c_diam, max(map(max, map(cut, map(d.__getitem__, pts)))))
+                else:
+                    diam = c_diam
                 images.update((x, offset + v) for x, v in c_images.items())
                 offset += max(c_images.values()) + R
                 points += pts

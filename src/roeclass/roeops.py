@@ -9,8 +9,9 @@ limit, with the (non-normalized) block trace vector tracking K0 data.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, starmap
 from math import gcd, lcm
 
 from .blockspace import BlockSpace
@@ -31,8 +32,6 @@ Entries = dict[tuple[int, int], Fraction]
 
 
 def _coerce_scalar(v) -> Fraction:
-    if type(v) is Fraction:
-        return v
     if isinstance(v, Fraction):
         return Fraction(v)
     return Fraction(_checked_int(v, "an entry that is not a Fraction"))
@@ -123,17 +122,20 @@ class PropagationOperator(Frozen):
     def __post_init__(self, space, entries):
         # size >= 2^n for the n ratios (each >= 2) among the first depth: an
         # index below 2^n is inside, and size, huge for a deep space, is read
-        # only for an index that reaches 2^n (r < size > c: both below it)
+        # only for an index that reaches 2^n (r < size > c: both below it).
+        # A plain (int, int) key is kept as given, a Fraction value as is.
         n = space._ratios
         clean: Entries = {}
-        for (r, c), v in entries.items():
-            _checked_int(r, "entry row")
-            _checked_int(c, "entry column")
+        for key, v in entries.items():
+            r, c = key
+            if type(r) is not int or type(c) is not int or type(key) is not tuple:
+                key = (_checked_int(r, "entry row"), _checked_int(c, "entry column"))
             if r < 0 or c < 0 or (r | c) >> n and not (r < space.size > c):
                 raise MalformedInput(f"entry ({_clip(r)}, {_clip(c)}) outside the truncation")
-            v = _coerce_scalar(v)
+            if type(v) is not Fraction:
+                v = Fraction(v) if type(v) is int else _coerce_scalar(v)
             if v:
-                clean[(r, c)] = v
+                clean[key] = v
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "entries", clean)
 
@@ -151,6 +153,15 @@ class PropagationOperator(Frozen):
         return cls(space, {(x, y): value})
 
 
+def _operator(space: BlockSpace, entries: Entries) -> PropagationOperator:
+    """The operator of Fraction entries the library built from checked
+    operators, zero sums dropped, with no check of the entries again.
+    Input from outside goes through the checking constructor."""
+    a = object.__new__(PropagationOperator)
+    vars(a).update(space=space, entries={key: v for key, v in entries.items() if v})
+    return a
+
+
 def _same_space(a: PropagationOperator, b: PropagationOperator) -> BlockSpace:
     if a.space != b.space:
         raise PreconditionViolation("operators live on different spaces")
@@ -158,19 +169,19 @@ def _same_space(a: PropagationOperator, b: PropagationOperator) -> BlockSpace:
 
 
 def propagation(t: PropagationOperator) -> int:
-    return max((t.space.distance(r, c) for r, c in t.entries), default=0)
+    return max(starmap(t.space.distance, t.entries), default=0)
 
 
 def compose(a: PropagationOperator, b: PropagationOperator) -> PropagationOperator:
-    return PropagationOperator(_same_space(a, b), _mat_mul(a.entries, b.entries))
+    return _operator(_same_space(a, b), _mat_mul(a.entries, b.entries))
 
 
 def add(a: PropagationOperator, b: PropagationOperator) -> PropagationOperator:
-    return PropagationOperator(_same_space(a, b), _mat_add(a.entries, b.entries))
+    return _operator(_same_space(a, b), _mat_add(a.entries, b.entries))
 
 
 def adjoint(a: PropagationOperator) -> PropagationOperator:
-    return PropagationOperator(a.space, _mat_adjoint(a.entries))
+    return _operator(a.space, _mat_adjoint(a.entries))
 
 
 class BlockTuple(Frozen):
@@ -195,6 +206,15 @@ class BlockTuple(Frozen):
         return self.space.order(self.level)
 
 
+def _block_tuple(space: BlockSpace, level: int, blocks: tuple[Entries, ...]) -> BlockTuple:
+    """The BlockTuple of blocks the library split or grouped from a checked
+    operator or tuple: the level is judged, the entries are not walked again."""
+    space._blocks(level)
+    bt = object.__new__(BlockTuple)
+    vars(bt).update(space=space, level=level, blocks=blocks)
+    return bt
+
+
 def block_decompose(t: PropagationOperator, n: int) -> BlockTuple:
     """Split into level-n diagonal blocks; propagation above n is an error,
     and so is a split past the "blocks of a split" limit."""
@@ -202,11 +222,16 @@ def block_decompose(t: PropagationOperator, n: int) -> BlockTuple:
     blocks: list[Entries] = [{} for _ in range(count)]
     for (r, c), v in t.entries.items():
         if r // k != c // k:
+            # the distance, above n, bisected over the closed-form orders
+            # of levels n + 1..depth: no order below n is formed
+            order = t.space.tower.order
+            at = n + 1 + bisect_left(range(n + 1, t.space.depth), True,
+                                     key=lambda m: r // (k_m := order(m)) == c // k_m)
             raise NotBlockDiagonal(f"entry ({_clip(r)}, {_clip(c)}) at distance "
-                                   f"{t.space.distance(r, c)} crosses level-{_clip(n)} blocks")
+                                   f"{at} crosses level-{_clip(n)} blocks")
         i = r // k
         blocks[i][(r - i * k, c - i * k)] = v
-    return BlockTuple(t.space, n, tuple(blocks))
+    return _block_tuple(t.space, n, tuple(blocks))
 
 
 def _regroup(bt: BlockTuple, m: int) -> tuple[Entries, ...]:
@@ -233,7 +258,7 @@ def connecting_map(bt: BlockTuple) -> BlockTuple:
     """Group consecutive level-n blocks into level-(n+1) diagonal blocks."""
     if bt.level + 1 > bt.space.depth:
         raise PreconditionViolation(f"level {_clip(bt.level + 1)} exceeds the truncation depth")
-    return BlockTuple(bt.space, bt.level + 1, _regroup(bt, bt.level + 1))
+    return _block_tuple(bt.space, bt.level + 1, _regroup(bt, bt.level + 1))
 
 
 def trace_vector(bt: BlockTuple, require_projection: bool = False) -> tuple:
@@ -267,7 +292,7 @@ def mvn_partial_isometry(p: BlockTuple, q: BlockTuple) -> BlockTuple | None:
         if len(pb) != len(qb):
             return None
         blocks.append({(y, x): Fraction(1) for (x, _), (y, _) in zip(sorted(pb), sorted(qb))})
-    return BlockTuple(p.space, p.level, tuple(blocks))
+    return _block_tuple(p.space, p.level, tuple(blocks))
 
 
 def conjugate_by_bijection(b: TowerBijection, t: PropagationOperator) -> PropagationOperator:

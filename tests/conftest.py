@@ -1,7 +1,9 @@
 """Shared hypothesis strategies for tower-based tests, seeded pairs of
 equivalent towers, a wall-clock budget, a child interpreter under a memory
-cap, a patch of one size limit, the K0 block-sum reference and the operator
-scalar parse that captured numerator and denominator."""
+cap, a patch of one size limit, the K0 block-sum reference, the operator
+scalar parse that captured numerator and denominator, and the block
+distance bisection and the scale tree's cross-diameter walk as they were
+before they took their one-comparison and C-speed paths."""
 
 import os
 import re
@@ -9,15 +11,18 @@ import resource
 import subprocess
 import sys
 import time
-from itertools import accumulate
+from bisect import bisect_right
+from itertools import accumulate, groupby
 from math import lcm
+from operator import itemgetter
 from pathlib import Path
 
 from hypothesis import strategies as st
 
 import roeclass
 from roeclass import Tower
-from roeclass.errors import LIMITS
+from roeclass.blockspace import _order_bits
+from roeclass.errors import LIMITS, PreconditionViolation, _clip
 from roeclass.serialize import _convert, _expect
 
 ratios = st.integers(min_value=2, max_value=10)
@@ -124,3 +129,70 @@ def _scalar_from_str(s, what: str) -> tuple[int, ...]:
     match = isinstance(s, str) and _SCALAR_GROUPS_RE.fullmatch(s)
     _expect(match, f"{what} must be a string like '-3' or '3/4'")
     return _convert(_int_groups, match, what)
+
+
+def distance_reference(s, x, y):
+    """``BlockSpace.distance`` as it was before it tested the level just
+    below the first order above max(x, y) on its own: one bisection over
+    the levels between the first order above |x - y| and that one, after
+    the same point checks, forming orders on s just as far."""
+    orders = s._orders
+    size = orders[-1]
+    if not (isinstance(x, int) and isinstance(y, int) and 0 <= x < size and 0 <= y < size):
+        for p in (x, y):
+            if not (isinstance(p, int) and 0 <= p < s._orders_past(p)[-1]):
+                deep = _order_bits(s.tower, s.depth) > 1 << LIMITS["block order"][0]
+                top = f"k_{_clip(s.depth)} - 1" if deep else _clip(s.size - 1)
+                raise PreconditionViolation(f"point {_clip(p)} outside 0..{top}")
+        orders = s._orders
+    lo = bisect_right(orders, x - y if x > y else y - x)
+    hi = bisect_right(orders, x if x > y else y, lo)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        k = orders[mid]
+        if x // k == y // k:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def scale_tree_reference(m):
+    """``blockspace._scale_tree`` as it was before it read each merge's
+    cross diameter in C: one generator step per point of the cluster that
+    joins, each the largest entry of that point's row over the points
+    already merged.  m needs only ``distances`` and ``size``."""
+    d, n = m.distances, m.size
+    best, link, rest, edges = list(d[0]), [0] * n, list(range(1, n)), []
+    while rest:
+        y = min(rest, key=best.__getitem__)
+        rest.remove(y)
+        edges.append((best[y], link[y], y))
+        row = d[y]
+        for z in rest:
+            if row[z] < best[z]:
+                best[z], link[z] = row[z], y
+    edges.sort()
+    key = list(range(n))
+    clusters = {x: ((x,), 0, {x: 0}) for x in range(n)}
+    yield 0, tuple(clusters.values())
+    for R, group in groupby(edges, key=itemgetter(0)):
+        merged = {}
+        for _, a, b in group:
+            ka, kb = sorted((key[a], key[b]))
+            absorbed = merged.pop(kb, [kb])
+            for c in absorbed:
+                for x in clusters[c][0]:
+                    key[x] = ka
+            merged.setdefault(ka, [ka]).extend(absorbed)
+        for k, kids in merged.items():
+            points, diam, images, offset = [], 0, {}, 0
+            for c in sorted(kids):
+                pts, c_diam, c_images = clusters.pop(c)
+                cross = (max(map(d[x].__getitem__, points), default=0) for x in pts)
+                diam = max(diam, c_diam, *cross)
+                images.update((x, offset + v) for x, v in c_images.items())
+                offset += max(c_images.values()) + R
+                points += pts
+            clusters[k] = (tuple(sorted(points)), diam, images)
+        yield R, tuple(clusters[k] for k in sorted(clusters))

@@ -3,6 +3,7 @@
 import random
 import re
 import tracemalloc
+from types import SimpleNamespace
 from itertools import accumulate, islice
 from operator import mul
 from pathlib import Path
@@ -29,7 +30,8 @@ from roeclass import (
 )
 from roeclass.errors import _clip
 
-from conftest import Budget, run_limited, set_limit_bits, towers
+from conftest import (Budget, distance_reference, run_limited, scale_tree_reference,
+                      set_limit_bits, towers)
 
 
 def bfs_components(m, R):
@@ -226,6 +228,115 @@ class TestDistance:
         r = data.draw(st.integers(min_value=0, max_value=s.depth))
         ball = sum(1 for y in range(s.size) if s.distance(x, y) <= r)
         assert ball == s.order(r)
+
+
+def twin(s):
+    """Another BlockSpace with the fields and the orders formed so far of s."""
+    t = object.__new__(BlockSpace)
+    vars(t).update(vars(s))
+    return t
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except PreconditionViolation as e:
+        return type(e), str(e)
+
+
+@st.composite
+def oracle_points(draw, s):
+    """A pair of points of s: anywhere, equal, adjacent across the
+    boundary of a block of a random level, a few apart, or refused."""
+    size = s.size
+    anywhere = st.integers(0, size - 1)
+    kind = draw(st.sampled_from(["anywhere", "equal", "adjacent", "adjacent", "near", "refused"]))
+    if kind == "refused":
+        bad = st.sampled_from([-1, size, size + 1, 1.0, None, True, 2**70])
+        return draw(st.permutations([draw(bad), draw(st.one_of(anywhere, bad))]))
+    x = draw(anywhere)
+    if kind == "equal" or size == 1:
+        return x, x
+    if kind == "adjacent":  # x - 1 and x on either side of a level-n boundary
+        k = s.tower.order(draw(st.integers(0, s.depth)))
+        x = k * draw(st.integers(1, max(size // k - 1, 1))) if size > k else x or 1
+    elif kind == "near":
+        x = min(x, size - 4) if size > 4 else 1
+    y = x - 1 if kind == "adjacent" else min(x + draw(st.integers(1, 3)), size - 1)
+    return draw(st.permutations([x, y]))
+
+
+class TestDistanceOracle:
+    """The one-comparison path against the bisection it replaced
+    (``conftest.distance_reference``): the same level or refusal, and the
+    same orders formed, on twin spaces."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(towers(max_prefix=3, max_tail=3, max_ratio=7),
+           st.integers(0, 12) | st.integers(40, 150) | st.sampled_from([1000, 3000]),
+           st.data())
+    def test_matches_bisection(self, tower, depth, data):
+        s = BlockSpace(tower, depth)
+        ref = twin(s)
+        for _ in range(data.draw(st.integers(1, 4))):
+            x, y = data.draw(oracle_points(s))
+            assert outcome(s.distance, x, y) == outcome(distance_reference, ref, x, y)
+            assert s._orders == ref._orders
+
+    @settings(max_examples=300)
+    @given(divisor_chain_spaces(), st.data())
+    def test_matches_bisection_on_divisor_chains(self, space, data):
+        # repeated orders: a pair that parts at a level parts on all below it
+        s, _ = space
+        ref = twin(s)
+        for _ in range(data.draw(st.integers(1, 4))):
+            x, y = data.draw(oracle_points(s))
+            assert outcome(s.distance, x, y) == outcome(distance_reference, ref, x, y)
+            assert s._orders == ref._orders
+
+    def test_adjacent_points_at_every_level_of_a_deep_space(self):
+        s = BlockSpace(Tower((), (2, 3)), 200)
+        ref = twin(s)
+        for n in range(1, 201):
+            k = s.tower.order(n)
+            for x, y in [(k - 1, k), (k, k - 1), (k, k + 1), (0, k - 1), (k - 1, 2 * k - 1)]:
+                if y < s.size and x < s.size:
+                    assert s.distance(x, y) == distance_reference(ref, x, y)
+
+
+@st.composite
+def scale_tree_matrices(draw):
+    """Matrices for the scale tree: a block space with its points permuted,
+    the same scaled x50, or 1-12 points of random symmetric entries, which
+    are seldom an ultrametric or a metric.  The tree reads only
+    ``distances`` and ``size``."""
+    kind = draw(st.sampled_from(["permuted", "scaled", "random"]))
+    if kind == "random":
+        n = draw(st.integers(1, 12))
+        d = [[0] * n for _ in range(n)]
+        for x in range(n):
+            for y in range(x):
+                d[x][y] = d[y][x] = draw(st.integers(1, 9))
+        return SimpleNamespace(size=n, distances=tuple(map(tuple, d)))
+    s = draw(small_block_spaces.filter(lambda s: s.size <= 96))
+    perm = draw(st.permutations(range(s.size)))
+    scale = 50 if kind == "scaled" else 1
+    d = tuple(tuple(scale * s.distance(x, y) for y in perm) for x in perm)
+    return SimpleNamespace(size=s.size, distances=d)
+
+
+class TestScaleTreeOracle:
+    """The cross diameters read in C against the per-point walk they
+    replaced (``conftest.scale_tree_reference``): every state the same."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(scale_tree_matrices())
+    # one point, and a merge whose first cluster has one point (1 joins 0)
+    @example(SimpleNamespace(size=1, distances=((0,),)))
+    @example(SimpleNamespace(size=3, distances=((0, 1, 3), (1, 0, 2), (3, 2, 0))))
+    def test_matches_walk(self, m):
+        assert tuple(blockspace._scale_tree(m)) == tuple(scale_tree_reference(m))
 
 
 def numpy_metric_matrix(s):

@@ -4,6 +4,7 @@ import functools
 import math
 import random
 import re
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
@@ -39,7 +40,7 @@ from roeclass import (
     recompose,
     trace_vector,
 )
-from roeclass.roeops import _is_projection, _mat_adjoint
+from roeclass.roeops import _is_projection, _mat_add, _mat_adjoint, _mat_mul
 
 from conftest import Budget, towers
 
@@ -59,6 +60,17 @@ def dense_mul(a, b):
         [sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n)]
         for i in range(n)
     ]
+
+
+@st.composite
+def crossing_spaces(draw):
+    """Spaces of small towers, finite ones cut past saturation among them,
+    at depths up to 12 and of at most 2^12 points."""
+    t = draw(towers(max_prefix=2, max_tail=2, max_ratio=5))
+    depth = draw(st.integers(min_value=0, max_value=12))
+    while t.order(depth) > 2**12:
+        depth -= 1
+    return BlockSpace(t, depth)
 
 
 scalars = st.integers(min_value=-3, max_value=3).flatmap(
@@ -301,6 +313,35 @@ class TestBlockDecompose:
         op = PropagationOperator.matrix_unit(s, 1, 2)
         with pytest.raises(NotBlockDiagonal):
             block_decompose(op, 1)
+
+    @settings(max_examples=200)
+    @given(crossing_spaces(), st.data())
+    def test_crossing_message_names_the_distance(self, s, data):
+        # the refusal bisects the levels above n over Tower.order; its
+        # message is the one BlockSpace.distance gave
+        pts = st.integers(min_value=0, max_value=s.size - 1)
+        r, c = data.draw(pts), data.draw(pts)
+        n = data.draw(st.integers(min_value=0, max_value=s.depth))
+        d = BlockSpace(s.tower, s.depth).distance(r, c)
+        op = PropagationOperator(s, {(0, 0): 1, (r, c): Fraction(1, 3)})
+        if d <= n:
+            assert block_decompose(op, n).level == n
+            return
+        message = f"entry ({r}, {c}) at distance {d} crosses level-{n} blocks"
+        with pytest.raises(NotBlockDiagonal, match=f"^{re.escape(message)}$"):
+            block_decompose(op, n)
+
+    def test_crossing_refusal_on_a_deep_space_forms_no_orders(self):
+        # distance(r, c) formed every order up to the point: 0.2-0.4 s and
+        # about 245 MB at depth 60,000; the closed form needs a few orders
+        space = BlockSpace(Tower((), (2,)), 60000)
+        op = PropagationOperator(space, {(0, 2**59995): 1})
+        budget = Budget(0.05)
+        message = r"^entry \(0, <int of 59996 bits>\) at distance 59996 crosses level-59990 blocks$"
+        with pytest.raises(NotBlockDiagonal, match=message):
+            block_decompose(op, 59990)
+        budget.check()
+        assert "_orders" not in vars(space)
 
     @given(operators(), st.integers(min_value=0, max_value=3))
     def test_roundtrip(self, op, n):
@@ -823,3 +864,107 @@ class TestEntryBounds:
         with pytest.raises(MalformedInput, match=r"entry \(6, 0\) outside"):
             PropagationOperator(finite, {(6, 0): 1})
         budget.check()
+
+
+# the spaces of the geometry benchmark's sparse compose and of its diagonal
+# and mvn projections
+SPARSE_SPACES = [BlockSpace(Tower(p, t), d) for p, t, d in [
+    ((), (2,), 9), ((), (3,), 5), ((), (2, 3), 5), ((), (5,), 3), ((4,), (6,), 3), ((7, 3), (), 2)]]
+PROJECTION_SPACES = [BlockSpace(Tower(p, t), d) for p, t, d in [
+    ((), (2,), 4), ((), (3, 2), 3), ((4,), (2,), 3), ((), (6,), 3), ((), (2, 3), 6)]]
+
+
+@st.composite
+def sparse_operators(draw, space, like=None):
+    """1-6 entries of rational scalars, or (half the time, given ``like``)
+    the negation of some of like's entries next to a few of their own, so
+    that sums and products cancel."""
+    pts = st.integers(min_value=0, max_value=space.size - 1)
+    entries = draw(st.dictionaries(st.tuples(pts, pts), scalars, min_size=1, max_size=6))
+    if like is not None and like.entries and draw(st.booleans()):
+        keys = draw(st.lists(st.sampled_from(sorted(like.entries)), max_size=6))
+        entries.update({key: -like.entries[key] for key in keys})
+    return PropagationOperator(space, entries)
+
+
+@st.composite
+def block_diagonal(draw, space, level):
+    """An operator of propagation at most level: each entry inside its
+    row's level block."""
+    k = space.order(level)
+    entries = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        r = draw(st.integers(min_value=0, max_value=space.size - 1))
+        entries[r, r - r % k + draw(st.integers(min_value=0, max_value=k - 1))] = draw(scalars)
+    return PropagationOperator(space, entries)
+
+
+def same_value(got, want):
+    """got equals want, field by field, and holds nothing else."""
+    return type(got) is type(want) and vars(got) == vars(want)
+
+
+class TestUncheckedConstructors:
+    """Results the library builds from checked values skip the checks; each
+    equals what the checking constructor makes of the same fields."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(SPARSE_SPACES), st.data())
+    def test_operations_equal_checked_operators(self, s, data):
+        a = data.draw(sparse_operators(s))
+        b = data.draw(sparse_operators(s, like=a))
+        for got, entries in [(compose(a, b), _mat_mul(a.entries, b.entries)),
+                             (compose(b, a), _mat_mul(b.entries, a.entries)),
+                             (add(a, b), _mat_add(a.entries, b.entries)),
+                             (adjoint(a), _mat_adjoint(a.entries))]:
+            assert same_value(got, PropagationOperator(s, entries))
+            assert all(type(v) is Fraction and v for v in got.entries.values())
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(PROJECTION_SPACES), st.data())
+    def test_block_tuples_equal_checked_tuples(self, s, data):
+        n = data.draw(st.integers(min_value=0, max_value=s.depth))
+        bt = block_decompose(data.draw(block_diagonal(s, n)), n)
+        assert same_value(bt, BlockTuple(s, n, bt.blocks))
+        if n < s.depth:
+            up = connecting_map(bt)
+            assert same_value(up, BlockTuple(s, n + 1, up.blocks))
+        p = data.draw(diagonal_projections(s, n))
+        q = BlockTuple(s, n, tuple({(x, x): Fraction(1) for x in data.draw(
+            st.permutations(range(p.block_size)))[:len(blk)]} for blk in p.blocks))
+        v = mvn_partial_isometry(p, q)
+        assert same_value(v, BlockTuple(s, n, v.blocks))
+
+    @pytest.mark.parametrize("entries, message", [
+        ({(True, 0): 1}, "entry row must be an integer, got bool True"),
+        ({(0, False): 1}, "entry column must be an integer, got bool False"),
+        ({(0.0, 0): 1}, "entry row must be an integer, got float 0.0"),
+        ({(0, 1.5): 1}, "entry column must be an integer, got float 1.5"),
+        ({(-1, 0): 1}, "entry (-1, 0) outside the truncation"),
+        ({(0, -3): 1}, "entry (0, -3) outside the truncation"),
+        ({(8, 0): 1}, "entry (8, 0) outside the truncation"),
+        ({(0, 2**70): 1}, f"entry (0, {2**70}) outside the truncation"),
+        ({(0, 0): True}, "an entry that is not a Fraction must be an integer, got bool True"),
+        ({(0, 0): 0.5}, "an entry that is not a Fraction must be an integer, got float 0.5"),
+        ({(0, 0): "1"}, "an entry that is not a Fraction must be an integer, got str '1'"),
+        # the first bad entry in order decides
+        ({(0, 0): 1, (1, 9): 0.5, (2, 2.0): 1}, "entry (1, 9) outside the truncation"),
+    ])
+    def test_constructor_messages_pinned(self, entries, message):
+        with pytest.raises(MalformedInput, match=f"^{re.escape(message)}$"):
+            PropagationOperator(BlockSpace(Tower((), (2,)), 3), entries)
+
+    def test_accepted_entries_stored_as_plain_fractions_under_tuple_keys(self):
+        class Index(int):
+            pass
+
+        class Half(Fraction):
+            pass
+
+        Key = namedtuple("Key", "row column")
+        s = BlockSpace(Tower((), (2,)), 3)
+        op = PropagationOperator(s, {(0, 0): -1, (Index(1), 2): Half(1, 2), Key(3, 4): 2,
+                                     (5, 5): 0, (6, 6): Fraction(0)})
+        assert op.entries == {(0, 0): -1, (1, 2): Fraction(1, 2), (3, 4): 2}
+        assert all(type(v) is Fraction for v in op.entries.values())
+        assert all(type(key) is tuple for key in op.entries)
