@@ -208,8 +208,8 @@ class BlockTuple(Frozen):
 
 def _block_tuple(space: BlockSpace, level: int, blocks: tuple[Entries, ...]) -> BlockTuple:
     """The BlockTuple of blocks the library split or grouped from a checked
-    operator or tuple: the level is judged, the entries are not walked again."""
-    space._blocks(level)
+    operator or tuple, at a level the caller has judged with space._blocks;
+    the entries are not walked again."""
     bt = object.__new__(BlockTuple)
     vars(bt).update(space=space, level=level, blocks=blocks)
     return bt
@@ -258,6 +258,7 @@ def connecting_map(bt: BlockTuple) -> BlockTuple:
     """Group consecutive level-n blocks into level-(n+1) diagonal blocks."""
     if bt.level + 1 > bt.space.depth:
         raise PreconditionViolation(f"level {_clip(bt.level + 1)} exceeds the truncation depth")
+    bt.space._blocks(bt.level + 1)
     return _block_tuple(bt.space, bt.level + 1, _regroup(bt, bt.level + 1))
 
 

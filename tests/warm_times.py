@@ -1,12 +1,11 @@
 """Warm in-process times of the three geometry hot paths, for two source
 trees in one process.
 
-    python tests/warm_times.py BASE CHANGE [--labels NAME NAME] [--rounds 40]
-        [--seed 0]
+    python tests/warm_times.py BASE CHANGE
 
 Each tree's ``src/roeclass`` is imported under its own package name
 (``roeclass_0``, ``roeclass_1``), so both run warm on one interpreter.
-The inputs are made once from the seed:
+The inputs are made once, from seed 0:
 
 - ``metric 128``: the distances of a 128-point block space (tail 2, depth
   7) with its points permuted, read with ``BlockSpace.distance``, then
@@ -20,12 +19,12 @@ The inputs are made once from the seed:
   rational entries on the ``geometry`` benchmark's sparse spaces.
 
 A round times each path once on each tree, the trees taking turns (the base
-first on even rounds), after one untimed round.  Every result is checked to
-be equal on both trees.  The output is a markdown table of the median time
-of each path, in ms, and the change/base ratio of the medians.
+first on even rounds); 40 rounds are timed, after one untimed round.  Every
+result is checked to be equal on both trees.  The output is a markdown table
+of the median time of each path, in ms, and the change/base ratio of the
+medians.
 """
 
-import argparse
 import importlib.util
 import random
 import statistics
@@ -36,6 +35,7 @@ from pathlib import Path
 
 SPARSE_SPACES = [((), (2,), 9), ((), (3,), 5), ((), (2, 3), 5), ((), (5,), 3),
                  ((4,), (6,), 3), ((7, 3), (), 2)]
+ROUNDS = 40
 
 
 def load(tree: Path, name: str):
@@ -92,16 +92,12 @@ def paths(rng: random.Random) -> dict:
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("trees", nargs=2, type=Path)
-    ap.add_argument("--labels", nargs=2, default=["base", "change"])
-    ap.add_argument("--rounds", type=int, default=40)
-    ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args()
-    packages = [load(tree, f"roeclass_{i}") for i, tree in enumerate(args.trees)]
-    funcs = paths(random.Random(args.seed))
+    if len(sys.argv) != 3:
+        raise SystemExit(f"usage: python {sys.argv[0]} BASE CHANGE")
+    packages = [load(Path(tree), f"roeclass_{i}") for i, tree in enumerate(sys.argv[1:])]
+    funcs = paths(random.Random(0))
     times = {(side, name): [] for side in range(2) for name in funcs}
-    for round_ in range(-1, args.rounds):
+    for round_ in range(-1, ROUNDS):
         for name, f in funcs.items():
             results = []
             for side in (0, 1) if round_ % 2 == 0 else (1, 0):
@@ -111,8 +107,7 @@ def main() -> int:
                     times[side, name].append(time.perf_counter() - start)
             if results[0] != results[1]:
                 raise SystemExit(f"{name}: the trees disagree")
-    print(f"| median of {args.rounds} warm rounds, ms | {' | '.join(args.labels)} | "
-          f"{args.labels[1]}/{args.labels[0]} |")
+    print(f"| median of {ROUNDS} warm rounds, ms | base | change | change/base |")
     print("| --- | --- | --- | --- |")
     for name in funcs:
         base, change = (statistics.median(times[side, name]) for side in (0, 1))
