@@ -121,7 +121,15 @@ class Frozen:
     their classes are the same and their field tuples equal, hash as the
     field tuple (so a value with a dict field is unhashable) and show as
     ``Name(field=value, ...)``; other attributes, private or lazy, take no
-    part.  Setting or deleting any attribute raises AttributeError."""
+    part.  Setting or deleting any attribute raises AttributeError.
+    ``_of(**fields)`` writes the fields into ``__dict__`` with no check, for
+    the values the library builds from values it has already checked."""
+
+    @classmethod
+    def _of(cls, **fields):
+        value = object.__new__(cls)
+        vars(value).update(fields)  # past the frozen __setattr__
+        return value
 
     def __init_subclass__(cls):
         key = attrgetter(*cls._fields)  # the tuple of the fields, built in C

@@ -67,15 +67,6 @@ def _need_infinite(t: Tower):
         raise PreconditionViolation("K0 sequence classes need an infinite tower")
 
 
-def _k0(t: Tower, prefix: tuple[int, ...], period: tuple[int, ...]) -> K0Class:
-    """The K0Class of int entries the library built, already in normal form
-    over the infinite tower t: no screen and no period search.  Input from
-    outside goes through the checking constructor."""
-    a = object.__new__(K0Class)
-    vars(a).update(context=t, prefix=prefix, period=period)  # past the frozen __setattr__
-    return a
-
-
 class FiniteK0(Frozen):
     """Element of K0 = (Z, order unit k) for a finite tower of full order k."""
 
@@ -117,20 +108,22 @@ def k0_add(a: K0Class, b: K0Class) -> K0Class:
     if q > 1 << LIMITS["K0 layout"][0]:
         raise over_limit("K0 layout", q)
     sums = map(add, chain(a.prefix, cycle(a.period)), chain(b.prefix, cycle(b.period)))
-    return _k0(t, *_normal_form(tuple(islice(sums, s)), tuple(islice(sums, q))))
+    prefix, period = _normal_form(tuple(islice(sums, s)), tuple(islice(sums, q)))
+    return K0Class._of(context=t, prefix=prefix, period=period)
 
 
 def k0_neg(a: K0Class) -> K0Class:
     # negation is injective on entries, so it keeps the normal form
-    return _k0(a.context, tuple(map(neg, a.prefix)), tuple(map(neg, a.period)))
+    return K0Class._of(context=a.context, prefix=tuple(map(neg, a.prefix)),
+                       period=tuple(map(neg, a.period)))
 
 
 def k0_scale(c: int, a: K0Class) -> K0Class:
     if _checked_int(c, "sequence entry") == 0:
         return k0_zero(a.context)
     # multiplication by c != 0 is injective on entries too
-    return _k0(a.context, tuple(map(mul, repeat(c), a.prefix)),
-               tuple(map(mul, repeat(c), a.period)))
+    return K0Class._of(context=a.context, prefix=tuple(map(mul, repeat(c), a.prefix)),
+                       period=tuple(map(mul, repeat(c), a.period)))
 
 
 def k0_sub(a: K0Class, b: K0Class) -> K0Class:
@@ -208,10 +201,10 @@ def _spread(t: Tower, prefix: tuple[int, ...], period: tuple[int, ...], k: int) 
     head = [0] * ((len(prefix) - 1) * k + 1 if prefix else 0)
     head[::k] = prefix
     if period == (0,):
-        return _k0(t, tuple(head), period)
+        return K0Class._of(context=t, prefix=tuple(head), period=period)
     body = [0] * (k * len(period))
     body[k - 1 if prefix else 0::k] = period
-    return _k0(t, tuple(head), tuple(body))
+    return K0Class._of(context=t, prefix=tuple(head), period=tuple(body))
 
 
 def _positive_level(a: K0Class) -> tuple[int, K0Class] | None:
@@ -283,7 +276,8 @@ def alpha_iterate(t: Tower, n: int, v: K0Class) -> K0Class:
         raise PreconditionViolation("sequence context does not match the tower")
     if _checked_int(n, "level") < 0:
         raise PreconditionViolation("level must be an integer >= 0")
-    return _k0(t, *_normal_form(*_block_sums(v, n)))
+    prefix, period = _normal_form(*_block_sums(v, n))
+    return K0Class._of(context=t, prefix=prefix, period=period)
 
 
 def k0_iso_exists(t1: Tower, t2: Tower) -> bool:

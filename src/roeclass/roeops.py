@@ -31,12 +31,6 @@ from .supernatural import _normal_form
 Entries = dict[tuple[int, int], Fraction]
 
 
-def _coerce_scalar(v) -> Fraction:
-    if isinstance(v, Fraction):
-        return Fraction(v)
-    return Fraction(_checked_int(v, "an entry that is not a Fraction"))
-
-
 def _mat_mul(a: Entries, b: Entries) -> Entries:
     by_row: dict[int, list[tuple[int, Fraction]]] = {}
     for (r, c), v in b.items():
@@ -46,19 +40,14 @@ def _mat_mul(a: Entries, b: Entries) -> Entries:
         for c, v in by_row.get(k, ()):
             key = (r, c)
             out[key] = out[key] + u * v if key in out else u * v
-    return out
+    return {key: v for key, v in out.items() if v}
 
 
 def _mat_add(a: Entries, b: Entries) -> Entries:
     out = dict(a)
     for key, v in b.items():
         out[key] = out[key] + v if key in out else v
-    return out
-
-
-def _mat_adjoint(a: Entries) -> Entries:
-    # rational scalars: the adjoint is the transpose
-    return {(c, r): v for (r, c), v in a.items()}
+    return {key: v for key, v in out.items() if v}
 
 
 Rows = dict[int, dict[int, int]]
@@ -127,13 +116,18 @@ class PropagationOperator(Frozen):
         n = space._ratios
         clean: Entries = {}
         for key, v in entries.items():
-            r, c = key
+            try:
+                r, c = key
+            except (TypeError, ValueError):
+                raise MalformedInput(f"key {_clip(key)} is not a (row, column) pair") from None
             if type(r) is not int or type(c) is not int or type(key) is not tuple:
                 key = (_checked_int(r, "entry row"), _checked_int(c, "entry column"))
             if r < 0 or c < 0 or (r | c) >> n and not (r < space.size > c):
                 raise MalformedInput(f"entry ({_clip(r)}, {_clip(c)}) outside the truncation")
             if type(v) is not Fraction:
-                v = Fraction(v) if type(v) is int else _coerce_scalar(v)
+                if type(v) is not int and not isinstance(v, Fraction):
+                    _checked_int(v, "an entry that is not a Fraction")
+                v = Fraction(v)
             if v:
                 clean[key] = v
         object.__setattr__(self, "space", space)
@@ -153,15 +147,6 @@ class PropagationOperator(Frozen):
         return cls(space, {(x, y): value})
 
 
-def _operator(space: BlockSpace, entries: Entries) -> PropagationOperator:
-    """The operator of Fraction entries the library built from checked
-    operators, zero sums dropped, with no check of the entries again.
-    Input from outside goes through the checking constructor."""
-    a = object.__new__(PropagationOperator)
-    vars(a).update(space=space, entries={key: v for key, v in entries.items() if v})
-    return a
-
-
 def _same_space(a: PropagationOperator, b: PropagationOperator) -> BlockSpace:
     if a.space != b.space:
         raise PreconditionViolation("operators live on different spaces")
@@ -173,15 +158,17 @@ def propagation(t: PropagationOperator) -> int:
 
 
 def compose(a: PropagationOperator, b: PropagationOperator) -> PropagationOperator:
-    return _operator(_same_space(a, b), _mat_mul(a.entries, b.entries))
+    return PropagationOperator._of(space=_same_space(a, b), entries=_mat_mul(a.entries, b.entries))
 
 
 def add(a: PropagationOperator, b: PropagationOperator) -> PropagationOperator:
-    return _operator(_same_space(a, b), _mat_add(a.entries, b.entries))
+    return PropagationOperator._of(space=_same_space(a, b), entries=_mat_add(a.entries, b.entries))
 
 
 def adjoint(a: PropagationOperator) -> PropagationOperator:
-    return _operator(a.space, _mat_adjoint(a.entries))
+    # rational scalars: the adjoint is the transpose
+    return PropagationOperator._of(space=a.space,
+                                   entries={(c, r): v for (r, c), v in a.entries.items()})
 
 
 class BlockTuple(Frozen):
@@ -194,9 +181,19 @@ class BlockTuple(Frozen):
         if len(blocks) != count:
             raise MalformedInput("wrong number of blocks for the level")
         for blk in blocks:
-            for (r, c), v in blk.items():
+            if not isinstance(blk, dict):
+                raise MalformedInput(f"block {_clip(blk)} is not a dict")
+            for key, v in blk.items():
+                try:
+                    r, c = key
+                except (TypeError, ValueError):
+                    raise MalformedInput(f"key {_clip(key)} is not a (row, column) pair") from None
+                _checked_int(r, "block entry row")
+                _checked_int(c, "block entry column")
                 if not (0 <= r < k and 0 <= c < k):
                     raise MalformedInput("block entry outside the block")
+                if not isinstance(v, Fraction):
+                    _checked_int(v, "a block entry that is not a Fraction")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "blocks", blocks)
@@ -204,15 +201,6 @@ class BlockTuple(Frozen):
     @property
     def block_size(self) -> int:
         return self.space.order(self.level)
-
-
-def _block_tuple(space: BlockSpace, level: int, blocks: tuple[Entries, ...]) -> BlockTuple:
-    """The BlockTuple of blocks the library split or grouped from a checked
-    operator or tuple, at a level the caller has judged with space._blocks;
-    the entries are not walked again."""
-    bt = object.__new__(BlockTuple)
-    vars(bt).update(space=space, level=level, blocks=blocks)
-    return bt
 
 
 def block_decompose(t: PropagationOperator, n: int) -> BlockTuple:
@@ -231,7 +219,7 @@ def block_decompose(t: PropagationOperator, n: int) -> BlockTuple:
                                    f"{at} crosses level-{_clip(n)} blocks")
         i = r // k
         blocks[i][(r - i * k, c - i * k)] = v
-    return _block_tuple(t.space, n, tuple(blocks))
+    return BlockTuple._of(space=t.space, level=n, blocks=tuple(blocks))
 
 
 def _regroup(bt: BlockTuple, m: int) -> tuple[Entries, ...]:
@@ -258,8 +246,8 @@ def connecting_map(bt: BlockTuple) -> BlockTuple:
     """Group consecutive level-n blocks into level-(n+1) diagonal blocks."""
     if bt.level + 1 > bt.space.depth:
         raise PreconditionViolation(f"level {_clip(bt.level + 1)} exceeds the truncation depth")
-    bt.space._blocks(bt.level + 1)
-    return _block_tuple(bt.space, bt.level + 1, _regroup(bt, bt.level + 1))
+    bt.space._blocks(bt.level + 1)  # the level's limits, judged as BlockTuple(...) judges them
+    return BlockTuple._of(space=bt.space, level=bt.level + 1, blocks=_regroup(bt, bt.level + 1))
 
 
 def trace_vector(bt: BlockTuple, require_projection: bool = False) -> tuple:
@@ -293,7 +281,7 @@ def mvn_partial_isometry(p: BlockTuple, q: BlockTuple) -> BlockTuple | None:
         if len(pb) != len(qb):
             return None
         blocks.append({(y, x): Fraction(1) for (x, _), (y, _) in zip(sorted(pb), sorted(qb))})
-    return _block_tuple(p.space, p.level, tuple(blocks))
+    return BlockTuple._of(space=p.space, level=p.level, blocks=tuple(blocks))
 
 
 def conjugate_by_bijection(b: TowerBijection, t: PropagationOperator) -> PropagationOperator:

@@ -1,8 +1,7 @@
-"""Cold wall times of two light commands and the artifact commands, for one
-or more source trees.
+"""Cold wall times of two light commands and the artifact commands, for two
+source trees.
 
-    python tests/cold_times.py TREE [TREE ...] [--labels NAME ...] [--runs 5]
-        [--commands "bce verify" "roe conjugate"] [--no-bytecode]
+    python tests/cold_times.py BASE CHANGE
 
 The inputs are written to a temporary directory: the towers tail 2 and
 tail 4 (``sn`` and ``classify`` read them: the light path, which costs
@@ -20,16 +19,14 @@ aligned 32-point (128-point) pieces shuffled inside target 256-blocks
 of about 37 and at least 128 points, one on each side of the 64 points a
 run below which the modulus is measured point by point.
 
-Each tree's ``src/roeclass`` is copied without its ``__pycache__``.  By
-default one untimed run compiles the copy's bytecode first; with
-``--no-bytecode`` nothing is written (``PYTHONDONTWRITEBYTECODE=1``), so every
-run compiles the package from source.  A run is one ``python -m
-roeclass.cli`` process, timed from start to exit, that must exit 0; the
-trees take turns run by run.  The output is a markdown table of the median
-wall time of each command, in ms.
+Each tree's ``src/roeclass`` is copied without its ``__pycache__``, and one
+untimed run compiles the copy's bytecode first.  A run is one ``python -m
+roeclass.cli`` process, timed from start to exit, that must exit 0; each
+command runs 5 times on each tree, the trees taking turns run by run.  The
+output is a markdown table of the median wall time of each command, in ms,
+in the columns "base" and "change".
 """
 
-import argparse
 import json
 import os
 import random
@@ -58,6 +55,8 @@ COMMANDS = {
 # (piece, target block) of each permuted map: the level-1 target blocks of
 # tail 4 for points, and the coarsest blocks that pass the depth-8 bounds
 PERMUTED = {"permuted": (1, 4), "pieces32": (32, 256), "pieces128": (128, 1024)}
+LABELS = ("base", "change")
+RUNS = 5
 
 
 def tower(*tail):
@@ -108,19 +107,13 @@ def run(work: Path, argv: list, env: dict) -> float:
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("trees", nargs="+", type=Path)
-    ap.add_argument("--labels", nargs="+")
-    ap.add_argument("--runs", type=int, default=5)
-    ap.add_argument("--commands", nargs="+", default=list(COMMANDS), choices=list(COMMANDS))
-    ap.add_argument("--no-bytecode", action="store_true")
-    args = ap.parse_args()
-    labels = args.labels or [str(t) for t in args.trees]
+    if len(sys.argv) != 3:
+        raise SystemExit(f"usage: python {sys.argv[0]} BASE CHANGE")
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         write_inputs(work)
         sides = []
-        for i, tree in enumerate(args.trees):
+        for i, tree in enumerate(map(Path, sys.argv[1:])):
             src = work / f"src{i}"
             shutil.copytree(tree / "src" / "roeclass", src / "roeclass",
                             ignore=shutil.ignore_patterns("__pycache__"))
@@ -132,21 +125,17 @@ def main() -> int:
                            cwd=work, env=env, check=True)
             for name, (piece, block) in PERMUTED.items():
                 block_permuted(work / f"map{i}.json", work / f"{name}{i}.json", piece, block)
-            if args.no_bytecode:
-                shutil.rmtree(src / "roeclass" / "__pycache__")
-                env["PYTHONDONTWRITEBYTECODE"] = "1"
             files = {name: f"{name}{i}.json" for name in ["map", *PERMUTED]}
             sides.append((env, dict(files, out=f"out{i}.json")))
-        times = {(side, name): [] for side in range(len(sides)) for name in args.commands}
-        for _ in range(args.runs):
-            for name in args.commands:
+        times = {(side, name): [] for side in range(len(sides)) for name in COMMANDS}
+        for _ in range(RUNS):
+            for name in COMMANDS:
                 for side, (env, files) in enumerate(sides):
                     argv = [a.format(**files) for a in COMMANDS[name]]
                     times[side, name].append(run(work, argv, env))
-    mode = "without bytecode" if args.no_bytecode else "with compiled bytecode"
-    print(f"| median of {args.runs} cold runs, ms, {mode} | {' | '.join(labels)} |")
-    print(f"| --- |{' --- |' * len(labels)}")
-    for name in args.commands:
+    print(f"| median of {RUNS} cold runs, ms, with compiled bytecode | {' | '.join(LABELS)} |")
+    print(f"| --- |{' --- |' * len(LABELS)}")
+    for name in COMMANDS:
         cells = [f"{statistics.median(times[side, name]) * 1000:.1f}" for side in range(len(sides))]
         print(f"| `{name}` | {' | '.join(cells)} |")
     return 0

@@ -1,9 +1,10 @@
 """Shared hypothesis strategies for tower-based tests, seeded pairs of
 equivalent towers, a wall-clock budget, a child interpreter under a memory
-cap, a patch of one size limit, the K0 block-sum reference, the operator
-scalar parse that captured numerator and denominator, and the block
-distance bisection and the scale tree's cross-diameter walk as they were
-before they took their one-comparison and C-speed paths."""
+cap, a patch of one size limit, the check that a value the library built
+equals the checked one field by field, the K0 block-sum reference, the
+operator scalar parse that captured numerator and denominator, and the
+block distance bisection and the scale tree's cross-diameter walk as they
+were before they took their one-comparison and C-speed paths."""
 
 import os
 import re
@@ -83,6 +84,11 @@ def run_limited(*args):
         [sys.executable, *args],
         env=env, capture_output=True, text=True, timeout=30,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)))
+
+
+def same_value(got, want):
+    """got equals want, field by field, and holds nothing else."""
+    return type(got) is type(want) and vars(got) == vars(want)
 
 
 def set_limit_bits(monkeypatch, row, bits):

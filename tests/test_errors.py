@@ -101,9 +101,19 @@ T2 = Tower((), (2,))
     lambda: BlockTuple(BlockSpace(T2, 1), 0, ({(1, 0): Fraction(1)}, {})),
     lambda: TowerBijection(T2, T2, 2, ((1, 1),), (0, 1)),
     lambda: TowerBijection(T2, T2, -1, (), (0,)),
+    # keys that are not (row, column) pairs of integers, values that are not scalars
+    lambda: PropagationOperator(BlockSpace(T2, 1), {(1, 2, 3): 1}),
+    lambda: PropagationOperator(BlockSpace(T2, 1), {5: 1}),
+    lambda: BlockTuple(BlockSpace(T2, 1), 0, ({(1, 2, 3): 1}, {})),
+    lambda: BlockTuple(BlockSpace(T2, 1), 0, ({5: 1}, {})),
+    lambda: BlockTuple(BlockSpace(T2, 1), 0, ({(0.5, 0): 1}, {})),
+    lambda: BlockTuple(BlockSpace(T2, 1), 0, ({(0, 0): "x"}, {})),
+    lambda: BlockTuple(BlockSpace(T2, 1), 0, ([], {})),
 ], ids=["ratio", "bool_ratio", "prime", "default_exponent", "bool_depth", "negative_depth",
         "bool_size", "size", "shape", "metric", "period", "entry", "bool_rank", "unit_rank",
-        "bool_position", "block_count", "block_entry", "levels_length", "bijection_depth"])
+        "bool_position", "block_count", "block_entry", "levels_length", "bijection_depth",
+        "triple_key", "int_key", "block_triple_key", "block_int_key", "block_float_key",
+        "block_str_value", "block_list"])
 def test_constructors_raise_malformed_input(make):
     with pytest.raises(MalformedInput):
         make()

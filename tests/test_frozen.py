@@ -16,6 +16,7 @@ It also covers ``errors.lazy``, the attribute computed on first read.
 
 from __future__ import annotations
 
+import ast
 import copy
 import dataclasses
 import pickle
@@ -25,6 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice
 from operator import add
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -36,12 +38,18 @@ from roeclass.equivalence import LevelCheck, _checked_runs, _merged, build_back_
 from roeclass.errors import (MalformedInput, PreconditionViolation, _checked_int,
                              _checked_ints, _clip, lazy)
 from roeclass.ktheory import _need_infinite
-from roeclass.roeops import _coerce_scalar
 from roeclass.supernatural import INFINITE, _checked_prime, _checked_ratio, _normal_form
 
 from conftest import set_limit_bits
 
 # -- the oracle: the dataclass definitions, as they were -----------------------------
+
+
+def _coerce_scalar(v) -> Fraction:
+    """An operator scalar, as its own helper checked it."""
+    if isinstance(v, Fraction):
+        return Fraction(v)
+    return Fraction(_checked_int(v, "an entry that is not a Fraction"))
 
 
 @dataclass(frozen=True)
@@ -455,10 +463,30 @@ class TestAgainstDataclasses:
             ktheory.K0Class(TOWERS[0], ())
 
     def test_laid_out_k0_classes_equal_checked_ones(self):
-        # K0 classes the library lays out itself equal those built by checking
+        # Frozen._of stores the fields where the checking constructor does
         t = TOWERS[1]
-        assert ktheory._k0(t, (1,), (2, 0)) == ktheory.K0Class(t, (1,), (2, 0))
-        assert vars(ktheory._k0(t, (1,), (2, 0))) == vars(ktheory.K0Class(t, (1,), (2, 0)))
+        laid_out = ktheory.K0Class._of(context=t, prefix=(1,), period=(2, 0))
+        assert laid_out == ktheory.K0Class(t, (1,), (2, 0))
+        assert vars(laid_out) == vars(ktheory.K0Class(t, (1,), (2, 0)))
+        with pytest.raises(AttributeError):
+            laid_out.prefix = ()
+
+    def test_object_new_only_in_frozen_of(self):
+        # every value is built by its checking constructor or by Frozen._of
+        found = []
+
+        def walk(node, scope):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                scope += (node.name,)
+            if (isinstance(node, ast.Attribute) and node.attr == "__new__"
+                    and isinstance(node.value, ast.Name) and node.value.id == "object"):
+                found.append(scope)
+            for child in ast.iter_child_nodes(node):
+                walk(child, scope)
+
+        for path in sorted(Path(errors.__file__).parent.glob("*.py")):
+            walk(ast.parse(path.read_text()), (path.name,))
+        assert found == [("errors.py", "Frozen", "_of")]
 
 
 # -- lazy: computed once, into the instance's __dict__ -----------------------------------

@@ -53,7 +53,7 @@ from roeclass.serialize import tower_to_obj
 from roeclass.supernatural import _normal_form
 
 from conftest import (Budget, block_sums_reference, partial_sum_reference, random_equivalent_pair,
-                      ratios, run_limited, towers)
+                      ratios, run_limited, same_value, towers)
 
 
 def blocks_zero_oracle(d, n):
@@ -677,6 +677,24 @@ class TestBuiltClassesAreNormalForm:
         assert [c.value(i) for i in range(space.size)] == [
             len(support & set(range(i, i + space.order(n)))) if i % space.order(n) == 0 else 0
             for i in range(space.size)]
+
+
+class TestBuiltClassesEqualCheckedOnes:
+    """A class an operation lays out through K0Class._of is what the checking
+    constructor makes of the same fields, and holds nothing else."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(class_pairs(), st.integers(-4, 4), st.integers(0, 3), st.sampled_from([2, 3, 5]),
+           st.integers(0, 3))
+    @example((K0Class(Tower((), (2,)), (3, -3), (1, 0)), K0Class(Tower((), (2,)), (), (1,))),
+             2, 1, 2, 3)
+    def test_same_value(self, pair, c, n, p, r):
+        a, b = pair
+        t = a.context
+        built = [k0_add(a, b), k0_sub(a, b), k0_neg(a), k0_scale(c, a), alpha_iterate(t, n, a)]
+        built += [w for w in (k0_positive(a)[1], unit_divide(t, p, r)) if w is not None]
+        for got in built:
+            assert same_value(got, K0Class(got.context, got.prefix, got.period))
 
 
 # the six shapes of the benchmark's k0_big_witness: (tower, period length),

@@ -40,9 +40,9 @@ from roeclass import (
     recompose,
     trace_vector,
 )
-from roeclass.roeops import _is_projection, _mat_add, _mat_adjoint, _mat_mul
+from roeclass.roeops import _is_projection, _mat_add, _mat_mul
 
-from conftest import Budget, towers
+from conftest import Budget, same_value, towers
 
 
 def dense(op):
@@ -119,6 +119,11 @@ def pruned_mul(a, b):
         for c, v in by_row.get(k, ()):
             out[(r, c)] = out.get((r, c), 0) + u * v
     return {key: v for key, v in out.items() if v}
+
+
+def _mat_adjoint(a):
+    # rational scalars: the adjoint is the transpose
+    return {(c, r): v for (r, c), v in a.items()}
 
 
 def is_projection_oracle(a):
@@ -899,11 +904,6 @@ def block_diagonal(draw, space, level):
     return PropagationOperator(space, entries)
 
 
-def same_value(got, want):
-    """got equals want, field by field, and holds nothing else."""
-    return type(got) is type(want) and vars(got) == vars(want)
-
-
 class TestUncheckedConstructors:
     """Results the library builds from checked values skip the checks; each
     equals what the checking constructor makes of the same fields."""
@@ -949,10 +949,32 @@ class TestUncheckedConstructors:
         ({(0, 0): "1"}, "an entry that is not a Fraction must be an integer, got str '1'"),
         # the first bad entry in order decides
         ({(0, 0): 1, (1, 9): 0.5, (2, 2.0): 1}, "entry (1, 9) outside the truncation"),
+        ({(1, 2, 3): 1}, "key (1, 2, 3) is not a (row, column) pair"),
+        ({5: 1}, "key 5 is not a (row, column) pair"),
     ])
     def test_constructor_messages_pinned(self, entries, message):
         with pytest.raises(MalformedInput, match=f"^{re.escape(message)}$"):
             PropagationOperator(BlockSpace(Tower((), (2,)), 3), entries)
+
+    @pytest.mark.parametrize("block, message", [
+        ({(1, 2, 3): 1}, "key (1, 2, 3) is not a (row, column) pair"),
+        ({5: 1}, "key 5 is not a (row, column) pair"),
+        ({(0.5, 0): 1}, "block entry row must be an integer, got float 0.5"),
+        ({(0, True): 1}, "block entry column must be an integer, got bool True"),
+        ({(0, 2): 1}, "block entry outside the block"),
+        ({(0, 0): "x"}, "a block entry that is not a Fraction must be an integer, got str 'x'"),
+        ({(0, 0): 0.5}, "a block entry that is not a Fraction must be an integer, got float 0.5"),
+        ([((0, 0), 1)], "block [((0, 0), 1)] is not a dict"),
+    ])
+    def test_block_tuple_messages_pinned(self, block, message):
+        with pytest.raises(MalformedInput, match=f"^{re.escape(message)}$"):
+            BlockTuple(BlockSpace(Tower((), (2,)), 2), 1, ({}, block))
+
+    def test_block_tuple_keeps_its_blocks_as_given(self):
+        # stored zeros and int values stay: the projection check refuses them later
+        blocks = ({(0, 0): 0, (1, 1): 2}, {(0, 1): Fraction(1, 2)})
+        bt = BlockTuple(BlockSpace(Tower((), (2,)), 2), 1, blocks)
+        assert bt.blocks is blocks and type(bt.blocks[0][1, 1]) is int
 
     def test_accepted_entries_stored_as_plain_fractions_under_tuple_keys(self):
         class Index(int):
