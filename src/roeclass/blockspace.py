@@ -78,7 +78,8 @@ class BlockSpace(Frozen):
                 more.append(k)
                 if k > goal:
                     break
-            orders = self.__dict__["_orders"] = orders + tuple(more)
+            orders += tuple(more)
+            object.__setattr__(self, "_orders", orders)  # past the frozen __setattr__
         return orders
 
     def order(self, n: int) -> int:

@@ -122,8 +122,12 @@ class Frozen:
     field tuple (so a value with a dict field is unhashable) and show as
     ``Name(field=value, ...)``; other attributes, private or lazy, take no
     part.  Setting or deleting any attribute raises AttributeError.
-    ``_of(**fields)`` writes the fields into ``__dict__`` with no check, for
-    the values the library builds from values it has already checked."""
+    Cached attributes (``lazy``, ``BlockSpace._orders``) are stored with
+    ``object.__setattr__`` too: touching ``__dict__`` would materialize it,
+    and CPython leaves the attribute reads of such an instance unspecialized.
+    Only ``_of(**fields)`` writes the fields into ``__dict__``, with no
+    check, for the values the library builds from values it has already
+    checked."""
 
     @classmethod
     def _of(cls, **fields):
@@ -135,6 +139,8 @@ class Frozen:
         key = attrgetter(*cls._fields)  # the tuple of the fields, built in C
 
         def __eq__(self, other):
+            if other is self:  # _same_space compares a space with itself on every compose
+                return True
             if other.__class__ is self.__class__:
                 return key(self) == key(other)
             return NotImplemented
@@ -156,8 +162,9 @@ class Frozen:
 
 
 class lazy:
-    """An attribute computed on first read into the instance's ``__dict__``, which
-    later reads find first; a read that raises stores nothing.  It takes no lock."""
+    """An attribute computed on first read and stored on the instance with
+    ``object.__setattr__``, where later reads find it first; a read that
+    raises stores nothing.  It takes no lock."""
 
     def __init__(self, func):
         self.func, self.__doc__ = func, func.__doc__
@@ -165,5 +172,6 @@ class lazy:
     def __get__(self, obj, owner=None):
         if obj is None:
             return self
-        value = obj.__dict__[self.func.__name__] = self.func(obj)
+        value = self.func(obj)
+        object.__setattr__(obj, self.func.__name__, value)
         return value

@@ -80,10 +80,11 @@ def _rank(rows: Rows) -> int:
     return len(pivots)
 
 
-def _is_projection(a: Entries) -> bool:
+def _projection_rank(a: Entries) -> int | None:
+    """rank p of a block p with p*p = p = p*, None for any other block."""
     if all(r == c for r, c in a):
         # a rational v with v*v = v is 0 or 1; a stored 0 fails p*p = p too
-        return all(v == 1 for v in a.values())
+        return len(a) if all(v == 1 for v in a.values()) else None
     # p = M/D: integer numerators over one positive denominator
     d = lcm(*(v.denominator for v in a.values()))
     rows: Rows = {}
@@ -91,13 +92,17 @@ def _is_projection(a: Entries) -> bool:
         rows.setdefault(r, {})[c] = v.numerator * (d // v.denominator)
     # a stored 0 never survives p*p; p* = p entry by entry
     if any(not m or rows.get(c, {}).get(r) != m for r, row in rows.items() for c, m in row.items()):
-        return False
+        return None
     # A symmetric p has real eigenvalues; tr p = tr p^2 = rank p makes every
     # nonzero one 1 (Cauchy-Schwarz is then an equality), so p is a
     # projection.  tr p^2 is the sum of squared entries, by symmetry.
     trace = sum(row.get(r, 0) for r, row in rows.items())
     squares = sum(m * m for row in rows.values() for m in row.values())
-    return squares == trace * d and trace == _rank(rows) * d
+    return trace // d if squares == trace * d and trace == _rank(rows) * d else None
+
+
+def _not_a_pair(key) -> MalformedInput:
+    return MalformedInput(f"key {_clip(key)} is not a (row, column) pair")
 
 
 class PropagationOperator(Frozen):
@@ -119,8 +124,10 @@ class PropagationOperator(Frozen):
             try:
                 r, c = key
             except (TypeError, ValueError):
-                raise MalformedInput(f"key {_clip(key)} is not a (row, column) pair") from None
+                raise _not_a_pair(key) from None
             if type(r) is not int or type(c) is not int or type(key) is not tuple:
+                if not isinstance(key, tuple):  # a set or range unpacks in iteration order
+                    raise _not_a_pair(key)
                 key = (_checked_int(r, "entry row"), _checked_int(c, "entry column"))
             if r < 0 or c < 0 or (r | c) >> n and not (r < space.size > c):
                 raise MalformedInput(f"entry ({_clip(r)}, {_clip(c)}) outside the truncation")
@@ -178,16 +185,18 @@ class BlockTuple(Frozen):
 
     def __init__(self, space: BlockSpace, level: int, blocks: tuple[Entries, ...]):
         k, count = space._blocks(level)
+        if not isinstance(blocks, (tuple, list)):
+            raise MalformedInput(f"blocks must be a tuple or list of dicts, "
+                                 f"got {type(blocks).__name__} {_clip(blocks)}")
         if len(blocks) != count:
             raise MalformedInput("wrong number of blocks for the level")
         for blk in blocks:
             if not isinstance(blk, dict):
                 raise MalformedInput(f"block {_clip(blk)} is not a dict")
             for key, v in blk.items():
-                try:
-                    r, c = key
-                except (TypeError, ValueError):
-                    raise MalformedInput(f"key {_clip(key)} is not a (row, column) pair") from None
+                if not isinstance(key, tuple) or len(key) != 2:
+                    raise _not_a_pair(key)
+                r, c = key
                 _checked_int(r, "block entry row")
                 _checked_int(c, "block entry column")
                 if not (0 <= r < k and 0 <= c < k):
@@ -251,11 +260,16 @@ def connecting_map(bt: BlockTuple) -> BlockTuple:
 
 
 def trace_vector(bt: BlockTuple, require_projection: bool = False) -> tuple:
-    """Non-normalized block traces; integer ranks for projections."""
+    """Non-normalized block traces; for projections, the ranks that the
+    projection test finds, one pass per block."""
     out = []
+    if require_projection:
+        for blk in bt.blocks:
+            if (rank := _projection_rank(blk)) is None:
+                raise NotProjection("block fails p*p = p = p*")
+            out.append(rank)
+        return tuple(out)
     for blk in bt.blocks:
-        if require_projection and not _is_projection(blk):
-            raise NotProjection("block fails p*p = p = p*")
         diag = [v for (r, c), v in blk.items() if r == c]
         if all(v.denominator == 1 for v in diag):
             out.append(sum(v.numerator for v in diag))
@@ -271,7 +285,7 @@ def mvn_partial_isometry(p: BlockTuple, q: BlockTuple) -> BlockTuple | None:
     if p.space != q.space or p.level != q.level:
         raise PreconditionViolation("projections must share a space and level")
     for blk in tuple(p.blocks) + tuple(q.blocks):
-        if not _is_projection(blk):
+        if _projection_rank(blk) is None:
             raise NotProjection("block fails p*p = p = p*")
     # a diagonal projection holds only 1s, so its support is its keys
     blocks = []

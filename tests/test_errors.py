@@ -109,11 +109,14 @@ T2 = Tower((), (2,))
     lambda: BlockTuple(BlockSpace(T2, 1), 0, ({(0.5, 0): 1}, {})),
     lambda: BlockTuple(BlockSpace(T2, 1), 0, ({(0, 0): "x"}, {})),
     lambda: BlockTuple(BlockSpace(T2, 1), 0, ([], {})),
+    lambda: BlockTuple(BlockSpace(T2, 1), 0, (b for b in ({}, {}))),
+    lambda: PropagationOperator(BlockSpace(T2, 1), {frozenset({1, 0}): 1}),
+    lambda: BlockTuple(BlockSpace(T2, 1), 0, ({frozenset({1, 0}): 1}, {})),
 ], ids=["ratio", "bool_ratio", "prime", "default_exponent", "bool_depth", "negative_depth",
         "bool_size", "size", "shape", "metric", "period", "entry", "bool_rank", "unit_rank",
         "bool_position", "block_count", "block_entry", "levels_length", "bijection_depth",
         "triple_key", "int_key", "block_triple_key", "block_int_key", "block_float_key",
-        "block_str_value", "block_list"])
+        "block_str_value", "block_list", "block_generator", "set_key", "block_set_key"])
 def test_constructors_raise_malformed_input(make):
     with pytest.raises(MalformedInput):
         make()

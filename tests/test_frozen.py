@@ -473,23 +473,39 @@ class TestAgainstDataclasses:
 
     def test_object_new_only_in_frozen_of(self):
         # every value is built by its checking constructor or by Frozen._of
-        found = []
+        assert source_scopes(lambda node: isinstance(node, ast.Attribute)
+                             and node.attr == "__new__" and isinstance(node.value, ast.Name)
+                             and node.value.id == "object") == [("errors.py", "Frozen", "_of")]
 
-        def walk(node, scope):
-            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
-                scope += (node.name,)
-            if (isinstance(node, ast.Attribute) and node.attr == "__new__"
-                    and isinstance(node.value, ast.Name) and node.value.id == "object"):
-                found.append(scope)
-            for child in ast.iter_child_nodes(node):
-                walk(child, scope)
-
-        for path in sorted(Path(errors.__file__).parent.glob("*.py")):
-            walk(ast.parse(path.read_text()), (path.name,))
-        assert found == [("errors.py", "Frozen", "_of")]
+    def test_instance_dict_written_only_in_frozen_of(self):
+        # a materialized __dict__ leaves CPython's attribute reads unspecialized,
+        # so fields and cached attributes go through object.__setattr__
+        assert source_scopes(lambda node: isinstance(node, ast.Attribute)
+                             and node.attr == "__dict__") == []
+        assert source_scopes(lambda node: isinstance(node, ast.Call)
+                             and isinstance(node.func, ast.Name)
+                             and node.func.id == "vars") == [("errors.py", "Frozen", "_of")]
 
 
-# -- lazy: computed once, into the instance's __dict__ -----------------------------------
+def source_scopes(match):
+    """(file, class or function, ...) of every node of the library's source
+    that ``match`` accepts, in file order."""
+    found = []
+
+    def walk(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope += (node.name,)
+        if match(node):
+            found.append(scope)
+        for child in ast.iter_child_nodes(node):
+            walk(child, scope)
+
+    for path in sorted(Path(errors.__file__).parent.glob("*.py")):
+        walk(ast.parse(path.read_text()), (path.name,))
+    return found
+
+
+# -- lazy: computed once, stored on the instance -----------------------------------------
 
 
 class Counted:

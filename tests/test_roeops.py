@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import Matrix
 
 from roeclass import (
     BlockSpace,
@@ -40,7 +41,7 @@ from roeclass import (
     recompose,
     trace_vector,
 )
-from roeclass.roeops import _is_projection, _mat_add, _mat_mul
+from roeclass.roeops import _mat_add, _mat_mul, _projection_rank
 
 from conftest import Budget, same_value, towers
 
@@ -129,6 +130,22 @@ def _mat_adjoint(a):
 def is_projection_oracle(a):
     """The projection rule by squaring: p*p = p = p*, entry by entry."""
     return pruned_mul(a, a) == a and _mat_adjoint(a) == a
+
+
+def trace_vector_reference(bt, require_projection=False):
+    """The two-pass trace_vector: each block checked by the squaring rule,
+    then read again for its trace."""
+    out = []
+    for blk in bt.blocks:
+        if require_projection and not is_projection_oracle(blk):
+            raise NotProjection("block fails p*p = p = p*")
+        diag = [v for (r, c), v in blk.items() if r == c]
+        if all(v.denominator == 1 for v in diag):
+            out.append(sum(v.numerator for v in diag))
+        else:
+            tr = sum(diag, Fraction(0))
+            out.append(int(tr) if tr.denominator == 1 else tr)
+    return tuple(out)
 
 
 def orthogonal_projection(vectors, k):
@@ -477,28 +494,30 @@ class TestProjectionCheck:
     @settings(max_examples=500)
     @given(projection_candidates())
     def test_matches_squaring_rule(self, case):
+        # None exactly when the squaring rule fails, else the rank of an
+        # independent exact elimination
         k, blk = case
-        expected = is_projection_oracle(blk)
-        assert _is_projection(blk) is expected
-        bt = one_block(blk, k)
-        if expected:
-            trace_vector(bt, require_projection=True)
-        else:
+        rank = _projection_rank(blk)
+        if not is_projection_oracle(blk):
+            assert rank is None
             with pytest.raises(NotProjection):
-                trace_vector(bt, require_projection=True)
+                trace_vector(one_block(blk, k), require_projection=True)
+        else:
+            assert type(rank) is int and rank == Matrix(dense_matrix(blk, k)).rank()
+            assert trace_vector(one_block(blk, k), require_projection=True) == (rank,)
 
     def test_projections_of_every_rank_accepted(self):
         rng = random.Random(8)
         for rank in range(9):
             vectors = [[rng.randint(-2, 2) for _ in range(8)] for _ in range(rank)]
             blk, got = orthogonal_projection(vectors, 8)
-            assert _is_projection(blk) and is_projection_oracle(blk)
+            assert _projection_rank(blk) == got and is_projection_oracle(blk)
             assert trace_vector(one_block(blk, 8), require_projection=True) == (got,)
 
     def test_non_symmetric_idempotent_refused(self):
         blk = {(0, 0): Fraction(1), (0, 1): Fraction(1)}
         assert pruned_mul(blk, blk) == blk
-        assert not is_projection_oracle(blk) and not _is_projection(blk)
+        assert not is_projection_oracle(blk) and _projection_rank(blk) is None
 
     def test_216_point_rank_one_block(self):
         # a dense 216-point block took 35 s through the squared block
@@ -775,7 +794,7 @@ def mvn_reference(p, q):
     if p.space != q.space or p.level != q.level:
         raise PreconditionViolation("projections must share a space and level")
     for blk in tuple(p.blocks) + tuple(q.blocks):
-        if not _is_projection(blk):
+        if _projection_rank(blk) is None:
             raise NotProjection("block fails p*p = p = p*")
     supports = []
     for pb, qb in zip(p.blocks, q.blocks):
@@ -830,6 +849,30 @@ class TestMvnOracle:
         for f in (mvn_partial_isometry, mvn_reference):
             with pytest.raises(UnsupportedEntries):
                 f(p, q)
+
+
+class TestTraceOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_ranks_of_projections_are_their_traces(self, data):
+        space = data.draw(regroup_spaces)
+        n = data.draw(st.integers(min_value=0, max_value=space.depth))
+        p = data.draw(block_tuples(space, n, projections=True))
+        ranks = trace_vector(p, require_projection=True)
+        assert ranks == trace_vector(p) == trace_vector_reference(p, require_projection=True)
+        assert all(type(r) is int for r in ranks)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_two_pass_reference(self, data):
+        # diagonal, dense rank-1 and random blocks: the same traces, or the
+        # same refusal
+        space = data.draw(regroup_spaces)
+        n = data.draw(st.integers(min_value=0, max_value=space.depth))
+        bt = data.draw(mvn_blocks(space, n))
+        for require in (False, True):
+            assert (outcome(trace_vector, bt, require)
+                    == outcome(trace_vector_reference, bt, require))
 
 
 class TestEntryBounds:
@@ -951,6 +994,10 @@ class TestUncheckedConstructors:
         ({(0, 0): 1, (1, 9): 0.5, (2, 2.0): 1}, "entry (1, 9) outside the truncation"),
         ({(1, 2, 3): 1}, "key (1, 2, 3) is not a (row, column) pair"),
         ({5: 1}, "key 5 is not a (row, column) pair"),
+        # a key that unpacks into two integers is still no pair unless a tuple
+        ({frozenset({3, 0}): 1}, "key frozenset({0, 3}) is not a (row, column) pair"),
+        ({range(1, 3): 1}, "key range(1, 3) is not a (row, column) pair"),
+        ({(0, 0): 1, "ab": 1}, "key 'ab' is not a (row, column) pair"),
     ])
     def test_constructor_messages_pinned(self, entries, message):
         with pytest.raises(MalformedInput, match=f"^{re.escape(message)}$"):
@@ -965,10 +1012,25 @@ class TestUncheckedConstructors:
         ({(0, 0): "x"}, "a block entry that is not a Fraction must be an integer, got str 'x'"),
         ({(0, 0): 0.5}, "a block entry that is not a Fraction must be an integer, got float 0.5"),
         ([((0, 0), 1)], "block [((0, 0), 1)] is not a dict"),
+        # a key that unpacks into two integers is still no pair unless a tuple
+        ({frozenset({1, 0}): 1}, "key frozenset({0, 1}) is not a (row, column) pair"),
+        ({range(0, 2): 1}, "key range(0, 2) is not a (row, column) pair"),
+        ({"ab": 1}, "key 'ab' is not a (row, column) pair"),
     ])
     def test_block_tuple_messages_pinned(self, block, message):
         with pytest.raises(MalformedInput, match=f"^{re.escape(message)}$"):
             BlockTuple(BlockSpace(Tower((), (2,)), 2), 1, ({}, block))
+
+    @pytest.mark.parametrize("blocks, shown", [
+        ((b for b in ({}, {})), "generator <generator object"),
+        (iter(({}, {})), "tuple_iterator <tuple_iterator object"),
+        ({0: {}, 1: {}}, "dict {0: {}, 1: {}}"),
+        (None, "NoneType None"),
+    ])
+    def test_blocks_not_a_sequence_refused(self, blocks, shown):
+        with pytest.raises(MalformedInput,
+                           match=f"^blocks must be a tuple or list of dicts, got {re.escape(shown)}"):
+            BlockTuple(BlockSpace(Tower((), (2,)), 2), 1, blocks)
 
     def test_block_tuple_keeps_its_blocks_as_given(self):
         # stored zeros and int values stay: the projection check refuses them later

@@ -1,4 +1,4 @@
-"""Warm in-process times of the three geometry hot paths, for two source
+"""Warm in-process times of the four geometry hot paths, for two source
 trees in one process.
 
     python tests/warm_times.py BASE CHANGE
@@ -16,7 +16,11 @@ The inputs are made once, from seed 0:
   ``trace_vector(require_projection=True)``, ``connecting_map`` and the
   coarser trace;
 - ``compose 200``: 200 ``compose`` + ``propagation`` of operators of 1-6
-  rational entries on the ``geometry`` benchmark's sparse spaces.
+  rational entries on the ``geometry`` benchmark's sparse spaces;
+- ``dense 36``: a dense rational rank-1 projection on the 36 points of tail
+  6 at depth 2 through ``block_decompose`` at level 2 and
+  ``trace_vector(require_projection=True)``, the general branch of the
+  projection test (the ``geometry`` benchmark's ``dense_projection_36``).
 
 A round times each path once on each tree, the trees taking turns (the base
 first on even rounds); 40 rounds are timed, after one untimed round.  Every
@@ -67,6 +71,11 @@ def paths(rng: random.Random) -> dict:
                     for _ in range(rng.randint(1, 6))}
 
         pairs.append((prefix, tail, depth, sparse(), sparse()))
+    v = [rng.randint(-3, 3) for _ in range(36)]
+    v[rng.randrange(36)] = rng.randint(1, 3)
+    norm = sum(x * x for x in v)
+    rank_one = {(i, j): Fraction(v[i] * v[j], norm)
+                for i in range(36) for j in range(36) if v[i] * v[j]}
 
     def metric(rc):
         space = rc.BlockSpace(rc.Tower((), (2,)), 7)
@@ -88,7 +97,13 @@ def paths(rng: random.Random) -> dict:
             out.append((c.entries, rc.propagation(c)))
         return out
 
-    return {"metric 128": metric, "diagonal 1296": diagonal, "compose 200": compose}
+    def dense(rc):
+        space = rc.BlockSpace(rc.Tower((), (6,)), 2)
+        return rc.trace_vector(rc.block_decompose(rc.PropagationOperator(space, rank_one), 2),
+                               require_projection=True)
+
+    return {"metric 128": metric, "diagonal 1296": diagonal, "compose 200": compose,
+            "dense 36": dense}
 
 
 def main() -> int:
