@@ -17,8 +17,8 @@ from collections.abc import Sequence
 from itertools import chain, groupby, islice
 from operator import itemgetter
 
-from .errors import (LIMITS, Frozen, MalformedInput, PreconditionViolation, _checked_int, _clip,
-                     lazy, over_limit)
+from .errors import (LIMITS, Frozen, MalformedInput, PreconditionViolation, _checked_container,
+                     _checked_int, _clip, check_limit, lazy, over_limit)
 from .supernatural import Tower
 
 
@@ -86,8 +86,7 @@ class BlockSpace(Frozen):
         """k_n, refused past the "block order" limit before it is formed."""
         if not 0 <= _checked_int(n, "level") <= self.depth:
             raise PreconditionViolation(f"level {_clip(n)} outside 0..{_clip(self.depth)}")
-        if _order_bits(self.tower, n) > 1 << LIMITS["block order"][0]:
-            raise over_limit("block order", n)
+        check_limit("block order", _order_bits(self.tower, n), n)
         return self.tower.order(n)
 
     @property
@@ -99,10 +98,9 @@ class BlockSpace(Frozen):
         """(k_n, number of level-n blocks), refused past the "blocks of a split"
         limit without reading size when the ratios above n already pass it."""
         k = self.order(n)
-        bits = LIMITS["blocks of a split"][0]
-        if self._ratios - n > bits or self.size // k > 1 << bits:
+        if self._ratios - n > LIMITS["blocks of a split"][0]:
             raise over_limit("blocks of a split", n)
-        return k, self.size // k
+        return k, check_limit("blocks of a split", self.size // k, n)
 
     def distance(self, x: int, y: int) -> int:
         """Least level whose blocks contain both points.
@@ -140,9 +138,9 @@ class BlockSpace(Frozen):
     def metric_matrix(self) -> list[list[int]]:
         """size^2 distances, refused past the "metric matrix" limit before
         allocating, without reading size when the ratios already pass it."""
-        bits = LIMITS["metric matrix"][0]
-        if self._ratios > bits // 2 or self.size ** 2 > 1 << bits:
+        if self._ratios > LIMITS["metric matrix"][0] // 2:
             raise over_limit("metric matrix")
+        check_limit("metric matrix", self.size ** 2)
         # row x holds n on its level-n block outside its level-(n-1) block:
         # one slice per level, from the whole row down to x's own entry
         orders = self._orders_past(self.size - 1)
@@ -184,7 +182,8 @@ class FiniteMetricSpace(Frozen):
     def __post_init__(self, size, distances):
         if _checked_int(size, "size") < 1:
             raise MalformedInput("size must be an integer >= 1")
-        rows = tuple(tuple(row) for row in distances)
+        rows = tuple(tuple(_checked_container(row, "a distance row"))
+                     for row in _checked_container(distances, "distances"))
         if len(rows) != size or any(len(r) != size for r in rows):
             raise MalformedInput("distance matrix shape does not match size")
         # screen all entries at C speed; walk them only to name the first bad one
@@ -305,8 +304,7 @@ def r_components(m: FiniteMetricSpace, R: int) -> Partition:
 def asdim_zero_profile(m: FiniteMetricSpace) -> dict[int, tuple[int, int]]:
     """R -> (max component diameter, max component cardinality), R = 0..max,
     refused past the "asdim profile" limit before any entry is built."""
-    if m.max_distance >= 1 << LIMITS["asdim profile"][0]:
-        raise over_limit("asdim profile", m.max_distance + 1)
+    check_limit("asdim profile", m.max_distance + 1)
     profile: dict[int, tuple[int, int]] = {}
     entry = None
     for scale, clusters in m._scales:

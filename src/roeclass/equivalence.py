@@ -24,7 +24,8 @@ from operator import add, eq, floordiv, le, lt, mod, ne, sub
 from typing import NamedTuple
 
 from .errors import (LIMITS, DepthExhausted, Frozen, MalformedInput, NotEquivalent,
-                     PreconditionViolation, _checked_int, _checked_ints, _clip, lazy, over_limit)
+                     PreconditionViolation, _checked_container, _checked_int, _checked_ints, _clip,
+                     check_limit, lazy)
 from .supernatural import Tower, bijectively_coarsely_equivalent
 
 
@@ -86,6 +87,7 @@ class TowerBijection(Frozen):
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "depth", _checked_int(depth, "depth"))
+        levels = _checked_container(levels, "levels")
         if not all(isinstance(pair, (tuple, list)) and len(pair) == 2 for pair in levels):
             raise MalformedInput("each level must be a pair")
         levels = tuple((_checked_int(n, "level"), _checked_int(m, "level")) for n, m in levels)
@@ -103,7 +105,7 @@ class TowerBijection(Frozen):
             starts, _, lengths = runs = _checked_runs(runs)
             size = starts[-1] + lengths[-1]
         else:
-            points = tuple(points)
+            points = tuple(_checked_container(points, "points"))
             size = len(points)
         n_d, m_d = self.final_levels
         # every ratio is >= 2, so k_n > cap once n >= cap.bit_length(): each
@@ -138,10 +140,9 @@ class TowerBijection(Frozen):
     def mapping(self) -> tuple[int, ...]:
         """The image of every source point, expanded from the runs on first
         read; a map given by runs may have over 2^20 points, and is refused."""
-        if self.domain_size > 1 << LIMITS["map points"][0]:
-            raise over_limit("map points", self.domain_size, "")
+        n = check_limit("map points", self.domain_size, self.domain_size, "")
         _, images, lengths = self.runs
-        if len(images) == self.domain_size:
+        if len(images) == n:
             return images
         return tuple(chain.from_iterable(map(range, images, map(add, images, lengths))))
 
@@ -161,7 +162,7 @@ def _checked_runs(runs) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ..
     """(starts, images, lengths) of integers that tile 0..N-1 from 0, in order."""
     if not (isinstance(runs, (tuple, list)) and len(runs) == 3):
         raise MalformedInput("runs must be three parallel tuples: starts, images, lengths")
-    starts, images, lengths = (_checked_ints(part, "run") for part in runs)
+    starts, images, lengths = (_checked_ints(part, "run", "a part of runs") for part in runs)
     if not (len(starts) == len(images) == len(lengths) and starts[:1] == (0,)
             and min(lengths) >= 1 and all(map(eq, starts[1:], map(add, starts, lengths)))):
         raise MalformedInput("runs must tile the source from 0, in order")
@@ -194,8 +195,7 @@ def _measure_modulus(b: TowerBijection) -> tuple[int, ...]:
     """One entry per source level 0..n_D; the verifier reads it before its
     report grows, so the "verify report rows" limit refuses both here."""
     n_d = b.final_levels[0]
-    if n_d >= 1 << LIMITS["verify report rows"][0]:
-        raise over_limit("verify report rows", n_d)
+    check_limit("verify report rows", n_d + 1, n_d)
     # once one block holds every image, as on a finite source past its
     # prefix, every later level repeats the last entry
     out = (_modulus_of_points if _by_points(b) else _modulus_of_runs)(b, n_d)
@@ -270,8 +270,7 @@ def build_back_and_forth(t1: Tower, t2: Tower, depth: int) -> TowerBijection:
     bits = LIMITS["map points"][0]
     levels = interleave_towers(t1, t2, min(_checked_int(depth, "depth"), bits + 1))
     points = t1.order(levels[-1][0] if levels else 0)
-    if points > 1 << bits:
-        raise over_limit("map points", points, " or more" if depth > len(levels) else "")
+    check_limit("map points", points, points, " or more" if depth > len(levels) else "")
     return TowerBijection(t1, t2, depth, levels, runs=((0,), (0,), (points,)))
 
 
@@ -301,12 +300,12 @@ class VerificationReport(Frozen):
 
 
 def _injective(b: TowerBijection) -> bool:
-    """No two images meet: the image intervals, sorted by start, are disjoint."""
+    """No two images meet: half-open intervals are disjoint exactly when
+    sorted_ends[i] <= sorted_starts[i + 1] for every i (two C sorts of ints)."""
     if _by_points(b):
         return len(set(b.mapping)) == b.domain_size
     _, images, lengths = b.runs
-    firsts, lasts = zip(*sorted(zip(images, map(add, images, lengths))))
-    return all(map(le, lasts, firsts[1:]))
+    return all(map(le, sorted(map(add, images, lengths)), sorted(images)[1:]))
 
 
 def verify_bijective_coarse_equivalence(b: TowerBijection) -> VerificationReport:

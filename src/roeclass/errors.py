@@ -9,7 +9,8 @@ PreconditionViolation are also ValueErrors.
 LIMITS holds every size limit, one row per row of the README limits table:
 row -> (bits, message).  A check reads its row's bits when it runs, and
 refuses a size over 2^bits (a prime over bits bits) with ``over_limit``
-before the work or the allocation that the row bounds.
+before the work or the allocation that the row bounds, a size through
+``check_limit``; a pre-check on a ratio count or an exponent reads the bits.
 """
 
 from operator import attrgetter
@@ -80,6 +81,14 @@ def over_limit(row: str, *sizes, error: type = PreconditionViolation) -> Roeclas
     return error(message.format(*sizes, bits=bits))
 
 
+def check_limit(row: str, size: int, *shown) -> int:
+    """size, unless it is over row's 2^bits: then the refusal of ``row``,
+    its message over ``shown`` (over size when nothing is shown)."""
+    if size > 1 << LIMITS[row][0]:
+        raise over_limit(row, *(shown or (size,)))
+    return size
+
+
 # at most 603 decimal digits: under every int/str digit limit Python allows (>= 640)
 _CLIP_BITS = 2000
 
@@ -104,10 +113,19 @@ def _checked_int(value, what: str) -> int:
     return value
 
 
-def _checked_ints(values, what: str) -> tuple:
-    """tuple(values), every entry an integer: one C pass over their types,
-    and a walk only to name the first entry that is not one."""
-    values = tuple(values)
+def _checked_container(value, what: str, kinds: tuple = (tuple, list)):
+    """value, when it is one of kinds (a tuple or a list unless told)."""
+    if not isinstance(value, kinds):
+        kind = " or ".join(k.__name__ for k in kinds)
+        raise MalformedInput(f"{what} must be a {kind}, got {type(value).__name__} {_clip(value)}")
+    return value
+
+
+def _checked_ints(values, what: str, whole: str = "entries") -> tuple:
+    """tuple(values) of a tuple or list ``whole``, every entry an integer:
+    one C pass over their types, and a walk only to name the first entry
+    that is not one."""
+    values = tuple(_checked_container(values, whole))
     if set(map(type, values)) - {int}:
         for v in values:
             _checked_int(v, what)

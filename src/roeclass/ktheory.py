@@ -23,7 +23,7 @@ from math import gcd, lcm, prod
 from operator import add, floordiv, mod, mul, neg, sub
 
 from .errors import (LIMITS, DepthExhausted, Frozen, MalformedInput, PreconditionViolation,
-                     _checked_int, _checked_ints, over_limit)
+                     _checked_int, _checked_ints, check_limit, over_limit)
 from .supernatural import Tower, _checked_prime, _normal_form, bijectively_coarsely_equivalent
 
 
@@ -40,8 +40,8 @@ class K0Class(Frozen):
         self.__post_init__(context, prefix, period)  # bench/spans.py times it
 
     def __post_init__(self, context, prefix, period):
-        prefix = _checked_ints(prefix, "sequence entry")
-        period = _checked_ints(period, "sequence entry")
+        prefix = _checked_ints(prefix, "sequence entry", "prefix")
+        period = _checked_ints(period, "sequence entry", "period")
         # malformed entries are reported before a finite context (exit 2 before 4)
         _need_infinite(context)
         if not period:
@@ -104,9 +104,7 @@ def k0_add(a: K0Class, b: K0Class) -> K0Class:
     refused before anything is allocated."""
     t = _same_context(a, b)
     s = max(len(a.prefix), len(b.prefix))
-    q = lcm(len(a.period), len(b.period))
-    if q > 1 << LIMITS["K0 layout"][0]:
-        raise over_limit("K0 layout", q)
+    q = check_limit("K0 layout", lcm(len(a.period), len(b.period)))
     sums = map(add, chain(a.prefix, cycle(a.period)), chain(b.prefix, cycle(b.period)))
     prefix, period = _normal_form(tuple(islice(sums, s)), tuple(islice(sums, q)))
     return K0Class._of(context=t, prefix=prefix, period=period)
@@ -195,8 +193,7 @@ def _spread(t: Tower, prefix: tuple[int, ...], period: tuple[int, ...], k: int) 
     layout" limit on k * len(prefix), then on a nonzero period's k * len(period),
     before allocating; a finite t after that, as the checking constructor would."""
     for size in (k * len(prefix), 0 if period == (0,) else k * len(period)):
-        if size > 1 << LIMITS["K0 layout"][0]:
-            raise over_limit("K0 layout", size)
+        check_limit("K0 layout", size)
     _need_infinite(t)
     head = [0] * ((len(prefix) - 1) * k + 1 if prefix else 0)
     head[::k] = prefix
@@ -262,12 +259,11 @@ def unit_divide(t: Tower, p: int, r: int) -> K0Class | None:
     if prod(t.tail) % p and (r * (p.bit_length() - 1) >= head.bit_length() or head % p**r):
         return None
     # p >= 2, so an exponent over the cap's bits is over the cap
-    bits = LIMITS["unit-division period"][0]
-    if r > bits or p**r > 2**bits:
+    if r > LIMITS["unit-division period"][0]:
         raise over_limit("unit-division period", p, r)
     # any block of size k_n with p^r | k_n holds whole periods, so this is
     # the shortest representative; p^r copies sum blockwise to the unit
-    return _spread(t, (), (1,), p**r)
+    return _spread(t, (), (1,), check_limit("unit-division period", p**r, p, r))
 
 
 def alpha_iterate(t: Tower, n: int, v: K0Class) -> K0Class:
@@ -309,7 +305,5 @@ def transport_class(b: TowerBijection, a: K0Class) -> K0Class:
         if y in out:
             raise PreconditionViolation("map is not injective on the support")
         out[y] = a.prefix[i]
-    length = max(out, default=-1) + 1
-    if length > 1 << LIMITS["K0 layout"][0]:
-        raise over_limit("K0 layout", length)
+    length = check_limit("K0 layout", max(out, default=-1) + 1)
     return K0Class(b.target, tuple(out.get(i, 0) for i in range(length)), (0,))

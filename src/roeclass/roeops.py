@@ -14,6 +14,8 @@ from fractions import Fraction
 from itertools import chain, starmap
 from math import gcd, lcm
 
+import roeclass as rc
+
 from .blockspace import BlockSpace
 from .errors import (
     DepthExhausted,
@@ -23,6 +25,7 @@ from .errors import (
     NotProjection,
     PreconditionViolation,
     UnsupportedEntries,
+    _checked_container,
     _checked_int,
     _clip,
 )
@@ -120,7 +123,7 @@ class PropagationOperator(Frozen):
         # A plain (int, int) key is kept as given, a Fraction value as is.
         n = space._ratios
         clean: Entries = {}
-        for key, v in entries.items():
+        for key, v in _checked_container(entries, "entries", (dict,)).items():
             try:
                 r, c = key
             except (TypeError, ValueError):
@@ -253,9 +256,7 @@ def recompose(bt: BlockTuple) -> PropagationOperator:
 
 def connecting_map(bt: BlockTuple) -> BlockTuple:
     """Group consecutive level-n blocks into level-(n+1) diagonal blocks."""
-    if bt.level + 1 > bt.space.depth:
-        raise PreconditionViolation(f"level {_clip(bt.level + 1)} exceeds the truncation depth")
-    bt.space._blocks(bt.level + 1)  # the level's limits, judged as BlockTuple(...) judges them
+    bt.space._blocks(bt.level + 1)  # the level's range and limits, as BlockTuple(...) judges them
     return BlockTuple._of(space=bt.space, level=bt.level + 1, blocks=_regroup(bt, bt.level + 1))
 
 
@@ -320,8 +321,7 @@ def conjugate_by_bijection(b: TowerBijection, t: PropagationOperator) -> Propaga
 def k0_class_of_projection(bt: BlockTuple) -> K0Class:
     """Finitely supported K0 class of a level-n projection: each block
     contributes (rank, 0, ..., 0).  The ranks past the last nonzero one are
-    dropped before the layout, so its limit judges the blocks up to there."""
-    from .ktheory import _spread  # here only, so no roe command loads ktheory
-
+    dropped before the layout, so its limit judges the blocks up to there.
+    It reads ktheory off the package root, so no roe command loads it."""
     ranks = trace_vector(bt, require_projection=True)
-    return _spread(bt.space.tower, *_normal_form(ranks, (0,)), bt.block_size)
+    return rc.ktheory._spread(bt.space.tower, *_normal_form(ranks, (0,)), bt.block_size)

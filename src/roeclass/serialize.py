@@ -6,8 +6,9 @@ sequence entries) stay bare.  Output is deterministic: sorted keys, compact
 separators, no floats anywhere.
 
 Every command reads a tower, so ``supernatural`` is imported at the top; a
-parser that builds a class of another layer imports that layer itself, so a
-command loads only the layers its inputs and its action need.
+parser that builds a class of another layer reads it off the lazy package
+root when it runs, so a command loads only the layers its inputs and its
+action need.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ import sys
 from functools import partial
 from itertools import repeat
 
-from .errors import LIMITS, MalformedInput, PreconditionViolation, _checked_int, over_limit
+import roeclass as rc
+
+from .errors import MalformedInput, PreconditionViolation, _checked_int, check_limit
 from .supernatural import INFINITE, SupernaturalNumber, Tower
 
 
@@ -108,18 +111,12 @@ def sn_from_obj(obj) -> SupernaturalNumber:
 
 # -- metric spaces ----------------------------------------------------------
 
-def metric_space_to_obj(m: FiniteMetricSpace) -> dict:
-    return {"size": m.size, "distances": [list(row) for row in m.distances]}
-
-
 def metric_space_from_obj(obj) -> FiniteMetricSpace:
-    from .blockspace import FiniteMetricSpace
-
     obj = _as_object(obj, "metric space", {"size", "distances"})
     rows = obj["distances"]
     _expect(isinstance(rows, list) and all(isinstance(row, list) for row in rows),
             "distances must be a list of rows")
-    return FiniteMetricSpace(obj["size"], rows)
+    return rc.FiniteMetricSpace(obj["size"], rows)
 
 
 # -- K0 classes -------------------------------------------------------------
@@ -133,13 +130,11 @@ def k0_to_obj(a: K0Class) -> dict:
 
 
 def k0_from_obj(obj) -> K0Class:
-    from .ktheory import K0Class
-
     obj = _as_object(obj, "K0 class", {"context", "prefix", "period"})
     context = tower_from_obj(obj["context"])
     _expect(isinstance(obj["prefix"], list) and isinstance(obj["period"], list),
             "prefix/period must be lists")
-    return K0Class(context, obj["prefix"], obj["period"])
+    return rc.K0Class(context, obj["prefix"], obj["period"])
 
 
 # -- bijections -------------------------------------------------------------
@@ -148,8 +143,7 @@ def bijection_to_obj(b: TowerBijection) -> dict:
     # the runs expanded to the flat pair list of every point, in C passes;
     # the identity, as bce build writes it, reuses the source strings
     n = b.domain_size
-    if n > 1 << LIMITS["map points"][0]:
-        raise over_limit("map points", n, "")
+    check_limit("map points", n, n, "")
     sources = [*map(str, range(n))]
     images = sources if b.runs[1] == (0,) else [*map(str, b.mapping)]
     flat = [""] * (2 * n)
@@ -164,17 +158,14 @@ def bijection_to_obj(b: TowerBijection) -> dict:
 
 
 def bijection_from_obj(obj) -> TowerBijection:
-    from .equivalence import TowerBijection
-
     obj = _as_object(obj, "bijection", {"source", "target", "depth", "levels", "map"})
     source = tower_from_obj(obj["source"])
     target = tower_from_obj(obj["target"])
     _expect(isinstance(obj["levels"], list), "levels must be a list")
-    bijection = partial(TowerBijection, source, target, obj["depth"], obj["levels"])
+    bijection = partial(rc.TowerBijection, source, target, obj["depth"], obj["levels"])
     flat = obj["map"]
     _expect(isinstance(flat, list), "map must be a flat pair list")
-    if len(flat) // 2 > 1 << LIMITS["map points"][0]:
-        raise over_limit("map points", len(flat) // 2, "")
+    check_limit("map points", len(flat) // 2, len(flat) // 2, "")
     _expect(len(flat) % 2 == 0, "map must be a flat pair list")
     images = flat[1::2]
     n = len(images)
@@ -231,10 +222,8 @@ def space_to_obj(s: BlockSpace) -> dict:
 
 
 def space_from_obj(obj) -> BlockSpace:
-    from .blockspace import BlockSpace
-
     obj = _as_object(obj, "space", {"tower", "depth"})
-    return BlockSpace(tower_from_obj(obj["tower"]), obj["depth"])
+    return rc.BlockSpace(tower_from_obj(obj["tower"]), obj["depth"])
 
 
 def operator_to_obj(t: PropagationOperator) -> dict:
@@ -243,13 +232,11 @@ def operator_to_obj(t: PropagationOperator) -> dict:
 
 
 def operator_from_obj(obj) -> PropagationOperator:
-    from .roeops import PropagationOperator
-
     obj = _as_object(obj, "operator", {"space", "entries"})
     space = space_from_obj(obj["space"])
     items = obj["entries"]
     _expect(isinstance(items, list), "entries must be a list")
-    return PropagationOperator(space, _entries(items))
+    return rc.PropagationOperator(space, _entries(items))
 
 
 def _entries(items: list) -> dict:

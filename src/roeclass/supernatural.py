@@ -18,8 +18,8 @@ from itertools import accumulate, chain, compress, cycle
 from math import gcd, inf, isqrt, prod
 from operator import mul
 
-from .errors import (LIMITS, Frozen, MalformedInput, PreconditionViolation, _checked_int, _clip,
-                     over_limit)
+from .errors import (LIMITS, Frozen, MalformedInput, PreconditionViolation, _checked_container,
+                     _checked_int, _clip, over_limit)
 
 # Exponent marking a prime of unbounded valuation along the tower.
 INFINITE = inf
@@ -190,8 +190,8 @@ class Tower(Frozen):
     _fields = ("prefix", "tail")
 
     def __init__(self, prefix: tuple[int, ...] = (), tail: tuple[int, ...] = ()):
-        prefix = tuple(r for r in map(_checked_ratio, prefix) if r > 1)
-        tail = tuple(r for r in map(_checked_ratio, tail) if r > 1)
+        prefix = tuple(r for r in map(_checked_ratio, _checked_container(prefix, "prefix")) if r > 1)
+        tail = tuple(r for r in map(_checked_ratio, _checked_container(tail, "tail")) if r > 1)
         if tail:
             prefix, tail = _normal_form(prefix, tail)
         object.__setattr__(self, "prefix", prefix)
@@ -247,7 +247,7 @@ class SupernaturalNumber(Frozen):
         if default_exponent not in (0, INFINITE):
             raise MalformedInput("default exponent must be 0 or INFINITE")
         normalized = {}
-        for p, e in sorted(exponents.items()):
+        for p, e in sorted(_checked_container(exponents, "exponents", (dict,)).items()):
             _checked_prime(p, MalformedInput, "exponent key ")
             if e != INFINITE:
                 _checked_int(e, f"exponent of {_clip(p)}")

@@ -17,13 +17,17 @@ from roeclass import (
     PropagationOperator,
     SupernaturalNumber,
     Tower,
+    TowerBijection,
+    alpha_iterate,
     bijectively_coarsely_equivalent,
     block_decompose,
     build_back_and_forth,
     coarsely_equivalent,
+    conjugate_by_bijection,
     connecting_map,
     embed_into_nonneg_integers,
     interleave_towers,
+    k0_class_of_projection,
     k0_equal,
     k0_iso_exists,
     k0_positive,
@@ -36,6 +40,7 @@ from roeclass import (
     sn_divides,
     supernatural_of_tower,
     trace_vector,
+    transport_class,
     unit_divide,
     verify_bijective_coarse_equivalence,
 )
@@ -352,4 +357,42 @@ def test_c10_mvn_witness():
                 big_v = recompose(v)
                 assert compose(adjoint(big_v), big_v) == recompose(p)
                 assert compose(big_v, adjoint(big_v)) == recompose(q)
+    budget.check()
+
+
+def test_c11_conjugation_induces_transport():
+    """The K0 map a witness induces: the class of a conjugated projection,
+    split at the measured modulus of its level, is the transported class,
+    for built witnesses and for ones whose target blocks of one level are
+    permuted inside their parent blocks."""
+    budget = Budget(10.0)
+    rng = random.Random(20261022)
+    checked = attempts = 0
+    while checked < 200 and attempts < 2000:
+        attempts += 1
+        t1, t2 = random_equivalent_pair(rng)
+        depth = rng.randint(1, 3)
+        if t1.order(interleave_towers(t1, t2, depth)[-1][0]) > 256:
+            continue
+        b = build_back_and_forth(t1, t2, depth)
+        if rng.random() < 0.5:
+            s = rng.randrange(b.final_levels[1])
+            w, r = t2.order(s), t2.ratio(s)
+            perm = rng.sample(range(r), r)
+            b = TowerBijection(t1, t2, depth, b.levels,
+                               [y + (perm[y // w % r] - y // w % r) * w for y in b.mapping])
+        assert verify_bijective_coarse_equivalence(b).passed
+        space = BlockSpace(t1, b.final_levels[0])
+        level = rng.randint(0, space.depth)
+        k = space.order(level)
+        p = PropagationOperator(space, {(x, x): Fraction(1) for start in range(0, space.size, k)
+                                        for x in rng.sample(range(start, start + k),
+                                                            rng.randint(0, k))})
+        rho = b.modulus[level]
+        conjugated = k0_class_of_projection(block_decompose(conjugate_by_bijection(b, p), rho))
+        transported = transport_class(b, k0_class_of_projection(block_decompose(p, level)))
+        assert k0_equal(conjugated, transported)
+        assert alpha_iterate(t2, rho, conjugated) == alpha_iterate(t2, rho, transported)
+        checked += 1
+    assert checked == 200
     budget.check()

@@ -1,5 +1,6 @@
 """End-to-end command line behavior: outputs, exit codes, determinism."""
 
+import ast
 import io
 import json
 import os
@@ -844,6 +845,22 @@ class TestImportGate:
             f'{{"context":{{"prefix":[],"tail":["2","{pq}"]}},'
             '"period":[1,0,0,0,0,0,0,0],"prefix":[]}\n']
         assert report["loaded"] == []
+
+    def test_no_function_imports_a_sibling_layer(self):
+        # a layer needed only on some paths is read off the lazy package
+        # root (``import roeclass as rc``), the one deferred-import path
+        def of_package(node):
+            if isinstance(node, ast.ImportFrom):
+                return node.level > 0 or node.module.split(".")[0] == "roeclass"
+            return isinstance(node, ast.Import) and any(
+                alias.name.split(".")[0] == "roeclass" for alias in node.names)
+
+        src = Path(roeclass.__file__).parent
+        found = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+                 for func in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 for node in ast.walk(func) if of_package(node)]
+        assert found == []
 
 
 PARSER = _build_parser()

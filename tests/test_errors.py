@@ -112,11 +112,24 @@ T2 = Tower((), (2,))
     lambda: BlockTuple(BlockSpace(T2, 1), 0, (b for b in ({}, {}))),
     lambda: PropagationOperator(BlockSpace(T2, 1), {frozenset({1, 0}): 1}),
     lambda: BlockTuple(BlockSpace(T2, 1), 0, ({frozenset({1, 0}): 1}, {})),
+    # arguments that are not containers at all: a sequence or a dict is wanted
+    lambda: Tower(5, ()),
+    lambda: Tower((), None),
+    lambda: K0Class(T2, 5, (1,)),
+    lambda: SupernaturalNumber(5),
+    lambda: TowerBijection(T2, T2, 1, 5, (0, 1)),
+    lambda: TowerBijection(T2, T2, 1, ((1, 1),), 5),
+    lambda: PropagationOperator(BlockSpace(T2, 1), 5),
+    lambda: PropagationOperator(BlockSpace(T2, 1), [((0, 0), 1)]),
+    lambda: FiniteMetricSpace(2, 5),
+    lambda: FiniteMetricSpace(2, (5, 5)),
 ], ids=["ratio", "bool_ratio", "prime", "default_exponent", "bool_depth", "negative_depth",
         "bool_size", "size", "shape", "metric", "period", "entry", "bool_rank", "unit_rank",
         "bool_position", "block_count", "block_entry", "levels_length", "bijection_depth",
         "triple_key", "int_key", "block_triple_key", "block_int_key", "block_float_key",
-        "block_str_value", "block_list", "block_generator", "set_key", "block_set_key"])
+        "block_str_value", "block_list", "block_generator", "set_key", "block_set_key",
+        "int_prefix", "none_tail", "int_k0_prefix", "int_exponents", "int_levels", "int_points",
+        "int_entries", "list_entries", "int_distances", "int_distance_rows"])
 def test_constructors_raise_malformed_input(make):
     with pytest.raises(MalformedInput):
         make()

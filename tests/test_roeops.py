@@ -24,6 +24,7 @@ from roeclass import (
     PropagationOperator,
     RoeclassError,
     Tower,
+    TowerBijection,
     UnsupportedEntries,
     add,
     adjoint,
@@ -33,17 +34,22 @@ from roeclass import (
     compose,
     conjugate_by_bijection,
     connecting_map,
+    interleave_towers,
+    k0_add,
     k0_class_of_projection,
     k0_equal,
+    k0_positive,
     k0_zero,
     mvn_partial_isometry,
     propagation,
     recompose,
     trace_vector,
+    transport_class,
+    verify_bijective_coarse_equivalence,
 )
 from roeclass.roeops import _mat_add, _mat_mul, _projection_rank
 
-from conftest import Budget, same_value, towers
+from conftest import Budget, random_equivalent_pair, same_value, towers
 
 
 def dense(op):
@@ -779,6 +785,69 @@ class TestRegroupOracle:
             assert connecting_map(bt) == connecting_map_reference(bt)
         p = data.draw(block_tuples(space, n, projections=True))
         assert outcome(k0_class_of_projection, p) == outcome(k0_class_reference, p)
+
+
+@st.composite
+def verified_witnesses(draw):
+    """A witness between two towers of one supernatural number, at the
+    deepest of depths 1-3 with at most 64 source points (depth 1 has at
+    most 25): as bce build makes it, or with its images' aligned k2_s-point
+    pieces permuted inside their level-(s + 1) target blocks.  Either way
+    the verifier passes it."""
+    t1, t2 = random_equivalent_pair(draw(st.randoms(use_true_random=False)))
+    levels = interleave_towers(t1, t2, draw(st.integers(1, 3)))
+    depth = max(j for j, (n, _) in enumerate(levels, 1) if t1.order(n) <= 64)
+    b = build_back_and_forth(t1, t2, depth)
+    if draw(st.booleans()):
+        s = draw(st.integers(0, b.final_levels[1] - 1))
+        w, r = t2.order(s), t2.ratio(s)
+        perm = draw(st.permutations(range(r)))
+        images = [y + (perm[y // w % r] - y // w % r) * w for y in b.mapping]
+        b = TowerBijection(t1, t2, b.depth, b.levels, images)
+    assert verify_bijective_coarse_equivalence(b).passed
+    return b
+
+
+class TestCommutingSquare:
+    """Conjugation by a witness induces transport on K0: the class of the
+    conjugated projection, split at the measured modulus of the level, is
+    the transported class of the projection.  The square holds for dense
+    rank-1 blocks as for diagonal ones, the identity goes to the projection
+    onto the image, and the induced map keeps the positive cone and sums."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(verified_witnesses(), st.data())
+    def test_conjugation_induces_transport(self, b, data):
+        space = BlockSpace(b.source, b.final_levels[0])
+        level = data.draw(st.integers(0, space.depth))
+        rho = b.modulus[level]
+
+        def both_ways(p):
+            """(class of the conjugate at rho, transported class) of a projection tuple."""
+            conjugate = conjugate_by_bijection(b, recompose(p))
+            return (k0_class_of_projection(block_decompose(conjugate, rho)),
+                    transport_class(b, k0_class_of_projection(p)))
+
+        p, q = (data.draw(block_tuples(space, level, projections=True)) for _ in range(2))
+        (conjugated, transported), (conjugated_q, transported_q) = both_ways(p), both_ways(q)
+        assert k0_equal(conjugated, transported)
+        # each source level block lies in one target rho-block, so the
+        # rho-block sums agree exactly, and not only in K0
+        assert alpha_iterate(b.target, rho, conjugated) == alpha_iterate(b.target, rho, transported)
+        # positivity: both are in the positive cone, and zero exactly for p = 0
+        assert k0_positive(conjugated)[0] and k0_positive(transported)[0]
+        assert transported.is_zero() == (sum(trace_vector(p, require_projection=True)) == 0)
+        # additivity: the sum of two classes goes to the sum of their images
+        summed = k0_add(k0_class_of_projection(p), k0_class_of_projection(q))
+        assert transport_class(b, summed) == k0_add(transported, transported_q)
+        assert k0_equal(k0_add(conjugated, conjugated_q), k0_add(transported, transported_q))
+        # the unit: the identity of the source truncation goes to the
+        # projection onto the image, and its class to that projection's
+        unit = PropagationOperator.identity(space)
+        onto_image = PropagationOperator(BlockSpace(b.target, b.final_levels[1]),
+                                         {(y, y): 1 for y in b.mapping})
+        assert conjugate_by_bijection(b, unit) == onto_image
+        assert k0_equal(*both_ways(block_decompose(unit, level)))
 
 
 def diagonal_support_reference(blk):
