@@ -86,15 +86,15 @@ def _rank(rows: Rows) -> int:
 def _projection_rank(a: Entries) -> int | None:
     """rank p of a block p with p*p = p = p*, None for any other block."""
     if all(r == c for r, c in a):
-        # a rational v with v*v = v is 0 or 1; a stored 0 fails p*p = p too
+        # a nonzero rational v with v*v = v is 1
         return len(a) if all(v == 1 for v in a.values()) else None
     # p = M/D: integer numerators over one positive denominator
     d = lcm(*(v.denominator for v in a.values()))
     rows: Rows = {}
     for (r, c), v in a.items():
         rows.setdefault(r, {})[c] = v.numerator * (d // v.denominator)
-    # a stored 0 never survives p*p; p* = p entry by entry
-    if any(not m or rows.get(c, {}).get(r) != m for r, row in rows.items() for c, m in row.items()):
+    # p* = p entry by entry
+    if any(rows.get(c, {}).get(r) != m for r, row in rows.items() for c, m in row.items()):
         return None
     # A symmetric p has real eigenvalues; tr p = tr p^2 = rank p makes every
     # nonzero one 1 (Cauchy-Schwarz is then an equality), so p is a
@@ -108,6 +108,31 @@ def _not_a_pair(key) -> MalformedInput:
     return MalformedInput(f"key {_clip(key)} is not a (row, column) pair")
 
 
+def _checked_entries(entries, n: int, size, what="entries", inside="the truncation") -> Entries:
+    """An operator's or a block's entries in their one stored form: a new dict
+    of the nonzero ones as Fractions under (int, int) tuple keys, each index
+    below size() >= 2^n.  size() is read only for an index that reaches 2^n."""
+    clean: Entries = {}
+    for key, v in _checked_container(entries, what, (dict,)).items():
+        try:
+            r, c = key
+        except (TypeError, ValueError):
+            raise _not_a_pair(key) from None
+        if type(r) is not int or type(c) is not int or type(key) is not tuple:
+            if not isinstance(key, tuple):  # a set or range unpacks in iteration order
+                raise _not_a_pair(key)
+            key = (_checked_int(r, "entry row"), _checked_int(c, "entry column"))
+        if r < 0 or c < 0 or (r | c) >> n and not (r < size() > c):
+            raise MalformedInput(f"entry ({_clip(r)}, {_clip(c)}) outside {inside}")
+        if type(v) is not Fraction:
+            if type(v) is not int and not isinstance(v, Fraction):
+                _checked_int(v, "an entry that is not a Fraction")
+            v = Fraction(v)
+        if v:
+            clean[key] = v
+    return clean
+
+
 class PropagationOperator(Frozen):
     """Sparse exact-rational matrix over the points of a block space."""
 
@@ -117,31 +142,10 @@ class PropagationOperator(Frozen):
         self.__post_init__(space, entries)  # bench/spans.py times it
 
     def __post_init__(self, space, entries):
-        # size >= 2^n for the n ratios (each >= 2) among the first depth: an
-        # index below 2^n is inside, and size, huge for a deep space, is read
-        # only for an index that reaches 2^n (r < size > c: both below it).
-        # A plain (int, int) key is kept as given, a Fraction value as is.
-        n = space._ratios
-        clean: Entries = {}
-        for key, v in _checked_container(entries, "entries", (dict,)).items():
-            try:
-                r, c = key
-            except (TypeError, ValueError):
-                raise _not_a_pair(key) from None
-            if type(r) is not int or type(c) is not int or type(key) is not tuple:
-                if not isinstance(key, tuple):  # a set or range unpacks in iteration order
-                    raise _not_a_pair(key)
-                key = (_checked_int(r, "entry row"), _checked_int(c, "entry column"))
-            if r < 0 or c < 0 or (r | c) >> n and not (r < space.size > c):
-                raise MalformedInput(f"entry ({_clip(r)}, {_clip(c)}) outside the truncation")
-            if type(v) is not Fraction:
-                if type(v) is not int and not isinstance(v, Fraction):
-                    _checked_int(v, "an entry that is not a Fraction")
-                v = Fraction(v)
-            if v:
-                clean[key] = v
+        # size >= 2^n for the n ratios (each >= 2) among the first depth
+        entries = _checked_entries(entries, space._ratios, lambda: space.size)
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "entries", clean)
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def zero(cls, space: BlockSpace) -> "PropagationOperator":
@@ -150,7 +154,8 @@ class PropagationOperator(Frozen):
     @classmethod
     def identity(cls, space: BlockSpace) -> "PropagationOperator":
         # the "blocks of a split" limit at level 0, whose blocks are the points
-        return cls(space, {(x, x): Fraction(1) for x in range(space._blocks(0)[1])})
+        points = range(space._blocks(0)[1])
+        return cls._of(space=space, entries={(x, x): Fraction(1) for x in points})
 
     @classmethod
     def matrix_unit(cls, space: BlockSpace, x: int, y: int, value=1) -> "PropagationOperator":
@@ -182,30 +187,16 @@ def adjoint(a: PropagationOperator) -> PropagationOperator:
 
 
 class BlockTuple(Frozen):
-    """Level-n block decomposition: k_depth/k_n square blocks of size k_n."""
+    """Level-n block decomposition: k_depth/k_n square blocks of size k_n, stored as entries are."""
 
     _fields = ("space", "level", "blocks")
 
     def __init__(self, space: BlockSpace, level: int, blocks: tuple[Entries, ...]):
         k, count = space._blocks(level)
-        if not isinstance(blocks, (tuple, list)):
-            raise MalformedInput(f"blocks must be a tuple or list of dicts, "
-                                 f"got {type(blocks).__name__} {_clip(blocks)}")
-        if len(blocks) != count:
+        if len(_checked_container(blocks, "blocks")) != count:
             raise MalformedInput("wrong number of blocks for the level")
-        for blk in blocks:
-            if not isinstance(blk, dict):
-                raise MalformedInput(f"block {_clip(blk)} is not a dict")
-            for key, v in blk.items():
-                if not isinstance(key, tuple) or len(key) != 2:
-                    raise _not_a_pair(key)
-                r, c = key
-                _checked_int(r, "block entry row")
-                _checked_int(c, "block entry column")
-                if not (0 <= r < k and 0 <= c < k):
-                    raise MalformedInput("block entry outside the block")
-                if not isinstance(v, Fraction):
-                    _checked_int(v, "a block entry that is not a Fraction")
+        blocks = tuple(_checked_entries(blk, k.bit_length() - 1, lambda: k, "block", "the block")
+                       for blk in blocks)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "blocks", blocks)
@@ -251,7 +242,7 @@ def _regroup(bt: BlockTuple, m: int) -> tuple[Entries, ...]:
 
 def recompose(bt: BlockTuple) -> PropagationOperator:
     """Operator of a block tuple: at the top level one block is the whole truncation."""
-    return PropagationOperator(bt.space, _regroup(bt, bt.space.depth)[0])
+    return PropagationOperator._of(space=bt.space, entries=_regroup(bt, bt.space.depth)[0])
 
 
 def connecting_map(bt: BlockTuple) -> BlockTuple:
@@ -285,9 +276,8 @@ def mvn_partial_isometry(p: BlockTuple, q: BlockTuple) -> BlockTuple | None:
     projections of equal trace vector; None when the traces differ."""
     if p.space != q.space or p.level != q.level:
         raise PreconditionViolation("projections must share a space and level")
-    for blk in tuple(p.blocks) + tuple(q.blocks):
-        if _projection_rank(blk) is None:
-            raise NotProjection("block fails p*p = p = p*")
+    if None in map(_projection_rank, p.blocks + q.blocks):
+        raise NotProjection("block fails p*p = p = p*")
     # a diagonal projection holds only 1s, so its support is its keys
     blocks = []
     for pb, qb in zip(p.blocks, q.blocks):

@@ -260,10 +260,17 @@ class BlockTuple:
         k = self.space.order(self.level)
         if len(self.blocks) != self.space.size // k:
             raise MalformedInput("wrong number of blocks for the level")
+        blocks = []
         for blk in self.blocks:
+            clean = {}
             for (r, c), v in blk.items():
                 if not (0 <= r < k and 0 <= c < k):
-                    raise MalformedInput("block entry outside the block")
+                    raise MalformedInput(f"entry ({_clip(r)}, {_clip(c)}) outside the block")
+                v = _coerce_scalar(v)
+                if v:
+                    clean[(r, c)] = v
+            blocks.append(clean)
+        object.__setattr__(self, "blocks", tuple(blocks))
 
 
 # the library's class of each oracle class

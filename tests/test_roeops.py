@@ -8,7 +8,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy import Matrix
 
@@ -47,6 +47,7 @@ from roeclass import (
     transport_class,
     verify_bijective_coarse_equivalence,
 )
+from roeclass.errors import LIMITS
 from roeclass.roeops import _mat_add, _mat_mul, _projection_rank
 
 from conftest import Budget, random_equivalent_pair, same_value, towers
@@ -441,11 +442,18 @@ class TestTraceVector:
     @pytest.mark.parametrize("value", [2, -1, Fraction(1, 2), 0])
     def test_diagonal_non_projection_rejected(self, value):
         # the all-diagonal shortcut of the projection check must refuse
-        # every entry but 1, including an explicit 0 in a hand-built tuple
+        # every entry but 1; an explicit 0 in a hand-built tuple is dropped
+        # as an operator drops it, which leaves diag(1, 0), of trace (1,)
         s = BlockSpace(Tower((), (2,)), 1)
         blk = {(0, 0): Fraction(1), (1, 1): Fraction(value)}
         bt = BlockTuple(s, 1, (blk,))
         good = block_decompose(PropagationOperator.identity(s), 1)
+        if value == 0:
+            assert trace_vector(bt, require_projection=True) == (1,)
+            assert mvn_partial_isometry(bt, good) is None
+            assert k0_equal(k0_class_of_projection(bt), k0_class_of_projection(
+                block_decompose(PropagationOperator(s, {(0, 0): 1}), 1)))
+            return
         with pytest.raises(NotProjection):
             trace_vector(bt, require_projection=True)
         with pytest.raises(NotProjection):
@@ -502,7 +510,10 @@ class TestProjectionCheck:
     def test_matches_squaring_rule(self, case):
         # None exactly when the squaring rule fails, else the rank of an
         # independent exact elimination
+        # the block as BlockTuple stores it: an explicit 0 is dropped, an
+        # int made a Fraction, as an operator's entries are
         k, blk = case
+        blk = one_block(blk, k).blocks[0]
         rank = _projection_rank(blk)
         if not is_projection_oracle(blk):
             assert rank is None
@@ -791,13 +802,19 @@ class TestRegroupOracle:
 def verified_witnesses(draw):
     """A witness between two towers of one supernatural number, at the
     deepest of depths 1-3 with at most 64 source points (depth 1 has at
-    most 25): as bce build makes it, or with its images' aligned k2_s-point
-    pieces permuted inside their level-(s + 1) target blocks.  Either way
-    the verifier passes it."""
+    most 25) and at most 2^20 target points: as bce build makes it, or with
+    its images' aligned k2_s-point pieces permuted inside their level-(s + 1)
+    target blocks.  Either way the verifier passes it.  The target bound is
+    the "blocks of a split" limit: at modulus 0 the conjugate splits into
+    one block per target point, and a larger target is refused there
+    (``test_large_target_refused_at_modulus_0``), so a pair whose depth 1
+    already passes it is not drawn."""
     t1, t2 = random_equivalent_pair(draw(st.randoms(use_true_random=False)))
     levels = interleave_towers(t1, t2, draw(st.integers(1, 3)))
-    depth = max(j for j, (n, _) in enumerate(levels, 1) if t1.order(n) <= 64)
-    b = build_back_and_forth(t1, t2, depth)
+    most = 1 << LIMITS["blocks of a split"][0]
+    fits = [j for j, (n, m) in enumerate(levels, 1) if t1.order(n) <= 64 and t2.order(m) <= most]
+    assume(fits)
+    b = build_back_and_forth(t1, t2, fits[-1])
     if draw(st.booleans()):
         s = draw(st.integers(0, b.final_levels[1] - 1))
         w, r = t2.order(s), t2.ratio(s)
@@ -848,6 +865,19 @@ class TestCommutingSquare:
                                          {(y, y): 1 for y in b.mapping})
         assert conjugate_by_bijection(b, unit) == onto_image
         assert k0_equal(*both_ways(block_decompose(unit, level)))
+
+    def test_large_target_refused_at_modulus_0(self):
+        # depth 1 of this pair already reaches target level 8, of
+        # 25^2 * 5^4 * 2^2 = 1,562,500 points: the level-0 split of a
+        # conjugate there is refused by the limit, not miscomputed
+        b = build_back_and_forth(Tower((4,), (2, 5)), Tower((25, 25), (5, 5, 2)), 1)
+        assert b.target.order(b.final_levels[1]) == 1_562_500 and b.modulus == (0, 1)
+        conjugate = conjugate_by_bijection(b, PropagationOperator.identity(
+            BlockSpace(b.source, b.final_levels[0])))
+        with pytest.raises(PreconditionViolation,
+                           match=r"^level 0 would split the space into over 2\^20 blocks$"):
+            block_decompose(conjugate, 0)
+        assert len(block_decompose(conjugate, 1).blocks) == 62_500
 
 
 def diagonal_support_reference(blk):
@@ -1075,12 +1105,12 @@ class TestUncheckedConstructors:
     @pytest.mark.parametrize("block, message", [
         ({(1, 2, 3): 1}, "key (1, 2, 3) is not a (row, column) pair"),
         ({5: 1}, "key 5 is not a (row, column) pair"),
-        ({(0.5, 0): 1}, "block entry row must be an integer, got float 0.5"),
-        ({(0, True): 1}, "block entry column must be an integer, got bool True"),
-        ({(0, 2): 1}, "block entry outside the block"),
-        ({(0, 0): "x"}, "a block entry that is not a Fraction must be an integer, got str 'x'"),
-        ({(0, 0): 0.5}, "a block entry that is not a Fraction must be an integer, got float 0.5"),
-        ([((0, 0), 1)], "block [((0, 0), 1)] is not a dict"),
+        ({(0.5, 0): 1}, "entry row must be an integer, got float 0.5"),
+        ({(0, True): 1}, "entry column must be an integer, got bool True"),
+        ({(0, 2): 1}, "entry (0, 2) outside the block"),
+        ({(0, 0): "x"}, "an entry that is not a Fraction must be an integer, got str 'x'"),
+        ({(0, 0): 0.5}, "an entry that is not a Fraction must be an integer, got float 0.5"),
+        ([((0, 0), 1)], "block must be a dict, got list [((0, 0), 1)]"),
         # a key that unpacks into two integers is still no pair unless a tuple
         ({frozenset({1, 0}): 1}, "key frozenset({0, 1}) is not a (row, column) pair"),
         ({range(0, 2): 1}, "key range(0, 2) is not a (row, column) pair"),
@@ -1098,14 +1128,38 @@ class TestUncheckedConstructors:
     ])
     def test_blocks_not_a_sequence_refused(self, blocks, shown):
         with pytest.raises(MalformedInput,
-                           match=f"^blocks must be a tuple or list of dicts, got {re.escape(shown)}"):
+                           match=f"^blocks must be a tuple or list, got {re.escape(shown)}"):
             BlockTuple(BlockSpace(Tower((), (2,)), 2), 1, blocks)
 
-    def test_block_tuple_keeps_its_blocks_as_given(self):
-        # stored zeros and int values stay: the projection check refuses them later
-        blocks = ({(0, 0): 0, (1, 1): 2}, {(0, 1): Fraction(1, 2)})
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(PROJECTION_SPACES), st.data())
+    def test_block_tuple_equals_decomposed_operator(self, s, data):
+        # hand-built blocks of ints, Fractions and explicit zeros, in a list
+        # or a tuple, are the blocks of the operator that holds them in place
+        n = data.draw(st.integers(min_value=0, max_value=s.depth))
+        k = s.order(n)
+        pts = st.integers(min_value=0, max_value=k - 1)
+        values = st.integers(-2, 2) | scalars | st.sampled_from([0, Fraction(0)])
+        blocks = [data.draw(st.dictionaries(st.tuples(pts, pts), values, max_size=4))
+                  for _ in range(s.size // k)]
+        bt = BlockTuple(s, n, data.draw(st.sampled_from([list, tuple]))(blocks))
+        shifted = {(i * k + r, i * k + c): v
+                   for i, blk in enumerate(blocks) for (r, c), v in blk.items()}
+        assert bt == block_decompose(PropagationOperator(s, shifted), n)
+        assert type(bt.blocks) is tuple
+        assert all(got is not blk for got, blk in zip(bt.blocks, blocks))
+        assert all(type(v) is Fraction and v for blk in bt.blocks for v in blk.values())
+
+    def test_block_tuple_stores_its_blocks_as_entries(self):
+        # zeros are dropped and ints made Fractions, into new dicts, so a
+        # later write into the caller's dict leaves the value as it was
+        blocks = [{(0, 0): 0, (1, 1): 2}, {(0, 1): Fraction(1, 2)}]
         bt = BlockTuple(BlockSpace(Tower((), (2,)), 2), 1, blocks)
-        assert bt.blocks is blocks and type(bt.blocks[0][1, 1]) is int
+        assert bt.blocks == ({(1, 1): Fraction(2)}, {(0, 1): Fraction(1, 2)})
+        assert type(bt.blocks) is tuple and type(bt.blocks[0][1, 1]) is Fraction
+        assert all(got is not given for got, given in zip(bt.blocks, blocks))
+        blocks[1][(1, 0)] = 7
+        assert bt.blocks[1] == {(0, 1): Fraction(1, 2)}
 
     def test_accepted_entries_stored_as_plain_fractions_under_tuple_keys(self):
         class Index(int):

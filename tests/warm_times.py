@@ -3,8 +3,10 @@ trees in one process.
 
     python tests/warm_times.py BASE CHANGE
 
-Each tree's ``src/roeclass`` is imported under its own package name
-(``roeclass_0``, ``roeclass_1``), so both run warm on one interpreter.
+Each tree's ``src/roeclass`` is imported as ``roeclass``, the name its
+layers import it by, with every layer and public name resolved, and is
+then moved aside in ``sys.modules`` under its own alias (``roeclass_0``,
+``roeclass_1``), so both run warm on one interpreter.
 The inputs are made once, from seed 0:
 
 - ``metric 128``: the distances of a 128-point block space (tail 2, depth
@@ -42,14 +44,29 @@ SPARSE_SPACES = [((), (2,), 9), ((), (3,), 5), ((), (2, 3), 5), ((), (5,), 3),
 ROUNDS = 40
 
 
-def load(tree: Path, name: str):
-    """The package under ``tree/src/roeclass``, imported as ``name``."""
+def _package_modules() -> list:
+    """The names in ``sys.modules`` of the package ``roeclass`` and its layers."""
+    return [name for name in sys.modules if name == "roeclass" or name.startswith("roeclass.")]
+
+
+def load(tree: Path, alias: str):
+    """The package under ``tree/src/roeclass``, imported as ``roeclass`` with
+    every layer of ``_LAYERS`` and every name of ``__all__`` resolved, so it
+    never imports again; then its ``sys.modules`` entries, the package's and
+    its layers', are moved to ``alias`` and ``alias.<layer>``, and a
+    ``roeclass`` imported before is put back."""
+    before = {name: sys.modules.pop(name) for name in _package_modules()}
     src = tree / "src" / "roeclass"
-    spec = importlib.util.spec_from_file_location(name, src / "__init__.py",
+    spec = importlib.util.spec_from_file_location("roeclass", src / "__init__.py",
                                                   submodule_search_locations=[str(src)])
     module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
+    sys.modules["roeclass"] = module
     spec.loader.exec_module(module)
+    for name in [*module._LAYERS, *module.__all__]:
+        getattr(module, name)
+    for name in _package_modules():
+        sys.modules[alias + name.removeprefix("roeclass")] = sys.modules.pop(name)
+    sys.modules.update(before)
     return module
 
 
